@@ -155,6 +155,38 @@ class UniPoly:
     def square(self) -> "UniPoly":
         return self * self
 
+    def __divmod__(self, other: "UniPoly | Scalar") -> "tuple[UniPoly, UniPoly]":
+        """Exact long division: (q, r) with self == q*other + r, deg r < deg other."""
+        other = self._coerce(other)
+        if other.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        d = len(other.coeffs) - 1
+        rem = list(self.coeffs)
+        quot = [Fraction(0)] * max(len(rem) - d, 0)
+        for k in reversed(range(len(quot))):
+            quot[k] = c = rem[k + d] / other.coeffs[-1]
+            for i, b in enumerate(other.coeffs):
+                rem[k + i] -= c * b
+        return UniPoly(quot), UniPoly(rem[:d])
+
+    def sqrt_part(self) -> "UniPoly":
+        """The polynomial part of sqrt(p): the unique g with deg(p - g^2) < deg g.
+
+        Needs even degree >= 2 and a positive rational square as leading
+        coefficient.  This is the completing-the-square step of Runge's method.
+        """
+        n, odd = divmod(len(self.coeffs) - 1, 2)
+        lead = self.coefficient(len(self.coeffs) - 1)
+        root = Fraction(math.isqrt(max(lead.numerator, 0)), math.isqrt(lead.denominator))
+        if n < 1 or odd or root * root != lead:
+            raise ValueError(f"{self} has no polynomial square-root part")
+        # Adding c*x^k to g changes the x^(n+k) coefficient of g^2 by 2*root*c
+        # and leaves every higher one alone, so each c is fixed in turn.
+        g = [Fraction(0)] * n + [root]
+        for k in reversed(range(n)):
+            g[k] = (self - UniPoly(g).square()).coefficient(n + k) / (2 * root)
+        return UniPoly(g)
+
     @staticmethod
     def _coerce(value: "UniPoly | Scalar") -> "UniPoly":
         if isinstance(value, UniPoly):
@@ -199,10 +231,6 @@ class UniPoly:
         for coeff in reversed(self.coeffs):
             result = result * x_plus_c + coeff
         return result
-
-    def compose_neg(self) -> "UniPoly":
-        """Composition p(-x)."""
-        return UniPoly([c if i % 2 == 0 else -c for i, c in enumerate(self.coeffs)])
 
     def __repr__(self) -> str:
         if self.is_zero():

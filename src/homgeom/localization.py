@@ -8,6 +8,11 @@ concrete integer (computed here structurally, through s1_hat, alpha_hat and
 s2_hat) that must be a perfect square.  Of the six condition pairs, two (A
 and D) are impossible by an imported external fact; the remaining four are
 killed computationally, instance by instance, through that integer.
+
+The same formulas run unchanged over polynomials: evaluated at the
+indeterminate x they give the obstruction polynomial f of each case, from
+which the obstructions module derives its whole catalog.  The hypothesis
+ranges and known square arguments below are the only copy of those facts.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .exact_arith import isqrt_floor, is_perfect_square
+from .exact_arith import UniPoly, isqrt_floor, is_perfect_square
 from .parameters import Condition, ParamSystem, s2_of
 
 
@@ -62,12 +67,13 @@ class CaseRangeError(ValueError):
 
 
 # Smallest argument at which each computable case's elimination is claimed.
+# Its keys, in this order, are the computable cases.
 CASE_MIN_ARG = {
-    CaseLabel.B_PLUS: 2,
-    CaseLabel.B_MINUS: 2,
     CaseLabel.C: 3,
     CaseLabel.E: 2,
     CaseLabel.F: 2,
+    CaseLabel.B_PLUS: 2,
+    CaseLabel.B_MINUS: 2,
 }
 
 # Arguments (all below the hypothesis range) where the obstruction value IS a
@@ -98,14 +104,15 @@ def point_localize(ps: ParamSystem) -> int:
     which must divide exactly.
     """
     s1_hat = ps.alpha + ps.s1
-    s2 = s2_of(ps)
-    assert (s2 - 1) % (ps.s1 - 1) == 0
-    assert (s2 - 1) // (ps.s1 - 1) == s1_hat
+    quotient, remainder = divmod(s2_of(ps) - 1, ps.s1 - 1)
+    if remainder != 0 or quotient != s1_hat:
+        raise ArithmeticError(f"quotient identity (s2 - 1)/(s1 - 1) = s1_hat fails for {ps}")
     return s1_hat
 
 
 def localized_alpha(condition: Condition, s1_hat: int) -> int:
-    """The alpha value a hypothesized condition forces on the localized system."""
+    """The alpha value a hypothesized condition forces on the localized system
+    (for conditions 2 and 3, s1_hat may also be a UniPoly)."""
     if condition is Condition.COND2:
         return s1_hat * (s1_hat - 1)
     if condition is Condition.COND3:
@@ -139,53 +146,47 @@ def localize_under(ps: ParamSystem, condition_hat: Condition) -> LocalizedParams
 def _square_quantity_from(s1: int, alpha: int, condition_hat: Condition) -> int:
     """s3/s1 of the outer system under the inner hypothesis (s3 via s2_hat).
 
-    The outer squareness requirement reduces to this integer being a perfect
-    square; for the C pair the requirement is s2_hat itself.
+    The outer squareness requirement reduces to this quantity being a perfect
+    square; for the C pair it is s2_hat itself.  The division must be exact.
     """
     s1h = alpha + s1
     alpha_hat = localized_alpha(condition_hat, s1h)
-    s2h = s2_hat(s1h, alpha_hat)
-    s3 = 1 + (s1 - 1) * s2h
-    assert s3 % s1 == 0, f"s3={s3} not divisible by s1={s1}"
-    return s3 // s1
+    s3 = 1 + (s1 - 1) * s2_hat(s1h, alpha_hat)
+    quotient, remainder = divmod(s3, s1)
+    if remainder != 0:
+        raise ArithmeticError(f"s3={s3} not divisible by s1={s1}")
+    return quotient
 
 
-def obstruction_value(case: CaseLabel, arg: int) -> int:
-    """The integer one instance of a computable case requires to be a square.
+def obstruction_value(case: CaseLabel, arg: int | UniPoly) -> int | UniPoly:
+    """The quantity one instance of a computable case requires to be a square.
 
     The argument is the outer system's line size s1 for cases C, E, F, and
     t = sqrt(s1) for the B variants (condition 1 presupposes square s1).
-    Everything is computed structurally through the localization transform;
-    the closed-form obstruction polynomials live in the catalog module and
-    are cross-checked against this route by tests.
+    Everything is computed structurally through the localization transform,
+    using ring operations and one exact division only.  An integer argument
+    (at least 2) gives the integer for that instance; UniPoly.x() gives the
+    case's obstruction polynomial f itself.
     """
     if case in (CaseLabel.A, CaseLabel.D):
         raise ExternalCaseError(
             f"case {case.value} is settled by an imported external fact; "
             "it has no computable obstruction here"
         )
-    if arg < 2:
+    if isinstance(arg, int) and arg < 2:
         raise ValueError(f"case {case.value} obstruction needs argument >= 2, got {arg}")
     if case is CaseLabel.C:
-        # Condition 2 outer and inner: the quantity is s2_hat with
-        # s1_hat = s1^2 and alpha_hat = s1_hat^2 - s1_hat.
-        s1 = arg
-        s1h = s1 * s1
-        return s2_hat(s1h, s1h * s1h - s1h)
-    if case is CaseLabel.E:
-        s1 = arg
-        alpha = s1 * s1 + 1
-        return _square_quantity_from(s1, alpha, Condition.COND2)
-    if case is CaseLabel.F:
-        s1 = arg
-        alpha = s1 * s1 + 1
-        return _square_quantity_from(s1, alpha, Condition.COND3)
+        # Condition 2 outer and inner: the quantity is s2_hat itself, with
+        # s1_hat = s1^2.
+        s1h = arg * arg
+        return s2_hat(s1h, localized_alpha(Condition.COND2, s1h))
+    if case in (CaseLabel.E, CaseLabel.F):
+        inner = Condition.COND2 if case is CaseLabel.E else Condition.COND3
+        return _square_quantity_from(arg, arg * arg + 1, inner)
     # B variants: outer condition 1 with t = sqrt(s1), inner condition 2.
-    t = arg
-    s1 = t * t
     sign = 1 if case is CaseLabel.B_PLUS else -1
-    alpha = s1 * (t + sign) ** 2
-    return _square_quantity_from(s1, alpha, Condition.COND2)
+    s1 = arg * arg
+    return _square_quantity_from(s1, s1 * (arg + sign) ** 2, Condition.COND2)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 """The square-obstruction catalog and its impossibility machinery.
 
 Each computable case carries a polynomial f together with a completed-square
-decomposition f = g^2 - h.  If f(t) were the square a^2, then with A = 2g
+decomposition f = g^2 - h.  Nothing in the catalog is entered by hand: f is
+the localization transform run over polynomials, g is the polynomial part of
+sqrt(f) and h = g^2 - f.  If f(t) were the square a^2, then with A = 2g
 the factorization (A(t) - 2a)(A(t) + 2a) = 4h(t) would follow, and a gap
 argument on the size of 4h(t) relative to A(t) rules that out for every
 t >= t_min.  The gap argument is certified once per case by the
@@ -11,9 +13,8 @@ segment of the integers double-checks the same claim independently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 import numpy as np
 
@@ -23,19 +24,16 @@ from .exact_arith import (
     eventually_positive,
     is_perfect_square,
 )
-from .localization import CaseLabel
-
-HALF = Fraction(1, 2)
-QUARTER = Fraction(1, 4)
+from .localization import CASE_MIN_ARG, KNOWN_SQUARE_ARGS, CaseLabel, obstruction_value
 
 
 @dataclass(frozen=True)
 class SquareObstruction:
     """One impossibility instance: f = g^2 - h plus the range it covers.
 
-    f has integer coefficients; g and h may carry halves and quarters, but
-    2g and 4h are always integral.  known_square_args lists every argument
-    in the sieve range where f takes a square value; all sit below t_min.
+    f has integer coefficients; in the five cases 2g and 4h are integral.
+    known_square_args lists every argument in the sieve range where f takes a
+    square value; all sit below t_min.
     """
 
     label: CaseLabel
@@ -45,60 +43,23 @@ class SquareObstruction:
     t_min: int
     known_square_args: frozenset[int]
 
-    def sign_flipped(self, label: CaseLabel) -> "SquareObstruction":
-        """The obstruction obtained by substituting -t for t."""
-        return replace(
-            self,
-            label=label,
-            f=self.f.compose_neg(),
-            g=self.g.compose_neg(),
-            h=self.h.compose_neg(),
-        )
 
-
-def _b_plus() -> SquareObstruction:
-    f = UniPoly([1, 0, 4, 8, -4, -28, -35, -12, 17, 26, 17, 6, 1])
-    g = UniPoly([-HALF, -5 * HALF, -5 * HALF, 1, 4, 3, 1])
-    h = UniPoly([-3 * QUARTER, 5 * HALF, 19 * QUARTER, 7 * HALF, 5 * QUARTER])
-    return SquareObstruction(CaseLabel.B_PLUS, f, g, h, 2, frozenset({0, 1}))
+def _derive(label: CaseLabel) -> SquareObstruction:
+    f = obstruction_value(label, UniPoly.x())
+    g = f.sqrt_part()
+    known = frozenset(KNOWN_SQUARE_ARGS[label])
+    return SquareObstruction(label, f, g, g.square() - f, CASE_MIN_ARG[label], known)
 
 
 def catalog() -> dict[CaseLabel, SquareObstruction]:
-    """The five obstructions, keyed by case label.
+    """The five obstructions, keyed by case label, derived on each call.
 
-    The b- entry is derived from b+ by the sign substitution, which is its
-    definition; everything else is entered directly.
+    f comes from localization.obstruction_value at the indeterminate x (b-
+    through the same path as b+, with sign -1), g is f.sqrt_part() and
+    h = g^2 - f.  t_min and the known square arguments are the localization
+    module's CASE_MIN_ARG and KNOWN_SQUARE_ARGS.
     """
-    b_plus = _b_plus()
-    entries = [
-        SquareObstruction(
-            CaseLabel.C,
-            f=UniPoly([1, 0, 0, 0, -1, 0, 1]),
-            g=UniPoly([0, -HALF, 0, 1]),
-            h=UniPoly([-1, 0, QUARTER]),
-            t_min=3,
-            known_square_args=frozenset({0, 1, 2}),
-        ),
-        SquareObstruction(
-            CaseLabel.E,
-            f=UniPoly([0, -2, -2, 0, 2, 2, 1]),
-            g=UniPoly([-HALF, HALF, 1, 1]),
-            h=UniPoly([QUARTER, 3 * HALF, 5 * QUARTER]),
-            t_min=2,
-            known_square_args=frozenset({0, 1}),
-        ),
-        SquareObstruction(
-            CaseLabel.F,
-            f=UniPoly([-2, -3, -1, 1, 3, 2, 1]),
-            g=UniPoly([-HALF, 1, 1, 1]),
-            h=UniPoly([9 * QUARTER, 2, 1]),
-            t_min=2,
-            known_square_args=frozenset({1}),
-        ),
-        b_plus,
-        b_plus.sign_flipped(CaseLabel.B_MINUS),
-    ]
-    return {obs.label: obs for obs in entries}
+    return {label: _derive(label) for label in CASE_MIN_ARG}
 
 
 def verify_identity(obs: SquareObstruction) -> bool:
@@ -114,7 +75,8 @@ def factor_equation(obs: SquareObstruction) -> tuple[UniPoly, UniPoly]:
     a_poly = 2 * obs.g
     four_h = 4 * obs.h
     # The factor identity is equivalent to the decomposition: A^2 - 4f = 4h.
-    assert a_poly * a_poly - 4 * obs.f == four_h
+    if a_poly * a_poly - 4 * obs.f != four_h:
+        raise ArithmeticError(f"case {obs.label.value}: A^2 - 4f = 4h does not hold")
     return a_poly, four_h
 
 
@@ -180,8 +142,9 @@ def certify_no_square(obs: SquareObstruction) -> NoSquareCertificate:
 
 
 # Modulus for the sieve's square-residue prefilter: 2^6 * 3^2 * 5 * 7 * 11 * 13.
-# Fewer than 1% of residues mod this are squares, so almost every t is
-# discarded with cheap modular arithmetic before any big-integer work.
+# Only 0.84% of residues mod this are squares, but the values of f cluster on
+# them: of the t <= 10^6, the prefilter passes 38% for case c, 25% for b+/-,
+# 15% for e and 7% for f on to exact confirmation.
 _FILTER_MODULUS = 2882880
 _RESIDUE_TABLE: np.ndarray | None = None
 
@@ -217,9 +180,9 @@ def sieve(obs: SquareObstruction, limit: int, *, chunk: int = 1 << 18) -> list[i
     """All t in [0, limit] with f(t) a perfect square.
 
     A t can only survive if f(t) mod M is a square residue mod M, so a
-    vectorized modular Horner pass discards the overwhelming majority of
-    arguments; the few remaining candidates are confirmed with exact
-    arbitrary-precision evaluation.  Results are identical to sieve_naive.
+    vectorized modular Horner pass discards part of the arguments (see
+    _FILTER_MODULUS); the rest are confirmed with exact arbitrary-precision
+    evaluation.  Results are identical to sieve_naive.
     """
     if limit < 0:
         raise ValueError("sieve limit must be nonnegative")

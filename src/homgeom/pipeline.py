@@ -300,9 +300,10 @@ def eliminate(
 ) -> EliminationVerdict:
     """Classify-or-eliminate one parameter system.
 
-    Order of rules: classical short-circuit, divisibility and floor
-    constraints, condition trichotomy, then the automaton walk in which
-    every forbidden continuation must be killed by its case instance.
+    Order of rules: classical short-circuit, divisibility constraints,
+    condition trichotomy, then the automaton walk in which every forbidden
+    continuation must be killed by its case instance.  The alpha floor
+    alpha^2 >= s1 (alpha > 0) needs no rule: s1 | alpha^2 implies it.
     """
     if ps.s1 < 3:
         raise ValueError("hypothesis requires at least 3 points on a line (s1 >= 3)")
@@ -323,11 +324,6 @@ def eliminate(
         if not integrality_alpha0(ps.s1, ps.alpha):
             trace.append(
                 f"integrality failure: s1={ps.s1} does not divide alpha^2={ps.alpha**2}"
-            )
-            return EliminationVerdict(ps, Verdict.ELIMINATED, tuple(trace))
-        if ps.alpha > 0 and ps.alpha * ps.alpha < ps.s1:
-            trace.append(
-                f"alpha-floor failure: 0 < alpha={ps.alpha} but alpha^2 < s1={ps.s1}"
             )
             return EliminationVerdict(ps, Verdict.ELIMINATED, tuple(trace))
     else:
@@ -446,19 +442,16 @@ def _jsonable(obj):
 def _bulk_category(s1: int, alpha: int, alpha_prime: int, specials: dict[int, Condition]) -> str:
     """Cheap verdict category mirroring eliminate() for non-condition systems.
 
-    Returns one of "classical", "integrality", "alpha-floor", "no-condition"
-    or "condition" (the last meaning a full eliminate() walk is needed).
+    Returns one of "classical", "integrality", "no-condition" or
+    "condition" (the last meaning a full eliminate() walk is needed).
     Kept deliberately parallel to eliminate(); tests compare the two on
     random samples.
     """
     if alpha == 0 or (alpha == 1 and alpha_prime == 0):
         return "classical"
     if alpha_prime == 0:
-        sq = alpha * alpha
-        if sq % s1 != 0:
+        if alpha * alpha % s1 != 0:
             return "integrality"
-        if sq < s1:
-            return "alpha-floor"
         return "condition" if alpha in specials else "no-condition"
     beta = alpha - 1
     if beta % s1 != 0:
@@ -489,7 +482,6 @@ def search(
     counts = {
         "classical": 0,
         "integrality": 0,
-        "alpha-floor": 0,
         "no-condition": 0,
         "condition-eliminated": 0,
     }

@@ -147,10 +147,45 @@ class TestUniPoly:
         p = UniPoly([Fraction(-1, 2), 0, 3])
         assert p.square() == p * p
 
-    def test_compose_neg(self):
-        p = UniPoly([1, 2, 3, 4])
-        for t in range(-10, 11):
-            assert p.compose_neg().evaluate(t) == p.evaluate(-t)
+    def test_divmod_reconstructs_dividend(self):
+        rng = random.Random(31)
+        for _ in range(200):
+            p = UniPoly([rng.randint(-9, 9) for _ in range(rng.randint(0, 13))])
+            lead = rng.choice([-3, 1, 2])
+            d = UniPoly([rng.randint(-9, 9) for _ in range(rng.randint(0, 5))] + [lead])
+            q, r = divmod(p, d)
+            assert q * d + r == p
+            assert r.degree < d.degree
+
+    def test_divmod_exact_quotient(self):
+        p = UniPoly([1, 0, 4, 8, -4])
+        assert divmod(p * UniPoly([0, 0, 1]), UniPoly([0, 0, 1])) == (p, UniPoly())
+        assert divmod(p, 2) == (p * Fraction(1, 2), UniPoly())
+
+    def test_divmod_by_zero(self):
+        with pytest.raises(ZeroDivisionError):
+            divmod(UniPoly([1, 1]), UniPoly())
+
+    def test_sqrt_part_recovers_completed_square(self):
+        rng = random.Random(37)
+        for _ in range(100):
+            n = rng.randint(1, 7)
+            lower = [Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3])) for _ in range(n)]
+            g = UniPoly(lower + [Fraction(rng.choice([1, 3]), rng.choice([1, 2]))])
+            h = UniPoly([rng.randint(-9, 9) for _ in range(n)])  # deg h < deg g
+            assert (g * g - h).sqrt_part() == g
+
+    def test_sqrt_part_sextic(self):
+        # x^6 - x^4 + 1 = (x^3 - x/2)^2 - (x^2/4 - 1)
+        assert UniPoly([1, 0, 0, 0, -1, 0, 1]).sqrt_part() == UniPoly([0, Fraction(-1, 2), 0, 1])
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [[], [4], [0, 0, 0, 1], [1, 0, -1], [1, 0, 2], [1, 0, Fraction(1, 2)]],
+    )
+    def test_sqrt_part_rejects(self, coeffs):
+        with pytest.raises(ValueError):
+            UniPoly(coeffs).sqrt_part()
 
     def test_integer_coefficients(self):
         assert UniPoly([1, -2]).integer_coefficients() == (1, -2)

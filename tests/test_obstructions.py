@@ -90,6 +90,16 @@ class TestFactorEquation:
         assert a_poly == UniPoly([-1, 2, 2, 2])
         assert four_h == UniPoly([9, 8, 4])
 
+    def test_case_b_plus_pair(self):
+        a_poly, four_h = factor_equation(catalog()[CaseLabel.B_PLUS])
+        assert a_poly == UniPoly([-1, -5, -5, 2, 8, 6, 2])
+        assert four_h == UniPoly([-3, 10, 19, 14, 5])
+
+    def test_case_b_minus_pair(self):
+        a_poly, four_h = factor_equation(catalog()[CaseLabel.B_MINUS])
+        assert a_poly == UniPoly([-1, 5, -5, -2, 8, -6, 2])
+        assert four_h == UniPoly([-3, -10, 19, -14, 5])
+
     def test_mutated_catalog_rejected(self):
         obs = catalog()[CaseLabel.C]
         with pytest.raises(ValueError):

@@ -220,7 +220,15 @@ class TestSearch:
                 assert verdict is Verdict.ELIMINATED
             else:
                 assert verdict is Verdict.ELIMINATED
-                assert category in ("integrality", "alpha-floor", "no-condition")
+                assert category in ("integrality", "no-condition")
+
+    def test_integrality_implies_alpha_floor(self):
+        # For alpha > 0, s1 | alpha^2 forces alpha^2 >= s1, so the search needs
+        # no separate alpha-floor rule; checked over the default search grid.
+        for s1 in range(3, 101):
+            for alpha in range(1, 10**4 + 1):
+                sq = alpha * alpha
+                assert sq % s1 != 0 or sq >= s1
 
     def test_enumeration_count(self):
         details = search(5, 50).checks[0].details
