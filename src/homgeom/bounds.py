@@ -34,7 +34,8 @@ def phi_of(s1: int, alpha: int) -> int:
     """phi = alpha^2 + s1^2*(s1-1)^2 - 2*alpha*s1*(s1+1), equal to D^2 - 4*alpha*s1."""
     value = alpha * alpha + s1 * s1 * (s1 - 1) ** 2 - 2 * alpha * s1 * (s1 + 1)
     d = discriminant_shift(s1, alpha)
-    assert value == d * d - 4 * alpha * s1
+    if value != d * d - 4 * alpha * s1:
+        raise ArithmeticError(f"phi({s1}, {alpha}) disagrees with D^2 - 4*alpha*s1")
     return value
 
 
@@ -68,10 +69,12 @@ class SpectralTriple:
         )
         # Both defining identities must hold at the point of construction.
         d = triple.discriminant_d
-        assert triple.phi == d * d - 4 * alpha * s1
+        if triple.phi != d * d - 4 * alpha * s1:
+            raise ArithmeticError(f"({s1}, {alpha}): phi != D^2 - 4*alpha*s1")
         lhs = triple.theta * triple.phi - 4 * alpha * s1 * triple.psi
         rhs = d * (triple.theta * d + 4 * alpha * s1 * s1 * (s1 - 1))
-        assert lhs == rhs
+        if lhs != rhs:
+            raise ArithmeticError(f"({s1}, {alpha}): spectral product identity fails")
         return triple
 
 
@@ -234,7 +237,7 @@ def product_identity_holds(s1_range=range(3, 12), alpha_range=range(1, 10)) -> b
 
 
 if not product_identity_holds():
-    raise AssertionError(
+    raise ArithmeticError(
         "spectral product identity failed its build-time grid check; "
         "the psi closed form cannot be trusted"
     )

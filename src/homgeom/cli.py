@@ -39,6 +39,15 @@ def _print_json(payload) -> None:
 
 
 def _cmd_verify_all(args) -> int:
+    # Checked up front so that a bad size fails before any check runs.
+    for flag, value, least in (
+        ("--sieve-limit", args.sieve_limit, 0),
+        ("--s1-max", args.s1_max, 3),
+        ("--alpha-max", args.alpha_max, 0),
+    ):
+        if value < least:
+            print(f"invalid input: {flag} must be at least {least}", file=sys.stderr)
+            return 2
     report = verify_all(
         sieve_limit=args.sieve_limit, s1_max=args.s1_max, alpha_max=args.alpha_max
     )

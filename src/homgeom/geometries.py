@@ -25,7 +25,7 @@ class UnsupportedFieldError(ValueError):
     """Raised for field sizes that are not prime."""
 
 
-class HomogeneityError(AssertionError):
+class HomogeneityError(ValueError):
     """Two flats of the same dimension turned out to have different sizes."""
 
 
@@ -231,8 +231,12 @@ def localize_at_point(g, x: Point) -> FlatProfile:
         lines = {g.closure((x, z)) for z in flat if z != x}
         expected_num = parent.s(i) - 1
         denom = parent.s(1) - 1
-        assert expected_num % denom == 0
-        assert len(lines) == expected_num // denom
+        if expected_num % denom:
+            raise ArithmeticError(f"s_{i} - 1 is not divisible by s_1 - 1")
+        if len(lines) != expected_num // denom:
+            raise ArithmeticError(
+                f"{len(lines)} lines through x span flat {i}, expected {expected_num // denom}"
+            )
         hat_sizes.append(len(lines))
     return FlatProfile(tuple(hat_sizes))
 

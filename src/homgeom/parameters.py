@@ -139,7 +139,8 @@ def s2_from(s1: int, alpha: int) -> int:
     """Plane size forced by (s1, alpha): s1 + (s1-1)*alpha + (s1-1)^2."""
     s2 = s1 + (s1 - 1) * alpha + (s1 - 1) ** 2
     # Same value in the product form used by the localization transform.
-    assert s2 == 1 + (alpha + s1) * (s1 - 1)
+    if s2 != 1 + (alpha + s1) * (s1 - 1):
+        raise ArithmeticError(f"s2({s1}, {alpha}) disagrees with its product form")
     return s2
 
 

@@ -249,7 +249,8 @@ class _Walk:
                     continue
                 if case in (CaseLabel.B_PLUS, CaseLabel.B_MINUS):
                     arg = isqrt_floor(s1)
-                    assert arg * arg == s1, "condition 1 presupposes a square line size"
+                    if arg * arg != s1:
+                        raise ArithmeticError("condition 1 presupposes a square line size")
                 else:
                     arg = s1
                 inst = eliminate_case_instance(case, arg)

@@ -2,6 +2,7 @@
 
 import json
 
+import pytest
 
 from homgeom.cli import main
 
@@ -158,3 +159,13 @@ class TestVerifyAll:
             c for c in payload["checks"] if c["name"] == "square-sieve"
         )["details"]
         assert sieve_details["limit"] == "2000"
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--sieve-limit", "-1"), ("--s1-max", "2"), ("--alpha-max", "-1")],
+    )
+    def test_bad_size_rejected_before_any_check(self, capsys, flag, value):
+        code, out, err = run(capsys, "verify-all", flag, value)
+        assert code == 2
+        assert err.startswith(f"invalid input: {flag}")
+        assert out == ""

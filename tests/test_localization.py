@@ -118,25 +118,56 @@ class TestObstructionValues:
 
     def test_guards_survive_optimized_mode(self):
         # The guards are explicit raises, not asserts, so python -O keeps them.
-        # (3, 2): s3 = 203 is not divisible by s1 = 3; (x + 1, x) is the same
-        # failure for polynomials; the patched s2_of breaks point_localize.
+        # Each one is made to fire by an input or a patched helper that breaks
+        # the identity it protects, and is restored before the next one.
         script = textwrap.dedent(
             """
+            import homgeom.bounds as bounds
+            import homgeom.geometries as geo
             import homgeom.localization as loc
             from homgeom.exact_arith import UniPoly
-            from homgeom.parameters import Condition, ParamSystem
+            from homgeom.parameters import Condition, FlatProfile, ParamSystem, s2_from
+            from homgeom.pipeline import _Walk, standard_graph
 
             fired = 0
-            for s1, alpha in ((3, 2), (UniPoly([1, 1]), UniPoly.x())):
+
+            def fires(call, module=None, name=None, fake=None):
+                global fired
+                if module is not None:
+                    real = getattr(module, name)
+                    setattr(module, name, fake)
                 try:
-                    loc._square_quantity_from(s1, alpha, Condition.COND2)
+                    call()
                 except ArithmeticError:
                     fired += 1
-            loc.s2_of = lambda ps: ps.s1 * ps.s1
-            try:
-                loc.point_localize(ParamSystem(3, 6))
-            except ArithmeticError:
-                fired += 1
+                finally:
+                    if module is not None:
+                        setattr(module, name, real)
+
+            # localization: s3 = 203 is not divisible by s1 = 3 at (3, 2);
+            # (x + 1, x) is the same failure for polynomials; a wrong s2_of
+            # breaks point_localize.
+            for s1, alpha in ((3, 2), (UniPoly([1, 1]), UniPoly.x())):
+                fires(lambda: loc._square_quantity_from(s1, alpha, Condition.COND2))
+            fires(lambda: loc.point_localize(ParamSystem(3, 6)),
+                  loc, "s2_of", lambda ps: ps.s1 * ps.s1)
+            # bounds: a wrong D, phi or psi breaks phi's closed form, the
+            # triple's phi identity and its product identity in turn.
+            fires(lambda: bounds.phi_of(3, 6), bounds, "discriminant_shift", lambda s1, a: 1)
+            fires(lambda: bounds.SpectralTriple.from_params(3, 6),
+                  bounds, "phi_of", lambda s1, a: 0)
+            fires(lambda: bounds.SpectralTriple.from_params(3, 6),
+                  bounds, "psi_of", lambda s1, a: 0)
+            # parameters: the two forms of s2 round differently on a float.
+            fires(lambda: s2_from(3, 1 / 3))
+            # geometries: a parent profile whose s_2 - 1 is not divisible by
+            # s_1 - 1, then one that predicts the wrong number of lines.
+            fano = geo.build_projective(2, 2)
+            for sizes in ((1, 3, 8), (1, 3, 9)):
+                fires(lambda: geo.localize_at_point(fano, fano.points[0]),
+                      geo, "flat_profile", lambda g: FlatProfile(sizes))
+            # pipeline: the condition-1 case b walk at a non-square line size.
+            fires(lambda: _Walk(standard_graph(), frozenset()).run(Condition.COND1_PLUS, 5, 0))
             print(fired)
             """
         )
@@ -148,7 +179,7 @@ class TestObstructionValues:
             text=True,
             check=True,
         )
-        assert out.stdout.strip() == "3"
+        assert out.stdout.strip() == "10"
 
     def test_structural_route_matches_polynomial_route(self):
         cat = catalog()

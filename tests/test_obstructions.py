@@ -1,13 +1,20 @@
 """Tests for the square-obstruction catalog and its certificates."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import homgeom
 from homgeom.exact_arith import UniPoly, is_perfect_square
 from homgeom.localization import CaseLabel
 from homgeom.obstructions import (
+    _MASK_MODULI,
+    SquareObstruction,
     catalog,
     certify_no_square,
     factor_equation,
@@ -169,9 +176,21 @@ class TestSieve:
         for obs in catalog().values():
             assert sieve(obs, 3000) == sieve_naive(obs, 3000)
 
-    def test_chunk_boundaries(self):
-        obs = catalog()[CaseLabel.C]
-        assert sieve(obs, 1000, chunk=7) == sieve_naive(obs, 1000)
+    def test_mask_period_boundaries(self):
+        # Each mask is one period-m pattern tiled over [0, limit]; a tiling
+        # off by one at a period edge would show at m - 1, m or m + 1.
+        for obs in catalog().values():
+            for m in _MASK_MODULI:
+                for limit in (m - 1, m, m + 1):
+                    assert sieve(obs, limit) == sieve_naive(obs, limit), (obs.label, limit)
+            assert sieve(obs, 10**4) == sieve_naive(obs, 10**4), obs.label
+
+    def test_masks_keep_every_true_square(self):
+        # f = (x + 1)^2 is a square at every t, so any mask that dropped a
+        # square residue would lose some t here.
+        g = UniPoly([1, 1])
+        obs = SquareObstruction(CaseLabel.C, g.square(), g, UniPoly([0]), 0, frozenset())
+        assert sieve(obs, 500) == list(range(501))
 
     def test_negative_values_never_reported(self):
         # f for case f is negative at 0; the sieve must not report it.
@@ -185,3 +204,16 @@ class TestSieve:
 
     def test_zero_limit(self):
         assert sieve(catalog()[CaseLabel.C], 0) == [0]
+
+    def test_import_leaves_numpy_unloaded(self):
+        # The package is standard library only; the child prints the answer
+        # so that the check cannot be skipped.
+        env = {**os.environ, "PYTHONPATH": str(Path(homgeom.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys, homgeom; print('numpy' in sys.modules)"],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "False"
