@@ -16,7 +16,7 @@ from .localization import CaseLabel, localize_under, point_localize, s2_hat
 from .obstructions import catalog, certify_no_square, sieve, verify_identity
 from .geometries import (
     UnsupportedFieldError,
-    alpha_of,
+    alpha_from_profile,
     build_affine,
     build_projective,
     flat_profile,
@@ -169,7 +169,7 @@ def _cmd_geometry(args) -> int:
         "kind": str(g.kind),
         "points": len(g.points),
         "profile": list(profile.sizes),
-        "alpha": alpha_of(g),
+        "alpha": alpha_from_profile(profile),
     }
     if args.localize:
         payload["localizedProfile"] = list(localize_at_point(g, g.points[0]).sizes)

@@ -90,19 +90,28 @@ class Geometry:
     For the projective kind, points are the normalized representatives of
     the 1-dimensional subspaces of F_p^(n+1) and closure is linear span;
     for the affine kind, points are the vectors of F_p^n and closure is
-    affine span.  Instances are immutable after construction and closures
-    are memoized.
+    affine span.  Instances are immutable after construction.
+
+    Closures are cached twice.  The first cache maps each subset already
+    asked about to its flat.  On a miss the subset is reduced to a canonical
+    key for its span: the reduced row echelon basis of the point vectors
+    (projective) or of the differences from a base point, together with
+    that base reduced modulo the basis (affine).  The second cache maps each
+    such key to its flat, so every distinct flat is built once, directly
+    from the p^k combinations of its k basis rows.
     """
 
     def __init__(self, kind: GeometryKind, points: tuple[Point, ...]):
         self.kind = kind
         self.points = points
         self.field = PrimeField(kind.p)
+        self._point_set = frozenset(points)
         self._closure_cache: dict[frozenset, frozenset] = {}
+        self._flats: dict[tuple, frozenset] = {}
 
     # -- linear algebra over F_p ----------------------------------------------
 
-    def _reduce(self, vec: list[int], rows: dict[int, tuple[int, ...]]) -> list[int]:
+    def _reduce(self, vec: list[int], rows: dict[int, Point]) -> list[int]:
         p = self.kind.p
         for piv, row in rows.items():
             c = vec[piv]
@@ -110,24 +119,35 @@ class Geometry:
                 vec = [(v - c * r) % p for v, r in zip(vec, row)]
         return vec
 
-    def _insert(self, vec: list[int], rows: dict[int, tuple[int, ...]]) -> bool:
-        """Reduce vec against rows and insert if independent; True if inserted."""
-        vec = self._reduce(vec, rows)
-        piv = next((i for i, v in enumerate(vec) if v), None)
-        if piv is None:
-            return False
-        inv = self.field.inv(vec[piv])
-        rows[piv] = tuple((v * inv) % self.kind.p for v in vec)
-        return True
-
-    def _span_rows(self, vectors) -> dict[int, tuple[int, ...]]:
-        rows: dict[int, tuple[int, ...]] = {}
+    def _echelon(self, vectors) -> dict[int, Point]:
+        """Reduced row echelon basis of the span, keyed by pivot in pivot order."""
+        p = self.kind.p
+        rows: dict[int, Point] = {}
         for v in vectors:
-            self._insert(list(v), rows)
-        return rows
+            vec = self._reduce(list(v), rows)
+            piv = next((i for i, c in enumerate(vec) if c), None)
+            if piv is None:
+                continue
+            inv = self.field.inv(vec[piv])
+            new = tuple((c * inv) % p for c in vec)
+            for q, row in rows.items():
+                c = row[piv]
+                if c:
+                    rows[q] = tuple((a - c * b) % p for a, b in zip(row, new))
+            rows[piv] = new
+        return dict(sorted(rows.items()))
 
-    def _in_span(self, vec, rows) -> bool:
-        return not any(self._reduce(list(vec), rows))
+    def _combinations(self, start: Point, rows) -> list[Point]:
+        """Every start + sum c_j * rows_j with coefficients c_j in F_p."""
+        p = self.kind.p
+        vecs = [start]
+        for row in rows:
+            vecs = [
+                tuple((a + c * b) % p for a, b in zip(vec, row))
+                for vec in vecs
+                for c in range(p)
+            ]
+        return vecs
 
     # -- the closure operator --------------------------------------------------
 
@@ -137,23 +157,34 @@ class Geometry:
         cached = self._closure_cache.get(key)
         if cached is not None:
             return cached
+        for x in key:
+            if x not in self._point_set:
+                raise ValueError(f"{x!r} is not a point of {self.kind}")
         if not key:
-            result = frozenset()
+            base, rows = None, {}
         elif self.kind.family == "projective":
-            rows = self._span_rows(key)
-            result = frozenset(x for x in self.points if self._in_span(x, rows))
+            base, rows = None, self._echelon(key)
         else:
-            base = min(key)
+            origin = min(key)
             p = self.kind.p
-            directions = [
-                tuple((a - b) % p for a, b in zip(x, base)) for x in key if x != base
-            ]
-            rows = self._span_rows(directions)
-            result = frozenset(
-                x
-                for x in self.points
-                if self._in_span(tuple((a - b) % p for a, b in zip(x, base)), rows)
+            rows = self._echelon(
+                tuple((a - b) % p for a, b in zip(x, origin)) for x in key
             )
+            base = tuple(self._reduce(list(origin), rows))
+        basis = tuple(rows.values())
+        result = self._flats.get((base, basis))
+        if result is None:
+            if base is None:
+                # Each projective point is normalized to leading coordinate 1;
+                # in echelon form that is coefficient 1 on the first row used.
+                result = frozenset(
+                    vec
+                    for i, row in enumerate(basis)
+                    for vec in self._combinations(row, basis[i + 1 :])
+                )
+            else:
+                result = frozenset(self._combinations(base, basis))
+            self._flats[base, basis] = result
         self._closure_cache[key] = result
         return result
 
@@ -178,8 +209,8 @@ def build_affine(n: int, p: int) -> Geometry:
     """Affine geometry of dimension n over the p-element field."""
     if not is_prime(p):
         raise UnsupportedFieldError(f"{p} is not prime; only prime fields are supported")
-    if n < 2:
-        raise ValueError(f"affine dimension must be at least 2, got {n}")
+    if not 2 <= n <= 4:
+        raise ValueError(f"affine dimension must be in 2..4, got {n}")
     if p**n > DESK_SCALE_LIMIT:
         raise ValueError(f"AG({n},{p}) exceeds the desk-scale limit")
     points = tuple(sorted(product(range(p), repeat=n)))

@@ -20,7 +20,7 @@ from .bounds import (
 from .localization import CaseLabel
 from .obstructions import catalog, certify_no_square, factor_equation, sieve, verify_identity
 from .geometries import (
-    alpha_of,
+    alpha_from_profile,
     build_affine,
     build_projective,
     check_closure_axioms,
@@ -206,6 +206,7 @@ def _check_ground_truth(report: Report) -> None:
     for tag, builder, n, p in instances:
         g = builder(n, p)
         profile = flat_profile(g)
+        alpha = alpha_from_profile(profile)
         if tag == "pg":
             expected = tuple((p ** (i + 1) - 1) // (p - 1) for i in range(n + 1))
             expected_alpha = 0
@@ -219,14 +220,14 @@ def _check_ground_truth(report: Report) -> None:
         )
         entry_ok = (
             profile.sizes == expected
-            and alpha_of(g) == expected_alpha
+            and alpha == expected_alpha
             and all(axioms.values())
             and localized == quotient_expected
         )
         ok = ok and entry_ok
         details[str(g.kind)] = {
             "profile": list(profile.sizes),
-            "alpha": alpha_of(g),
+            "alpha": alpha,
             "axioms": axioms,
             "localizedProfile": list(localized.sizes),
             "ok": entry_ok,

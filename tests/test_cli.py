@@ -113,6 +113,14 @@ class TestGeometry:
         assert code == 2
         assert "not prime" in err
 
+    def test_affine_dimension_bound(self, capsys):
+        # 2^16 points pass the desk-scale limit, but the lattice walk would
+        # not finish; the dimension bound rejects it up front.
+        code, _, err = run(capsys, "geometry", "--type", "ag", "--n", "16", "--q", "2")
+        assert code == 2
+        assert err.startswith("invalid input: ")
+        assert "affine dimension" in err
+
 
 class TestSearch:
     def test_small_search(self, capsys):

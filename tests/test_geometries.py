@@ -1,5 +1,9 @@
 """Tests for the classical geometry ground truth."""
 
+import random
+import re
+from itertools import combinations
+
 import pytest
 
 from homgeom.geometries import (
@@ -10,6 +14,7 @@ from homgeom.geometries import (
     PrimeField,
     UnsupportedFieldError,
     alpha_from_profile,
+    _flats_by_dim,
     alpha_of,
     build_affine,
     build_projective,
@@ -28,6 +33,54 @@ INSTANCES = [
     build_affine(3, 3),
     build_affine(2, 5),
 ]
+
+# Larger geometries whose flats hold more points than any in INSTANCES.
+LARGER = [build_projective(3, 3), build_projective(4, 2), build_affine(2, 7)]
+
+
+def _reduce(vec, rows, p):
+    for piv, row in rows.items():
+        c = vec[piv]
+        if c:
+            vec = [(v - c * r) % p for v, r in zip(vec, row)]
+    return vec
+
+
+def _scan_closure(g, subset):
+    """Closure by definition: a point is in it when its vector (projective)
+    or its difference from a base point of the subset (affine) reduces to
+    zero against the span of the subset's vectors or differences."""
+    p = g.kind.p
+    if not subset:
+        return frozenset()
+    if g.kind.family == "projective":
+        base = None
+        gens = list(subset)
+    else:
+        base = min(subset)
+        gens = [[(a - b) % p for a, b in zip(x, base)] for x in subset]
+    rows = {}
+    for v in gens:
+        v = _reduce(list(v), rows, p)
+        piv = next((i for i, c in enumerate(v) if c), None)
+        if piv is not None:
+            inv = pow(v[piv], -1, p)
+            rows[piv] = [(c * inv) % p for c in v]
+
+    def in_span(x):
+        vec = list(x) if base is None else [(a - b) % p for a, b in zip(x, base)]
+        return not any(_reduce(vec, rows, p))
+
+    return frozenset(x for x in g.points if in_span(x))
+
+
+def _gaussian_binomial(n, k, q):
+    """Number of k-dimensional subspaces of F_q^n."""
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
 
 
 class TestPrimeField:
@@ -77,6 +130,8 @@ class TestConstruction:
             build_projective(5, 2)
         with pytest.raises(ValueError):
             build_affine(1, 3)
+        with pytest.raises(ValueError, match="affine dimension"):
+            build_affine(5, 2)  # 32 points: under the desk-scale limit
 
     def test_desk_scale_limit(self):
         with pytest.raises(ValueError):
@@ -119,6 +174,17 @@ class TestFlatProfile:
         with pytest.raises(HomogeneityError):
             flat_profile(LopsidedGeometry())
 
+    def test_lattice_counts_are_gaussian_binomials(self):
+        # PG(3,3) entered by hand: 40 points, 130 lines, 40 planes.
+        assert [_gaussian_binomial(4, k + 1, 3) for k in range(4)] == [40, 130, 40, 1]
+        for g in INSTANCES + LARGER + [build_affine(4, 2)]:
+            n, p = g.kind.n, g.kind.p
+            if g.kind.family == "projective":
+                expected = [_gaussian_binomial(n + 1, k + 1, p) for k in range(n + 1)]
+            else:
+                expected = [p ** (n - k) * _gaussian_binomial(n, k, p) for k in range(n + 1)]
+            assert [len(level) for level in _flats_by_dim(g)] == expected, str(g.kind)
+
 
 class TestClosureAxioms:
     def test_axioms_and_exchange_on_all_instances(self):
@@ -134,6 +200,62 @@ class TestClosureAxioms:
         g = build_projective(2, 3)
         x = g.points[0]
         assert g.closure((x,)) == {x}
+
+    def test_closure_matches_scan_on_subsets(self):
+        # Every subset of size <= 2, plus 200 seeded random ones of size 3-6.
+        for g in INSTANCES + LARGER:
+            rng = random.Random(str(g.kind))
+            pts = list(g.points)
+            subsets = [()] + [(x,) for x in pts] + list(combinations(pts, 2))
+            subsets += [tuple(rng.sample(pts, rng.randint(3, min(6, len(pts))))) for _ in range(200)]
+            for subset in subsets:
+                assert g.closure(subset) == _scan_closure(g, subset), (str(g.kind), subset)
+
+    def test_closure_matches_scan_on_lattice_walk(self):
+        # Every closure the flat-lattice walk asks for, F + {x} for each flat F.
+        class Checked:
+            def __init__(self, g):
+                self.points = g.points
+                self.g = g
+                self.seen = set()
+
+            def closure(self, subset):
+                result = self.g.closure(subset)
+                key = frozenset(subset)
+                if key not in self.seen:
+                    self.seen.add(key)
+                    assert result == _scan_closure(self.g, subset), (str(self.g.kind), subset)
+                return result
+
+        for g in INSTANCES + LARGER:
+            checked = Checked(g)
+            _flats_by_dim(checked)
+            assert checked.seen
+
+    def test_each_flat_is_built_once(self):
+        # The span key is canonical: a flat reached from many subsets is
+        # stored under one key, so the flat cache holds one entry per flat.
+        for g in (build_projective(3, 3), build_affine(3, 3), build_affine(4, 2)):
+            levels = _flats_by_dim(g)
+            assert len(g._flats) == sum(len(level) for level in levels), str(g.kind)
+            assert set(g._flats.values()) == set().union(*levels)
+
+    def test_parallel_affine_lines_are_disjoint(self):
+        # Same direction, different cosets: the base is part of the flat's key.
+        g = build_affine(2, 3)
+        first = g.closure(((0, 0), (0, 1)))
+        second = g.closure(((1, 0), (1, 1)))
+        assert first == {(0, 0), (0, 1), (0, 2)}
+        assert second == {(1, 0), (1, 1), (1, 2)}
+        assert not first & second
+
+    def test_closure_rejects_foreign_points(self):
+        g = build_projective(2, 3)
+        for bad in ((2, 0, 0), (0, 1), (1, 0, 0, 0)):
+            with pytest.raises(ValueError, match=re.escape(repr(bad))):
+                g.closure((g.points[0], bad))
+        with pytest.raises(ValueError, match="not a point of AG"):
+            build_affine(2, 3).closure(((0, 0), (3, 0)))
 
     def test_closure_detects_broken_operator(self):
         class ShrinkingGeometry:

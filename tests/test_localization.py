@@ -131,14 +131,14 @@ class TestObstructionValues:
 
             fired = 0
 
-            def fires(call, module=None, name=None, fake=None):
+            def fires(call, module=None, name=None, fake=None, error=ArithmeticError):
                 global fired
                 if module is not None:
                     real = getattr(module, name)
                     setattr(module, name, fake)
                 try:
                     call()
-                except ArithmeticError:
+                except error:
                     fired += 1
                 finally:
                     if module is not None:
@@ -166,6 +166,8 @@ class TestObstructionValues:
             for sizes in ((1, 3, 8), (1, 3, 9)):
                 fires(lambda: geo.localize_at_point(fano, fano.points[0]),
                       geo, "flat_profile", lambda g: FlatProfile(sizes))
+            # geometries: a closure input that is not a point of the geometry.
+            fires(lambda: fano.closure(((2, 0, 0),)), error=ValueError)
             # pipeline: the condition-1 case b walk at a non-square line size.
             fires(lambda: _Walk(standard_graph(), frozenset()).run(Condition.COND1_PLUS, 5, 0))
             print(fired)
@@ -179,7 +181,7 @@ class TestObstructionValues:
             text=True,
             check=True,
         )
-        assert out.stdout.strip() == "10"
+        assert out.stdout.strip() == "11"
 
     def test_structural_route_matches_polynomial_route(self):
         cat = catalog()
