@@ -172,7 +172,8 @@ def _cmd_geometry(args) -> int:
         "alpha": alpha_from_profile(profile),
     }
     if args.localize:
-        payload["localizedProfile"] = list(localize_at_point(g, g.points[0]).sizes)
+        localized = localize_at_point(g, g.points[0], profile)
+        payload["localizedProfile"] = list(localized.sizes)
     _print_json(payload)
     return 0
 
@@ -207,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-prime", type=int, default=0)
     p.set_defaults(func=_cmd_localize)
 
-    p = sub.add_parser("search", help="exhaustive parameter enumeration")
+    p = sub.add_parser("search", help="classify-or-eliminate every parameter system of a grid")
     p.add_argument("--s1-max", type=int, required=True)
     p.add_argument("--alpha-max", type=int, required=True)
     p.set_defaults(func=_cmd_search)

@@ -247,21 +247,21 @@ def flat_profile(g) -> FlatProfile:
     return FlatProfile(tuple(sizes))
 
 
-def localize_at_point(g, x: Point) -> FlatProfile:
+def localize_at_point(g, x: Point, profile: FlatProfile) -> FlatProfile:
     """Flat profile of the quotient geometry whose points are the lines through x.
 
-    Checked against the quotient identity s_hat_i = (s_(i+1) - 1)/(s_1 - 1)
-    on the parent profile.
+    `profile` is the flat profile of g, as `flat_profile(g)` returns it.
+    Each size is checked against the quotient identity
+    s_hat_i = (s_(i+1) - 1)/(s_1 - 1) on that profile.
     """
-    parent = flat_profile(g)
     hat_sizes = []
     flat = g.closure((x,))
-    for i in range(1, parent.top_dim + 1):
+    for i in range(1, profile.top_dim + 1):
         y = next(pt for pt in g.points if pt not in flat)
         flat = g.closure(tuple(flat) + (y,))
         lines = {g.closure((x, z)) for z in flat if z != x}
-        expected_num = parent.s(i) - 1
-        denom = parent.s(1) - 1
+        expected_num = profile.s(i) - 1
+        denom = profile.s(1) - 1
         if expected_num % denom:
             raise ArithmeticError(f"s_{i} - 1 is not divisible by s_1 - 1")
         if len(lines) != expected_num // denom:

@@ -440,24 +440,17 @@ def _jsonable(obj):
 # -- the exhaustive search -----------------------------------------------------
 
 
-def _bulk_category(s1: int, alpha: int, alpha_prime: int, specials: dict[int, Condition]) -> str:
-    """Cheap verdict category mirroring eliminate() for non-condition systems.
-
-    Returns one of "classical", "integrality", "no-condition" or
-    "condition" (the last meaning a full eliminate() walk is needed).
-    Kept deliberately parallel to eliminate(); tests compare the two on
-    random samples.
-    """
-    if alpha == 0 or (alpha == 1 and alpha_prime == 0):
-        return "classical"
-    if alpha_prime == 0:
-        if alpha * alpha % s1 != 0:
-            return "integrality"
-        return "condition" if alpha in specials else "no-condition"
-    beta = alpha - 1
-    if beta % s1 != 0:
-        return "integrality"
-    return "condition" if alpha == s1 * s1 + 1 else "no-condition"
+def _square_divisor(n: int) -> int:
+    """The m with n | a^2 exactly when m | a: prod p^ceil(e/2) over n = prod p^e."""
+    m, p = 1, 2
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        m *= p ** ((e + 1) // 2)
+        p += 1
+    return m * n  # what is left is 1 or a prime to the first power
 
 
 def search(
@@ -468,11 +461,25 @@ def search(
     graph: TransitionGraph | None = None,
     disabled_cases: frozenset[CaseLabel] = frozenset(),
 ) -> Report:
-    """Enumerate every (s1, alpha, alpha') in range and classify-or-eliminate.
+    """Classify-or-eliminate every parameter system of the grid, counting per s1.
 
-    Fails (with witnesses) if any system survives, which with the full case
-    set never happens; fault injection via disabled_cases must produce
-    survivors, proving the search exercises each case.
+    The grid is 3 <= s1 <= s1_max, 0 <= alpha <= alpha_max, alpha' in {0, 1}.
+    Each category has a closed-form count per s1:
+    - classical: (0, 0), (0, 1) and, when alpha_max >= 1, (1, 0);
+    - alpha' = 0, alpha >= 2: s1 | alpha^2 exactly when m | alpha, where
+      m = prod p^ceil(e/2) over s1 = prod p^e, so floor(alpha_max / m)
+      systems pass integrality (m >= 2, so none of them is classical);
+    - alpha' = 1, alpha >= 1: s1 | beta = alpha - 1 for
+      floor((alpha_max - 1) / s1) + 1 systems;
+    - condition: the at most four alphas of `condition_alphas` up to
+      alpha_max, all integral, each sent through `eliminate` in
+      (alpha, alpha') order;
+    - no-condition: the other integral systems, which match no exceptional
+      family; every remaining system fails integrality.
+    The cost does not depend on alpha_max.  Fails (with witnesses) if any
+    system survives, which with the full case set never happens; fault
+    injection via disabled_cases must produce survivors, proving the search
+    exercises each case.
     """
     if s1_max < 3:
         raise ValueError("hypothesis requires at least 3 points on a line (s1_max >= 3)")
@@ -488,30 +495,31 @@ def search(
     }
     classical_witnesses: list[dict] = []
     survivors: list[dict] = []
+    classical = [(0, 0), (0, 1), (1, 0)] if alpha_max >= 1 else [(0, 0), (0, 1)]
     for s1 in range(3, s1_max + 1):
-        specials0 = {
-            alpha: cond
+        integral = alpha_max // _square_divisor(s1)
+        if alpha_max >= 1:
+            integral += (alpha_max - 1) // s1 + 1
+        conditions = sorted(
+            (alpha, 1 if cond is Condition.COND3 else 0)
             for cond, alpha in condition_alphas(s1).items()
-            if cond is not Condition.COND3 and alpha <= alpha_max
-        }
-        # Fixed enumeration order for reproducible reports:
-        # s1 outermost, alpha inner, alpha' innermost.
-        for alpha in range(alpha_max + 1):
-            for alpha_prime in (0, 1):
-                category = _bulk_category(s1, alpha, alpha_prime, specials0)
-                if category == "condition":
-                    ps = ParamSystem(s1, alpha, alpha_prime, dim)
-                    verdict = eliminate(ps, graph=graph, disabled_cases=disabled_cases)
-                    if verdict.verdict is Verdict.SURVIVES_SQUARE_TEST:
-                        survivors.append(verdict.to_record())
-                    else:
-                        counts["condition-eliminated"] += 1
-                else:
-                    counts[category] += 1
-                    if category == "classical":
-                        classical_witnesses.append(
-                            {"s1": s1, "alpha": alpha, "alphaPrime": alpha_prime}
-                        )
+            if alpha <= alpha_max
+        )
+        counts["classical"] += len(classical)
+        counts["integrality"] += 2 * (alpha_max + 1) - len(classical) - integral
+        counts["no-condition"] += integral - len(conditions)
+        classical_witnesses += (
+            {"s1": s1, "alpha": alpha, "alphaPrime": alpha_prime}
+            for alpha, alpha_prime in classical
+        )
+        # Reports list survivors in (s1, alpha, alpha') order.
+        for alpha, alpha_prime in conditions:
+            ps = ParamSystem(s1, alpha, alpha_prime, dim)
+            verdict = eliminate(ps, graph=graph, disabled_cases=disabled_cases)
+            if verdict.verdict is Verdict.SURVIVES_SQUARE_TEST:
+                survivors.append(verdict.to_record())
+            else:
+                counts["condition-eliminated"] += 1
     report = Report()
     report.add(
         "parameter-search",

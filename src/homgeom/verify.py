@@ -214,7 +214,7 @@ def _check_ground_truth(report: Report) -> None:
             expected = tuple(p**i for i in range(n + 1))
             expected_alpha = 1
         axioms = check_closure_axioms(g, samples=40)
-        localized = localize_at_point(g, g.points[0])
+        localized = localize_at_point(g, g.points[0], profile)
         quotient_expected = FlatProfile(
             tuple((profile.s(i + 1) - 1) // (profile.s(1) - 1) for i in range(n))
         )

@@ -167,7 +167,7 @@ def test_criterion_8_geometry_ground_truth():
         for g in (pg, ag):
             parent = flat_profile(g)
             for x in g.points:
-                localized = localize_at_point(g, x)
+                localized = localize_at_point(g, x, parent)
                 for i in range(localized.top_dim + 1):
                     assert localized.s(i) == (parent.s(i + 1) - 1) // (parent.s(1) - 1)
         assert alpha_of(pg) == 0

@@ -133,6 +133,23 @@ class TestSearch:
         code, _, err = run(capsys, "search", "--s1-max", "2", "--alpha-max", "10")
         assert code == 2
 
+    def test_negative_alpha_max(self, capsys):
+        code, out, err = run(capsys, "search", "--s1-max", "10", "--alpha-max", "-1")
+        assert code == 2
+        assert err.startswith("invalid input: ")
+        assert out == ""
+
+    def test_large_grid(self, capsys):
+        # Counting per s1 keeps this grid of about 2 * 10^12 systems cheap.
+        code, out, _ = run(
+            capsys, "search", "--s1-max", "1000", "--alpha-max", "1000000000"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["overallStatus"] == "pass"
+        details = payload["checks"][0]["details"]
+        assert details["systemsChecked"] == str(998 * (10**9 + 1) * 2)
+
 
 class TestVerifyAll:
     def test_small_run_with_json(self, capsys, tmp_path):

@@ -271,25 +271,26 @@ class TestClosureAxioms:
 class TestLocalization:
     def test_projective_localization(self):
         g = build_projective(3, 2)
-        assert localize_at_point(g, g.points[0]).sizes == (1, 3, 7)
+        assert localize_at_point(g, g.points[0], flat_profile(g)).sizes == (1, 3, 7)
 
     def test_affine_localization_is_projective_like(self):
         g = build_affine(3, 3)
-        assert localize_at_point(g, g.points[0]).sizes == (1, 4, 13)
+        assert localize_at_point(g, g.points[0], flat_profile(g)).sizes == (1, 4, 13)
 
     def test_plane_localization(self):
         g = build_projective(2, 3)
-        assert localize_at_point(g, g.points[0]).sizes == (1, 4)
+        assert localize_at_point(g, g.points[0], flat_profile(g)).sizes == (1, 4)
 
     def test_point_independence(self):
         for g in (build_projective(3, 2), build_affine(3, 3)):
-            profiles = {localize_at_point(g, x).sizes for x in g.points}
+            parent = flat_profile(g)
+            profiles = {localize_at_point(g, x, parent).sizes for x in g.points}
             assert len(profiles) == 1
 
     def test_quotient_identity(self):
         for g in INSTANCES:
             parent = flat_profile(g)
-            localized = localize_at_point(g, g.points[0])
+            localized = localize_at_point(g, g.points[0], parent)
             for i in range(localized.top_dim + 1):
                 num = parent.s(i + 1) - 1
                 den = parent.s(1) - 1

@@ -164,8 +164,7 @@ class TestObstructionValues:
             # s_1 - 1, then one that predicts the wrong number of lines.
             fano = geo.build_projective(2, 2)
             for sizes in ((1, 3, 8), (1, 3, 9)):
-                fires(lambda: geo.localize_at_point(fano, fano.points[0]),
-                      geo, "flat_profile", lambda g: FlatProfile(sizes))
+                fires(lambda: geo.localize_at_point(fano, fano.points[0], FlatProfile(sizes)))
             # geometries: a closure input that is not a point of the geometry.
             fires(lambda: fano.closure(((2, 0, 0),)), error=ValueError)
             # pipeline: the condition-1 case b walk at a non-square line size.

@@ -2,20 +2,19 @@
 
 import json
 import math
-import random
 
 import pytest
 
 from homgeom.localization import CaseLabel
-from homgeom.parameters import ParamSystem
+from homgeom.parameters import ParamSystem, condition_alphas
 from homgeom.pipeline import (
     EDGE_CASES,
     STANDARD_FORBIDDEN,
     Report,
     TransitionGraph,
     Verdict,
-    _bulk_category,
     _jsonable,
+    _square_divisor,
     eliminate,
     exceptional_min_dim,
     longest_condition_chain,
@@ -24,9 +23,46 @@ from homgeom.pipeline import (
     search,
     standard_graph,
 )
-from homgeom.parameters import Condition, condition_alphas
 
 DIM = required_dimension()
+
+
+def _oracle(s1_max, alpha_max, disabled=frozenset()):
+    """Brute-force search: eliminate every system and bucket it by its verdict.
+
+    An eliminated system is bucketed by the first line of its trace: an
+    integrality failure, the condition trichotomy, or else an automaton walk.
+    Returns the counts, classical witnesses and survivor records in the
+    order the search reports them.
+    """
+    counts = dict.fromkeys(
+        ("classical", "integrality", "no-condition", "condition-eliminated"), 0
+    )
+    classical, survivors = [], []
+    for s1 in range(3, s1_max + 1):
+        for alpha in range(alpha_max + 1):
+            for alpha_prime in (0, 1):
+                verdict = eliminate(
+                    ParamSystem(s1, alpha, alpha_prime, DIM), disabled_cases=disabled
+                )
+                if verdict.verdict is Verdict.CLASSICAL:
+                    counts["classical"] += 1
+                    classical.append({"s1": s1, "alpha": alpha, "alphaPrime": alpha_prime})
+                elif verdict.verdict is Verdict.SURVIVES_SQUARE_TEST:
+                    survivors.append(verdict.to_record())
+                elif verdict.trace[0].startswith("integrality failure"):
+                    counts["integrality"] += 1
+                elif verdict.trace[0].startswith("condition trichotomy"):
+                    counts["no-condition"] += 1
+                else:
+                    assert verdict.verdict is Verdict.ELIMINATED
+                    assert verdict.trace[0].startswith("condition ")
+                    counts["condition-eliminated"] += 1
+    return counts, classical, survivors or None
+
+
+def _largest_condition_alpha(s1):
+    return max(condition_alphas(s1).values())
 
 
 class TestTransitionGraph:
@@ -201,26 +237,59 @@ class TestSearch:
         assert witnesses
         assert all(w["verdict"] == "SurvivesSquareTest" for w in witnesses)
 
-    def test_bulk_category_mirrors_eliminate(self):
-        rng = random.Random(5)
-        for _ in range(400):
-            s1 = rng.randint(3, 40)
-            alpha = rng.randint(0, 2000)
-            alpha_prime = rng.randint(0, 1)
-            specials = {
-                a: c
-                for c, a in condition_alphas(s1).items()
-                if c is not Condition.COND3
-            }
-            category = _bulk_category(s1, alpha, alpha_prime, specials)
-            verdict = eliminate(ParamSystem(s1, alpha, alpha_prime, DIM)).verdict
-            if category == "classical":
-                assert verdict is Verdict.CLASSICAL
-            elif category == "condition":
-                assert verdict is Verdict.ELIMINATED
-            else:
-                assert verdict is Verdict.ELIMINATED
-                assert category in ("integrality", "no-condition")
+    @pytest.mark.parametrize(
+        "s1_max, alpha_max",
+        # Tiny alpha ranges, where (1, 0) and alpha' = 1 start to appear.
+        [(3, 0), (3, 1), (3, 2), (12, 0), (12, 1), (12, 2)]
+        # Square s1 (condition 1) and s1 with square factors (m < s1), each
+        # up to its largest condition alpha, so the boundary is included.
+        + [(s1, _largest_condition_alpha(s1)) for s1 in (4, 9, 16, 25, 36)]
+        + [(s1, _largest_condition_alpha(s1)) for s1 in (8, 12, 18, 24)]
+        # Just below the condition-1 alphas of s1 = 9 (36 and 144).
+        + [(9, 35), (9, 143), (40, 500)],
+    )
+    def test_counts_match_brute_force_oracle(self, s1_max, alpha_max):
+        check = search(s1_max, alpha_max).checks[0]
+        counts, classical, survivors = _oracle(s1_max, alpha_max)
+        assert survivors is None
+        assert check.details["counts"] == counts
+        assert check.details["classicalWitnesses"] == classical
+        assert check.witness is None
+
+    @pytest.mark.parametrize("case", ["a", "b+", "b-", "c", "d", "e", "f"])
+    def test_disabled_case_matches_brute_force_oracle(self, case):
+        disabled = normalize_disabled([case])
+        check = search(10, 200, disabled_cases=disabled).checks[0]
+        counts, classical, survivors = _oracle(10, 200, disabled)
+        assert survivors
+        assert check.details["counts"] == counts
+        assert check.details["classicalWitnesses"] == classical
+        assert check.witness == survivors
+
+    def test_square_divisor(self):
+        # n | a^2 exactly when m(n) | a.
+        for n in range(1, 501):
+            m = _square_divisor(n)
+            for a in range(2001):
+                assert (a * a % n == 0) == (a % m == 0), (n, a)
+        assert [_square_divisor(n) for n in (1, 4, 8, 12, 36, 72, 97)] == [1, 2, 4, 6, 6, 12, 97]
+
+    @pytest.mark.parametrize("alpha_max", [10**5, 10**9])
+    def test_large_grid(self, alpha_max):
+        check = search(1000, alpha_max).checks[0]
+        details = check.details
+        assert check.status == "pass"
+        assert check.witness is None
+        assert sum(details["counts"].values()) == details["systemsChecked"]
+        # Condition alphas tallied from their defining equations.
+        tally = 0
+        for s1 in range(3, 1001):
+            tally += (s1 * (s1 - 1) <= alpha_max) + (s1 * s1 + 1 <= alpha_max)
+            root = math.isqrt(s1)
+            if root * root == s1:
+                tally += (s1 * (root + 1) ** 2 <= alpha_max)
+                tally += (s1 * (root - 1) ** 2 <= alpha_max)
+        assert details["counts"]["condition-eliminated"] == tally
 
     def test_integrality_implies_alpha_floor(self):
         # For alpha > 0, s1 | alpha^2 forces alpha^2 >= s1, so the search needs
