@@ -15,16 +15,10 @@ from .parameters import (  # noqa: F401
     FlatProfile,
     ModelScopeError,
     ParamSystem,
-    alpha_floor_check,
     classify_condition,
-    growth_lower_bound,
-    growth_step_holds,
-    integrality_constraints,
     s2_from,
-    s2_of,
 )
 from .bounds import (  # noqa: F401
-    SpectralTriple,
     ThresholdReport,
     alpha_route_cap,
     alpha_route_sweep,
@@ -33,6 +27,7 @@ from .bounds import (  # noqa: F401
     first_r_exceeding,
     phi_of,
     psi_of,
+    spectral_identities,
     theta_of,
 )
 from .localization import (  # noqa: F401
@@ -46,7 +41,6 @@ from .localization import (  # noqa: F401
     localized_alpha,
     obstruction_value,
     point_localize,
-    s2_hat,
 )
 from .obstructions import (  # noqa: F401
     Impossibility,
@@ -67,7 +61,6 @@ from .geometries import (  # noqa: F401
     PrimeField,
     UnsupportedFieldError,
     alpha_from_profile,
-    alpha_of,
     build_affine,
     build_projective,
     check_closure_axioms,

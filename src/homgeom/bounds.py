@@ -12,9 +12,8 @@ the product identity
     theta*phi - 4*alpha*s1*psi = D * (theta*D + 4*alpha*s1^2*(s1-1)),
     D = alpha - s1*(s1-1)
 
-hold identically; this is re-verified on an exact 9 x 9 grid (enough points
-to determine the degree-8 bivariate polynomials involved) at import time,
-so a wrong closed form is a hard build failure rather than a silent one.
+hold identically; spectral_identities checks it, with the other fixed
+identities, once as exact polynomial identities.
 """
 
 from __future__ import annotations
@@ -22,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .exact_arith import UniPoly
 from .parameters import s2_from
 
 
@@ -32,11 +32,7 @@ def discriminant_shift(s1: int, alpha: int) -> int:
 
 def phi_of(s1: int, alpha: int) -> int:
     """phi = alpha^2 + s1^2*(s1-1)^2 - 2*alpha*s1*(s1+1), equal to D^2 - 4*alpha*s1."""
-    value = alpha * alpha + s1 * s1 * (s1 - 1) ** 2 - 2 * alpha * s1 * (s1 + 1)
-    d = discriminant_shift(s1, alpha)
-    if value != d * d - 4 * alpha * s1:
-        raise ArithmeticError(f"phi({s1}, {alpha}) disagrees with D^2 - 4*alpha*s1")
-    return value
+    return alpha * alpha + s1 * s1 * (s1 - 1) ** 2 - 2 * alpha * s1 * (s1 + 1)
 
 
 def theta_of(s1: int, alpha: int) -> int:
@@ -48,34 +44,6 @@ def psi_of(s1: int, alpha: int) -> int:
     """psi = -theta - s1*(s1-1)*D, the value forced by the product identity."""
     d = discriminant_shift(s1, alpha)
     return -theta_of(s1, alpha) - s1 * (s1 - 1) * d
-
-
-@dataclass(frozen=True)
-class SpectralTriple:
-    """The quantities (theta, phi, psi) attached to an alpha' = 0 system."""
-
-    theta: int
-    phi: int
-    psi: int
-    discriminant_d: int
-
-    @classmethod
-    def from_params(cls, s1: int, alpha: int) -> "SpectralTriple":
-        triple = cls(
-            theta=theta_of(s1, alpha),
-            phi=phi_of(s1, alpha),
-            psi=psi_of(s1, alpha),
-            discriminant_d=discriminant_shift(s1, alpha),
-        )
-        # Both defining identities must hold at the point of construction.
-        d = triple.discriminant_d
-        if triple.phi != d * d - 4 * alpha * s1:
-            raise ArithmeticError(f"({s1}, {alpha}): phi != D^2 - 4*alpha*s1")
-        lhs = triple.theta * triple.phi - 4 * alpha * s1 * triple.psi
-        rhs = d * (triple.theta * d + 4 * alpha * s1 * s1 * (s1 - 1))
-        if lhs != rhs:
-            raise ArithmeticError(f"({s1}, {alpha}): spectral product identity fails")
-        return triple
 
 
 def alpha_route_cap(s1: int, alpha: int) -> Fraction:
@@ -105,6 +73,8 @@ def beta_route_cap(s1: int, beta: int) -> Fraction:
 def first_r_exceeding(s1: int, s2: int, threshold: Fraction | int) -> int:
     """Smallest r >= 3 whose growth lower bound exceeds the threshold.
 
+    The growth bound says an r-flat has at least
+    (s2 - s1)^(r-1) / (s1 - 1)^(r-2) points; this loop is its only copy.
     Any flat dimension r whose size obeys the threshold then satisfies
     r < the returned value.
     """
@@ -210,34 +180,27 @@ def beta_route_sweep(s1_max: int = 50, beta_max: int = 2500) -> SweepResult:
     return SweepResult("beta-route", checked, max_r, worst, steps_ok)
 
 
-def product_identity_holds(s1_range=range(3, 12), alpha_range=range(1, 10)) -> bool:
-    """Check both spectral identities pointwise on an exact integer grid.
+def spectral_identities() -> dict[str, bool]:
+    """The fixed identities of the threshold argument, each checked exactly.
 
-    The default 9 x 9 grid has enough points to determine the bivariate
-    polynomials on each side (their degrees are at most 8 per variable), so
-    agreement here is agreement as polynomial identities.
+    The production formulas run unchanged over UniPoly with s1 = x^9 and
+    alpha = x.  This Kronecker substitution sends each monomial
+    s1^i * alpha^j with j < 9 to its own power x^(9i + j), so a polynomial
+    in (s1, alpha) of alpha-degree at most 8 is zero exactly when its image
+    is.  Every identity below has alpha-degree at most 3, so coefficient
+    equality of the images is equality as polynomial identities.
     """
-    for s1 in s1_range:
-        u = s1 * (s1 - 1)
-        for alpha in alpha_range:
-            d = alpha - u
-            theta = theta_of(s1, alpha)
-            phi = phi_of(s1, alpha)
-            psi = psi_of(s1, alpha)
-            if phi != d * d - 4 * alpha * s1:
-                return False
-            lhs = theta * phi - 4 * alpha * s1 * psi
-            rhs = d * (theta * d + 4 * alpha * s1 * s1 * (s1 - 1))
-            if lhs != rhs:
-                return False
-            # Factored form of the right-hand bracket.
-            if theta * d + 4 * alpha * s1 * s1 * (s1 - 1) != (alpha * (2 * s1 - 1) + u) * (alpha + u):
-                return False
-    return True
-
-
-if not product_identity_holds():
-    raise ArithmeticError(
-        "spectral product identity failed its build-time grid check; "
-        "the psi closed form cannot be trusted"
-    )
+    alpha = UniPoly.x()
+    s1 = alpha**9
+    u = s1 * (s1 - 1)
+    d = discriminant_shift(s1, alpha)
+    theta, phi, psi = theta_of(s1, alpha), phi_of(s1, alpha), psi_of(s1, alpha)
+    bracket = theta * d + 4 * alpha * s1 * s1 * (s1 - 1)
+    return {
+        "phi": phi == d * d - 4 * alpha * s1,
+        "product": theta * phi - 4 * alpha * s1 * psi == d * bracket,
+        # Factored form of the product identity's right-hand bracket.
+        "bracket": bracket == (alpha * (2 * s1 - 1) + u) * (alpha + u),
+        # Point localization: s2 - 1 = (alpha + s1)(s1 - 1).
+        "planeSize": s2_from(s1, alpha) - 1 == (alpha + s1) * (s1 - 1),
+    }

@@ -11,8 +11,8 @@ import json
 import sys
 
 from .exact_arith import is_perfect_square
-from .parameters import Condition, ModelScopeError, ParamSystem, classify_condition
-from .localization import CaseLabel, localize_under, point_localize, s2_hat
+from .parameters import Condition, ModelScopeError, ParamSystem, classify_condition, s2_from
+from .localization import CaseLabel, localize_under, point_localize
 from .obstructions import catalog, certify_no_square, sieve, verify_identity
 from .geometries import (
     UnsupportedFieldError,
@@ -95,7 +95,7 @@ def _cmd_localize(args) -> int:
         localized = localize_under(ps, cond)
         hypotheses[cond.value] = {
             "alphaHat": localized.alpha_hat,
-            "s2Hat": s2_hat(localized.s1_hat, localized.alpha_hat),
+            "s2Hat": s2_from(localized.s1_hat, localized.alpha_hat),
         }
     _print_json(
         {

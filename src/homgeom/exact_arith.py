@@ -65,20 +65,12 @@ class UniPoly:
     # -- construction helpers ------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "UniPoly":
-        return cls()
-
-    @classmethod
     def constant(cls, c: Scalar) -> "UniPoly":
         return cls([c])
 
     @classmethod
     def x(cls) -> "UniPoly":
         return cls([0, 1])
-
-    @classmethod
-    def monomial(cls, power: int, coeff: Scalar = 1) -> "UniPoly":
-        return cls([0] * power + [coeff])
 
     # -- basic queries -------------------------------------------------------
 

@@ -52,25 +52,10 @@ class PrimeField:
             raise UnsupportedFieldError(f"{p} is not prime; only prime fields are supported")
         self.p = p
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
     def inv(self, a: int) -> int:
         if a % self.p == 0:
             raise ZeroDivisionError("zero has no inverse")
         return pow(a, -1, self.p)
-
-    def elements(self) -> range:
-        return range(self.p)
 
 
 @dataclass(frozen=True)
@@ -281,11 +266,6 @@ def alpha_from_profile(profile: FlatProfile) -> int:
     if num % (s1 - 1) != 0:
         raise ModelMismatchError(f"profile {profile.sizes} has non-integral alpha")
     return num // (s1 - 1)
-
-
-def alpha_of(g) -> int:
-    """The alpha invariant of a built geometry (0 projective, 1 affine)."""
-    return alpha_from_profile(flat_profile(g))
 
 
 def check_closure_axioms(g, *, samples: int = 200, seed: int = 0) -> dict[str, bool]:

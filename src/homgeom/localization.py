@@ -5,9 +5,10 @@ of a smaller geometry whose line size is s1_hat = alpha + s1.  When an
 exceptional condition is hypothesized both before and after localization,
 the squareness requirement riding along with the outer condition becomes a
 concrete integer (computed here structurally, through s1_hat, alpha_hat and
-s2_hat) that must be a perfect square.  Of the six condition pairs, two (A
-and D) are impossible by an imported external fact; the remaining four are
-killed computationally, instance by instance, through that integer.
+the localized plane size s2_hat = s2_from(s1_hat, alpha_hat)) that must be a
+perfect square.  Of the six condition pairs, two (A and D) are impossible by
+an imported external fact; the remaining four are killed computationally,
+instance by instance, through that integer.
 
 The same formulas run unchanged over polynomials: evaluated at the
 indeterminate x they give the obstruction polynomial f of each case, from
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .exact_arith import UniPoly, isqrt_floor, is_perfect_square
-from .parameters import Condition, ParamSystem, s2_of
+from .parameters import Condition, ParamSystem, s2_from
 
 
 class CaseLabel(Enum):
@@ -100,14 +101,10 @@ class LocalizedParams:
 def point_localize(ps: ParamSystem) -> int:
     """Line size of the localization at a point: s1_hat = alpha + s1.
 
-    Cross-checked against the quotient identity s1_hat = (s2 - 1)/(s1 - 1),
-    which must divide exactly.
+    It equals the quotient (s2 - 1)/(s1 - 1); bounds.spectral_identities
+    checks that identity once, as a polynomial identity.
     """
-    s1_hat = ps.alpha + ps.s1
-    quotient, remainder = divmod(s2_of(ps) - 1, ps.s1 - 1)
-    if remainder != 0 or quotient != s1_hat:
-        raise ArithmeticError(f"quotient identity (s2 - 1)/(s1 - 1) = s1_hat fails for {ps}")
-    return s1_hat
+    return ps.alpha + ps.s1
 
 
 def localized_alpha(condition: Condition, s1_hat: int) -> int:
@@ -128,11 +125,6 @@ def localized_alpha(condition: Condition, s1_hat: int) -> int:
     raise ValueError(f"{condition.value} does not force an alpha value")
 
 
-def s2_hat(s1_hat: int, alpha_hat: int) -> int:
-    """Plane size of the localized system: 1 + (alpha_hat + s1_hat)*(s1_hat - 1)."""
-    return 1 + (alpha_hat + s1_hat) * (s1_hat - 1)
-
-
 def localize_under(ps: ParamSystem, condition_hat: Condition) -> LocalizedParams:
     """Localized parameters when condition_hat is hypothesized after localizing.
 
@@ -151,7 +143,7 @@ def _square_quantity_from(s1: int, alpha: int, condition_hat: Condition) -> int:
     """
     s1h = alpha + s1
     alpha_hat = localized_alpha(condition_hat, s1h)
-    s3 = 1 + (s1 - 1) * s2_hat(s1h, alpha_hat)
+    s3 = 1 + (s1 - 1) * s2_from(s1h, alpha_hat)
     quotient, remainder = divmod(s3, s1)
     if remainder != 0:
         raise ArithmeticError(f"s3={s3} not divisible by s1={s1}")
@@ -179,7 +171,7 @@ def obstruction_value(case: CaseLabel, arg: int | UniPoly) -> int | UniPoly:
         # Condition 2 outer and inner: the quantity is s2_hat itself, with
         # s1_hat = s1^2.
         s1h = arg * arg
-        return s2_hat(s1h, localized_alpha(Condition.COND2, s1h))
+        return s2_from(s1h, localized_alpha(Condition.COND2, s1h))
     if case in (CaseLabel.E, CaseLabel.F):
         inner = Condition.COND2 if case is CaseLabel.E else Condition.COND3
         return _square_quantity_from(arg, arg * arg + 1, inner)

@@ -2,17 +2,15 @@
 
 A geometry enters the analysis only through a handful of integers: the line
 size s1, the incidence invariants alpha and alpha', and the dimension.  This
-module derives the plane size s2, checks the divisibility and floor
-constraints those invariants must satisfy, enforces the inter-flat growth
-inequalities, and classifies which (if any) of the three exceptional
-parameter families a system belongs to.
+module derives the plane size s2, states the divisibility constraints those
+invariants must satisfy, and classifies which (if any) of the three
+exceptional parameter families a system belongs to.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 from .exact_arith import isqrt_floor, is_perfect_square
 
@@ -137,34 +135,7 @@ class FlatProfile:
 
 def s2_from(s1: int, alpha: int) -> int:
     """Plane size forced by (s1, alpha): s1 + (s1-1)*alpha + (s1-1)^2."""
-    s2 = s1 + (s1 - 1) * alpha + (s1 - 1) ** 2
-    # Same value in the product form used by the localization transform.
-    if s2 != 1 + (alpha + s1) * (s1 - 1):
-        raise ArithmeticError(f"s2({s1}, {alpha}) disagrees with its product form")
-    return s2
-
-
-def s2_of(ps: ParamSystem) -> int:
-    return s2_from(ps.s1, ps.alpha)
-
-
-def growth_lower_bound(s1: int, s2: int, r: int) -> Fraction:
-    """Lower bound (s2-s1)^(r-1) / (s1-1)^(r-2) for the size of an r-flat."""
-    if r < 3:
-        raise ValueError(f"the growth bound needs r >= 3, got r={r}")
-    if s1 < 2 or s2 <= s1:
-        raise ValueError(f"need s2 > s1 >= 2, got s1={s1}, s2={s2}")
-    return Fraction((s2 - s1) ** (r - 1), (s1 - 1) ** (r - 2))
-
-
-def growth_step_holds(profile: FlatProfile, r: int) -> bool:
-    """Single growth step: s_r - s_(r-1) >= (s_(r-1) - s_(r-2))^2 / (s_(r-2) - s_(r-3))."""
-    if not 3 <= r <= profile.top_dim:
-        raise ValueError(f"r={r} outside profile range 3..{profile.top_dim}")
-    s = profile.sizes
-    lhs = (s[r] - s[r - 1]) * (s[r - 2] - s[r - 3])
-    rhs = (s[r - 1] - s[r - 2]) ** 2
-    return lhs >= rhs
+    return s1 + (s1 - 1) * alpha + (s1 - 1) ** 2
 
 
 def integrality_alpha0(s1: int, alpha: int) -> bool:
@@ -177,20 +148,6 @@ def integrality_alpha0(s1: int, alpha: int) -> bool:
 def integrality_alpha1(s1: int, beta: int) -> bool:
     """Divisibility forced in the alpha' = 1 regime: s1 | beta."""
     return beta % s1 == 0
-
-
-def integrality_constraints(ps: ParamSystem) -> bool:
-    """The divisibility constraint appropriate to the system's regime."""
-    if ps.alpha_prime == 0:
-        return integrality_alpha0(ps.s1, ps.alpha)
-    return integrality_alpha1(ps.s1, ps.beta)
-
-
-def alpha_floor_check(ps: ParamSystem) -> bool:
-    """In the alpha' = 0 regime a positive alpha must satisfy alpha^2 >= s1."""
-    if ps.alpha_prime != 0:
-        raise ValueError("the alpha floor applies only in the alpha' = 0 regime")
-    return ps.alpha == 0 or ps.alpha * ps.alpha >= ps.s1
 
 
 def condition_alphas(s1: int) -> dict[Condition, int]:

@@ -293,6 +293,14 @@ class _Walk:
                 )
 
 
+def _check_dimension(dim: int) -> None:
+    if dim < required_dimension():
+        raise ValueError(
+            f"dim={dim} is below the threshold {required_dimension()} "
+            "where the chain argument applies"
+        )
+
+
 def eliminate(
     ps: ParamSystem,
     *,
@@ -308,11 +316,7 @@ def eliminate(
     """
     if ps.s1 < 3:
         raise ValueError("hypothesis requires at least 3 points on a line (s1 >= 3)")
-    if ps.dim < required_dimension():
-        raise ValueError(
-            f"dim={ps.dim} is below the threshold {required_dimension()} "
-            "where the chain argument applies"
-        )
+    _check_dimension(ps.dim)
     graph = graph or standard_graph()
     tags = classify_condition(ps)
     if Condition.CLASSICAL_COMPATIBLE in tags:
@@ -486,6 +490,7 @@ def search(
     if alpha_max < 0:
         raise ValueError("alpha_max must be nonnegative")
     dim = required_dimension() if dim is None else dim
+    _check_dimension(dim)
     graph = graph or standard_graph()
     counts = {
         "classical": 0,

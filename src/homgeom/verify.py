@@ -15,7 +15,8 @@ from .bounds import (
     alpha_route_cap,
     alpha_route_sweep,
     beta_route_sweep,
-    product_identity_holds,
+    first_r_exceeding,
+    spectral_identities,
 )
 from .localization import CaseLabel
 from .obstructions import catalog, certify_no_square, factor_equation, sieve, verify_identity
@@ -134,16 +135,16 @@ def _check_threshold_grids(report: Report, s1_max: int = 50, driver_max: int = 2
 
 
 def _check_spectral_identities(report: Report) -> None:
-    identities = product_identity_holds(range(3, 20), range(1, 20))
+    identities = spectral_identities()
     # Condition-2 parameters collapse the cap to exactly 1.
     cond2_cap_is_one = all(
         alpha_route_cap(s1, s1 * (s1 - 1)) == 1 for s1 in range(3, 60)
     )
-    ok = identities and cond2_cap_is_one
+    ok = all(identities.values()) and cond2_cap_is_one
     report.add(
         "spectral-identities",
         "pass" if ok else "fail",
-        details={"gridIdentities": identities, "cond2CapIsOne": cond2_cap_is_one},
+        details={"polynomialIdentities": identities, "cond2CapIsOne": cond2_cap_is_one},
     )
 
 
@@ -218,11 +219,17 @@ def _check_ground_truth(report: Report) -> None:
         quotient_expected = FlatProfile(
             tuple((profile.s(i + 1) - 1) // (profile.s(1) - 1) for i in range(n))
         )
+        # Every r-flat is at least as large as the growth bound at r.
+        s1, s2 = profile.s(1), profile.s(2)
+        growth_ok = all(
+            first_r_exceeding(s1, s2, profile.s(r)) > r for r in range(3, n + 1)
+        )
         entry_ok = (
             profile.sizes == expected
             and alpha == expected_alpha
             and all(axioms.values())
             and localized == quotient_expected
+            and growth_ok
         )
         ok = ok and entry_ok
         details[str(g.kind)] = {
@@ -230,6 +237,7 @@ def _check_ground_truth(report: Report) -> None:
             "alpha": alpha,
             "axioms": axioms,
             "localizedProfile": list(localized.sizes),
+            "growthBoundOk": growth_ok,
             "ok": entry_ok,
         }
     report.add("classical-ground-truth", "pass" if ok else "fail", details=details)

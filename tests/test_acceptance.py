@@ -8,11 +8,11 @@ import time
 
 
 from homgeom.exact_arith import UniPoly
-from homgeom.bounds import alpha_route_cap, alpha_route_sweep, beta_route_sweep, product_identity_holds
+from homgeom.bounds import alpha_route_cap, alpha_route_sweep, beta_route_sweep, spectral_identities
 from homgeom.localization import CaseLabel
 from homgeom.obstructions import catalog, certify_no_square, factor_equation, sieve, verify_identity
 from homgeom.geometries import (
-    alpha_of,
+    alpha_from_profile,
     build_affine,
     build_projective,
     check_closure_axioms,
@@ -117,8 +117,8 @@ def test_criterion_4_threshold_chains():
 
 def test_criterion_5_spectral_identities():
     with _Criterion(5, "spectral-identities"):
-        assert product_identity_holds()
-        assert product_identity_holds(range(3, 25), range(1, 25))
+        identities = spectral_identities()
+        assert identities and all(identities.values()), identities
         for s1 in range(3, 100):
             assert alpha_route_cap(s1, s1 * (s1 - 1)) == 1
 
@@ -170,7 +170,7 @@ def test_criterion_8_geometry_ground_truth():
                 localized = localize_at_point(g, x, parent)
                 for i in range(localized.top_dim + 1):
                     assert localized.s(i) == (parent.s(i + 1) - 1) // (parent.s(1) - 1)
-        assert alpha_of(pg) == 0
-        assert alpha_of(ag) == 1
-        assert alpha_of(build_projective(2, 3)) == 0
-        assert alpha_of(build_affine(2, 5)) == 1
+        assert alpha_from_profile(flat_profile(pg)) == 0
+        assert alpha_from_profile(flat_profile(ag)) == 1
+        assert alpha_from_profile(flat_profile(build_projective(2, 3))) == 0
+        assert alpha_from_profile(flat_profile(build_affine(2, 5))) == 1

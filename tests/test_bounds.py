@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+import homgeom.bounds as bounds
 from homgeom.bounds import (
-    SpectralTriple,
     alpha_route_cap,
     alpha_route_sweep,
     beta_route_cap,
@@ -13,11 +13,13 @@ from homgeom.bounds import (
     discriminant_shift,
     first_r_exceeding,
     phi_of,
-    product_identity_holds,
     psi_of,
+    spectral_identities,
     theta_of,
 )
 from homgeom.parameters import s2_from
+from homgeom.pipeline import Report
+from homgeom.verify import _check_spectral_identities
 
 
 def phi_oracle(s1: int, alpha: int) -> int:
@@ -51,22 +53,44 @@ class TestSpectralQuantities:
         rhs = d * (theta_of(s1, alpha) * d + 4 * alpha * s1 * s1 * (s1 - 1))
         assert lhs == rhs == -385
 
-    def test_product_identity_on_grid(self):
-        assert product_identity_holds()
-
-    def test_product_identity_on_wide_grid(self):
-        assert product_identity_holds(range(3, 30), range(1, 30))
-
     def test_spectral_triple_invariants(self):
-        triple = SpectralTriple.from_params(4, 2)
-        assert (triple.theta, triple.phi, triple.psi) == (2, 68, 118)
-        assert triple.discriminant_d == discriminant_shift(4, 2) == -10
+        assert (theta_of(4, 2), phi_of(4, 2), psi_of(4, 2)) == (2, 68, 118)
+        assert discriminant_shift(4, 2) == -10
 
     def test_phi_squared_below_fourth_power(self):
         for s1 in range(3, 25):
             u = s1 * (s1 - 1)
             for alpha in range(2, 120):
                 assert phi_of(s1, alpha) ** 2 < (alpha + u) ** 4
+
+
+class TestSpectralIdentities:
+    def test_all_hold(self):
+        assert spectral_identities() == {
+            "phi": True, "product": True, "bracket": True, "planeSize": True
+        }
+
+    @pytest.mark.parametrize(
+        "name, fake, broken",
+        [
+            ("discriminant_shift", lambda s1, a: a - s1 * s1, "phi"),
+            # A wrong theta also enters psi, which keeps the product identity
+            # true; the factored bracket catches it.
+            ("theta_of", lambda s1, a: s1 - s1 * s1 + 2 * a * s1 + a, "bracket"),
+            ("phi_of", lambda s1, a: a * a + s1 * s1 * (s1 - 1) ** 2 - 2 * a * s1 * (s1 - 1), "phi"),
+            ("psi_of", lambda s1, a: -theta_of(s1, a) - s1 * (s1 + 1) * discriminant_shift(s1, a), "product"),
+            ("s2_from", lambda s1, a: s1 + s1 * a + (s1 - 1) ** 2, "planeSize"),
+        ],
+        ids=["discriminant_shift", "theta_of", "phi_of", "psi_of", "s2_from"],
+    )
+    def test_wrong_formula_fails_the_check(self, monkeypatch, name, fake, broken):
+        monkeypatch.setattr(bounds, name, fake)
+        assert spectral_identities()[broken] is False
+        report = Report()
+        _check_spectral_identities(report)
+        (check,) = report.checks
+        assert check.status == "fail"
+        assert check.details["polynomialIdentities"][broken] is False
 
 
 class TestAlphaRouteCap:
@@ -125,12 +149,13 @@ class TestFirstRExceeding:
         assert first_r_exceeding(4, 19, threshold) == r
 
     def test_returned_r_is_minimal(self):
-        from homgeom.parameters import growth_lower_bound
+        def growth_bound(s1, s2, r):
+            return Fraction((s2 - s1) ** (r - 1), (s1 - 1) ** (r - 2))
 
         threshold = Fraction(12345678, 7)
         r = first_r_exceeding(3, 15, threshold)
-        assert growth_lower_bound(3, 15, r) > threshold
-        assert all(growth_lower_bound(3, 15, k) <= threshold for k in range(3, r))
+        assert growth_bound(3, 15, r) > threshold
+        assert all(growth_bound(3, 15, k) <= threshold for k in range(3, r))
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):

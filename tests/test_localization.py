@@ -22,7 +22,6 @@ from homgeom.localization import (
     localized_alpha,
     obstruction_value,
     point_localize,
-    s2_hat,
 )
 from homgeom.obstructions import catalog
 from homgeom.parameters import Condition, ParamSystem, s2_from
@@ -76,7 +75,7 @@ class TestLocalizeUnder:
     def test_cond2_to_cond2(self):
         localized = localize_under(ParamSystem(3, 6), Condition.COND2)
         assert localized == LocalizedParams(9, 72, Condition.COND2)
-        assert s2_hat(localized.s1_hat, localized.alpha_hat) == 649
+        assert s2_from(localized.s1_hat, localized.alpha_hat) == 649
 
     def test_cond3_to_cond2(self):
         localized = localize_under(ParamSystem(3, 10, 1), Condition.COND2)
@@ -88,15 +87,17 @@ class TestLocalizeUnder:
 
 
 class TestS2Hat:
+    """The localized plane size s2_hat, which is s2_from at (s1_hat, alpha_hat)."""
+
     def test_cond2_pair(self):
-        assert s2_hat(9, 72) == 649
+        assert s2_from(9, 72) == 649
 
     def test_cond3_to_cond2(self):
-        assert s2_hat(13, 156) == 2029
+        assert s2_from(13, 156) == 2029
 
     def test_alpha_hat_zero_closed_form(self):
         for s1_hat in range(2, 50):
-            assert s2_hat(s1_hat, 0) == 1 + s1_hat * (s1_hat - 1)
+            assert s2_from(s1_hat, 0) == 1 + s1_hat * (s1_hat - 1)
 
 
 class TestObstructionValues:
@@ -118,48 +119,29 @@ class TestObstructionValues:
 
     def test_guards_survive_optimized_mode(self):
         # The guards are explicit raises, not asserts, so python -O keeps them.
-        # Each one is made to fire by an input or a patched helper that breaks
-        # the identity it protects, and is restored before the next one.
+        # Each one is made to fire by an input that breaks the identity it
+        # protects.
         script = textwrap.dedent(
             """
-            import homgeom.bounds as bounds
             import homgeom.geometries as geo
             import homgeom.localization as loc
             from homgeom.exact_arith import UniPoly
-            from homgeom.parameters import Condition, FlatProfile, ParamSystem, s2_from
+            from homgeom.parameters import Condition, FlatProfile
             from homgeom.pipeline import _Walk, standard_graph
 
             fired = 0
 
-            def fires(call, module=None, name=None, fake=None, error=ArithmeticError):
+            def fires(call, error=ArithmeticError):
                 global fired
-                if module is not None:
-                    real = getattr(module, name)
-                    setattr(module, name, fake)
                 try:
                     call()
                 except error:
                     fired += 1
-                finally:
-                    if module is not None:
-                        setattr(module, name, real)
 
             # localization: s3 = 203 is not divisible by s1 = 3 at (3, 2);
-            # (x + 1, x) is the same failure for polynomials; a wrong s2_of
-            # breaks point_localize.
+            # (x + 1, x) is the same failure for polynomials.
             for s1, alpha in ((3, 2), (UniPoly([1, 1]), UniPoly.x())):
                 fires(lambda: loc._square_quantity_from(s1, alpha, Condition.COND2))
-            fires(lambda: loc.point_localize(ParamSystem(3, 6)),
-                  loc, "s2_of", lambda ps: ps.s1 * ps.s1)
-            # bounds: a wrong D, phi or psi breaks phi's closed form, the
-            # triple's phi identity and its product identity in turn.
-            fires(lambda: bounds.phi_of(3, 6), bounds, "discriminant_shift", lambda s1, a: 1)
-            fires(lambda: bounds.SpectralTriple.from_params(3, 6),
-                  bounds, "phi_of", lambda s1, a: 0)
-            fires(lambda: bounds.SpectralTriple.from_params(3, 6),
-                  bounds, "psi_of", lambda s1, a: 0)
-            # parameters: the two forms of s2 round differently on a float.
-            fires(lambda: s2_from(3, 1 / 3))
             # geometries: a parent profile whose s_2 - 1 is not divisible by
             # s_1 - 1, then one that predicts the wrong number of lines.
             fano = geo.build_projective(2, 2)
@@ -180,7 +162,7 @@ class TestObstructionValues:
             text=True,
             check=True,
         )
-        assert out.stdout.strip() == "11"
+        assert out.stdout.strip() == "6"
 
     def test_structural_route_matches_polynomial_route(self):
         cat = catalog()

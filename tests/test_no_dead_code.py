@@ -1,0 +1,75 @@
+"""Dead-code guard: every definition in the package is used by the package.
+
+A top-level function or class, or a public method, whose name never occurs
+as a name or attribute anywhere under src/homgeom is reachable only from
+tests or from the package exports.  Such code either carries a fact no
+check runs, or is a second copy of one; the guard fails on it unless it is
+listed below with its reason.
+"""
+
+import ast
+from pathlib import Path
+
+import homgeom
+
+PACKAGE = Path(homgeom.__file__).parent
+
+ALLOWED = {
+    "sieve_naive": "the reference oracle the residue-mask sieve is tested against",
+    "ParamSystem.from_record": "inverse of to_record, for consumers of the JSON report",
+    "FlatProfile.truncate": "the rank-k truncation the ground truth is to cover",
+    "UniPoly.degree": "the degree is part of the polynomial type's interface",
+    "UniPoly.evaluate_int": "integer evaluation of a catalog polynomial",
+    "normalize_disabled": "turns case letters into the fault-injection case set",
+}
+
+
+def _trees():
+    return {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _definitions(trees):
+    """Top-level functions and classes, and public methods as Class.method."""
+    out = []
+    for filename, tree in trees.items():
+        if filename == "__init__.py":
+            continue
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                out.append((filename, node.name, node.name))
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        out.append((filename, f"{node.name}.{item.name}", item.name))
+    return out
+
+
+def _used_names(trees):
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return used
+
+
+def test_every_definition_is_used_in_the_package():
+    trees = _trees()
+    used = _used_names(trees)
+    unused = [
+        f"{filename}: {qualified}"
+        for filename, qualified, name in _definitions(trees)
+        if name not in used and qualified not in ALLOWED
+    ]
+    assert not unused, "defined but never used under src/homgeom: " + ", ".join(unused)
+
+
+def test_allowlist_is_current():
+    # An allowed name that the package starts using, or deletes, leaves the list.
+    trees = _trees()
+    used = _used_names(trees)
+    defined = {qualified: name for _, qualified, name in _definitions(trees)}
+    stale = [q for q in ALLOWED if q not in defined or defined[q] in used]
+    assert not stale, f"allowlist entries no longer needed: {stale}"

@@ -4,19 +4,17 @@ from fractions import Fraction
 
 import pytest
 
+from homgeom.bounds import first_r_exceeding
 from homgeom.parameters import (
     Condition,
     FlatProfile,
     ModelScopeError,
     ParamSystem,
-    alpha_floor_check,
     classify_condition,
     condition_alphas,
-    growth_lower_bound,
-    growth_step_holds,
-    integrality_constraints,
+    integrality_alpha0,
+    integrality_alpha1,
     s2_from,
-    s2_of,
 )
 from homgeom.exact_arith import is_perfect_square
 
@@ -72,70 +70,44 @@ class TestS2:
             for alpha in range(0, 60):
                 assert s2_from(s1, alpha) == 1 + (alpha + s1) * (s1 - 1)
 
-    def test_wrapper(self):
-        assert s2_of(ParamSystem(3, 6)) == 19
-
 
 class TestGrowthLowerBound:
+    """The bound (s2-s1)^(r-1) / (s1-1)^(r-2), as bounds.first_r_exceeding applies it."""
+
     def test_examples(self):
-        assert growth_lower_bound(3, 7, 3) == 8
-        assert growth_lower_bound(3, 7, 4) == 16
-        assert growth_lower_bound(3, 9, 3) == 18
+        # (3, 7): bound 8 at r = 3 and 16 at r = 4; (3, 9): 18 at r = 3.
+        assert first_r_exceeding(3, 7, 7) == 3
+        assert first_r_exceeding(3, 7, 8) == 4
+        assert first_r_exceeding(3, 7, 15) == 4
+        assert first_r_exceeding(3, 7, 16) == 5
+        assert first_r_exceeding(3, 9, 17) == 3
+        assert first_r_exceeding(3, 9, 18) == 4
 
     def test_exact_rational(self):
-        assert growth_lower_bound(4, 7, 4) == Fraction(27, 9)
-
-    def test_r_below_three_rejected(self):
-        with pytest.raises(ValueError):
-            growth_lower_bound(3, 7, 2)
+        # (3, 8): bound 25/2 at r = 3; the comparison is exact at the boundary.
+        assert first_r_exceeding(3, 8, Fraction(25, 2)) == 4
+        assert first_r_exceeding(3, 8, Fraction(25, 2) - Fraction(1, 10**30)) == 3
 
     def test_classical_profiles_satisfy_bound(self):
         for q in PRIMES:
             for profile in (projective_profile(4, q), affine_profile(4, q)):
                 s1, s2 = profile.s(1), profile.s(2)
                 for r in range(3, profile.top_dim + 1):
-                    assert profile.s(r) >= growth_lower_bound(s1, s2, r)
-                    assert growth_step_holds(profile, r)
-
-
-class TestGrowthStep:
-    def test_projective_tight(self):
-        assert growth_step_holds(FlatProfile((1, 3, 7, 15)), 3)
-
-    def test_affine_tight(self):
-        assert growth_step_holds(FlatProfile((1, 3, 9, 27)), 3)
-
-    def test_synthetic_violation(self):
-        assert not growth_step_holds(FlatProfile((1, 3, 7, 10)), 3)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            growth_step_holds(FlatProfile((1, 3, 7)), 3)
+                    assert first_r_exceeding(s1, s2, profile.s(r)) > r
 
 
 class TestIntegrality:
     def test_examples(self):
-        assert integrality_constraints(ParamSystem(3, 6, 0))
-        assert not integrality_constraints(ParamSystem(3, 2, 0))
-        assert integrality_constraints(ParamSystem(3, 4, 1))  # beta = 3
+        assert integrality_alpha0(3, 6)
+        assert not integrality_alpha0(3, 2)
+        assert integrality_alpha1(3, 3)
 
     def test_beta_regime_failure(self):
-        assert not integrality_constraints(ParamSystem(3, 5, 1))  # beta = 4
+        assert not integrality_alpha1(3, 4)
 
     def test_cond2_always_passes(self):
         for s1 in range(3, 60):
-            assert integrality_constraints(ParamSystem(s1, s1 * (s1 - 1), 0))
-
-
-class TestAlphaFloor:
-    def test_examples(self):
-        assert alpha_floor_check(ParamSystem(4, 2, 0))
-        assert not alpha_floor_check(ParamSystem(9, 2, 0))
-        assert alpha_floor_check(ParamSystem(9, 0, 0))
-
-    def test_wrong_regime_rejected(self):
-        with pytest.raises(ValueError):
-            alpha_floor_check(ParamSystem(3, 4, 1))
+            assert integrality_alpha0(s1, s1 * (s1 - 1))
 
 
 class TestClassify:
@@ -180,7 +152,7 @@ class TestClassify:
         for s1 in range(3, 200):
             ps = ParamSystem(s1, s1 * (s1 - 1), 0)
             if Condition.COND2 in classify_condition(ps):
-                assert integrality_constraints(ps)
+                assert integrality_alpha0(ps.s1, ps.alpha)
 
     def test_cond1_tags_need_square_alpha_match(self):
         tags = classify_condition(ParamSystem(9, 9 * 16, 0))  # 9*(3+1)^2

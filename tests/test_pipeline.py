@@ -218,6 +218,9 @@ class TestSearch:
     def test_hypothesis_error(self):
         with pytest.raises(ValueError):
             search(2, 100)
+        # Below the required dimension even when no condition alpha is reached.
+        with pytest.raises(ValueError, match="below the threshold"):
+            search(3, 5, dim=3)
 
     def test_classical_witnesses_cover_small_primes(self):
         details = search(10, 200).checks[0].details
