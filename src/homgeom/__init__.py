@@ -35,9 +35,7 @@ from .localization import (  # noqa: F401
     CaseLabel,
     CaseRangeError,
     ExternalCaseError,
-    LocalizedParams,
     eliminate_case_instance,
-    localize_under,
     localized_alpha,
     obstruction_value,
     point_localize,

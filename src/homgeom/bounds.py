@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact_arith import UniPoly
-from .parameters import s2_from
+from .parameters import s2_from, square_divisor
 
 
 def discriminant_shift(s1: int, alpha: int) -> int:
@@ -140,10 +140,9 @@ def alpha_route_sweep(s1_max: int = 50, alpha_max: int = 2500) -> SweepResult:
     steps_ok = True
     for s1 in range(3, s1_max + 1):
         u = s1 * (s1 - 1)
-        for alpha in range(2, alpha_max + 1):
-            sq = alpha * alpha
-            if sq % s1 != 0 or sq < s1:
-                continue
+        # m^2 >= s1 since s1 | m^2, so the floor alpha^2 >= s1 holds.
+        m = square_divisor(s1)
+        for alpha in range(m, alpha_max + 1, m):
             checked += 1
             phi = phi_of(s1, alpha)
             if not phi * phi < (alpha + u) ** 4:

@@ -12,7 +12,7 @@ import sys
 
 from .exact_arith import is_perfect_square
 from .parameters import Condition, ModelScopeError, ParamSystem, classify_condition, s2_from
-from .localization import CaseLabel, localize_under, point_localize
+from .localization import CaseLabel, localized_alpha, point_localize
 from .obstructions import catalog, certify_no_square, sieve, verify_identity
 from .geometries import (
     UnsupportedFieldError,
@@ -92,10 +92,10 @@ def _cmd_localize(args) -> int:
         if cond.family == 1 and not is_perfect_square(s1_hat):
             hypotheses[cond.value] = None
             continue
-        localized = localize_under(ps, cond)
+        alpha_hat = localized_alpha(cond, s1_hat)
         hypotheses[cond.value] = {
-            "alphaHat": localized.alpha_hat,
-            "s2Hat": s2_from(localized.s1_hat, localized.alpha_hat),
+            "alphaHat": alpha_hat,
+            "s2Hat": s2_from(s1_hat, alpha_hat),
         }
     _print_json(
         {

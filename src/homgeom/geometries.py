@@ -77,13 +77,12 @@ class Geometry:
     for the affine kind, points are the vectors of F_p^n and closure is
     affine span.  Instances are immutable after construction.
 
-    Closures are cached twice.  The first cache maps each subset already
-    asked about to its flat.  On a miss the subset is reduced to a canonical
-    key for its span: the reduced row echelon basis of the point vectors
-    (projective) or of the differences from a base point, together with
-    that base reduced modulo the basis (affine).  The second cache maps each
-    such key to its flat, so every distinct flat is built once, directly
-    from the p^k combinations of its k basis rows.
+    Closure reduces the subset to a canonical key for its span: the reduced
+    row echelon basis of the point vectors (projective) or of the
+    differences from a base point, together with that base reduced modulo
+    the basis (affine).  The one cache, `_flats`, maps each such key to its
+    flat, so every distinct flat is built once, directly from the p^k
+    combinations of its k basis rows.
     """
 
     def __init__(self, kind: GeometryKind, points: tuple[Point, ...]):
@@ -91,7 +90,6 @@ class Geometry:
         self.points = points
         self.field = PrimeField(kind.p)
         self._point_set = frozenset(points)
-        self._closure_cache: dict[frozenset, frozenset] = {}
         self._flats: dict[tuple, frozenset] = {}
 
     # -- linear algebra over F_p ----------------------------------------------
@@ -138,22 +136,19 @@ class Geometry:
 
     def closure(self, subset) -> frozenset:
         """Smallest flat containing the given points."""
-        key = frozenset(subset)
-        cached = self._closure_cache.get(key)
-        if cached is not None:
-            return cached
-        for x in key:
+        pts = frozenset(subset)
+        for x in pts:
             if x not in self._point_set:
                 raise ValueError(f"{x!r} is not a point of {self.kind}")
-        if not key:
+        if not pts:
             base, rows = None, {}
         elif self.kind.family == "projective":
-            base, rows = None, self._echelon(key)
+            base, rows = None, self._echelon(pts)
         else:
-            origin = min(key)
+            origin = min(pts)
             p = self.kind.p
             rows = self._echelon(
-                tuple((a - b) % p for a, b in zip(x, origin)) for x in key
+                tuple((a - b) % p for a, b in zip(x, origin)) for x in pts
             )
             base = tuple(self._reduce(list(origin), rows))
         basis = tuple(rows.values())
@@ -170,18 +165,17 @@ class Geometry:
             else:
                 result = frozenset(self._combinations(base, basis))
             self._flats[base, basis] = result
-        self._closure_cache[key] = result
         return result
 
 
 def build_projective(n: int, p: int) -> Geometry:
     """Projective geometry of dimension n over the p-element field."""
-    if not is_prime(p):
-        raise UnsupportedFieldError(f"{p} is not prime; only prime fields are supported")
     if not 2 <= n <= 4:
         raise ValueError(f"projective dimension must be in 2..4, got {n}")
     if p ** (n + 1) > DESK_SCALE_LIMIT:
         raise ValueError(f"PG({n},{p}) exceeds the desk-scale limit")
+    if not is_prime(p):
+        raise UnsupportedFieldError(f"{p} is not prime; only prime fields are supported")
     points = []
     for vec in product(range(p), repeat=n + 1):
         lead = next((i for i, v in enumerate(vec) if v), None)
@@ -192,27 +186,38 @@ def build_projective(n: int, p: int) -> Geometry:
 
 def build_affine(n: int, p: int) -> Geometry:
     """Affine geometry of dimension n over the p-element field."""
-    if not is_prime(p):
-        raise UnsupportedFieldError(f"{p} is not prime; only prime fields are supported")
     if not 2 <= n <= 4:
         raise ValueError(f"affine dimension must be in 2..4, got {n}")
     if p**n > DESK_SCALE_LIMIT:
         raise ValueError(f"AG({n},{p}) exceeds the desk-scale limit")
+    if not is_prime(p):
+        raise UnsupportedFieldError(f"{p} is not prime; only prime fields are supported")
     points = tuple(sorted(product(range(p), repeat=n)))
     return Geometry(GeometryKind("affine", n, p), points)
 
 
-def _flats_by_dim(g) -> list[set[frozenset]]:
-    """All flats of the geometry, grouped by dimension, by closing upward."""
+def _flats_by_dim(g) -> list[dict[frozenset, tuple]]:
+    """All flats of the geometry, grouped by dimension, by closing upward.
+
+    Each flat maps to one spanning tuple: (x,) at level 0, and span + (x,)
+    for each cover of a flat spanned by span.  A flat is extended only by
+    outside points that lie in no cover of it found so far.  This rests on
+    the exchange axiom (x outside F and in the closure of F + y puts y in
+    the closure of F + x): the covers of F then partition the points
+    outside it, so each cover is closed exactly once.  `check_closure_axioms`
+    tests exchange; the level counts are tested against Gaussian binomials.
+    """
     all_points = frozenset(g.points)
-    levels = [{g.closure((x,)) for x in g.points}]
+    levels = [{g.closure((x,)): (x,) for x in g.points}]
     while not (len(levels[-1]) == 1 and next(iter(levels[-1])) == all_points):
-        nxt = set()
-        for flat in levels[-1]:
-            flat_tuple = tuple(flat)
+        nxt: dict[frozenset, tuple] = {}
+        for flat, span in levels[-1].items():
+            covered = set(flat)
             for x in g.points:
-                if x not in flat:
-                    nxt.add(g.closure(flat_tuple + (x,)))
+                if x not in covered:
+                    cover = g.closure(span + (x,))
+                    covered |= cover
+                    nxt.setdefault(cover, span + (x,))
         if not nxt or len(levels) > len(g.points) + 1:
             raise HomogeneityError("flat lattice did not terminate at the full point set")
         levels.append(nxt)

@@ -89,15 +89,6 @@ KNOWN_SQUARE_ARGS = {
 }
 
 
-@dataclass(frozen=True)
-class LocalizedParams:
-    """Parameters of a localized system under a hypothesized condition."""
-
-    s1_hat: int
-    alpha_hat: int
-    condition_hat: Condition
-
-
 def point_localize(ps: ParamSystem) -> int:
     """Line size of the localization at a point: s1_hat = alpha + s1.
 
@@ -123,16 +114,6 @@ def localized_alpha(condition: Condition, s1_hat: int) -> int:
         sign = 1 if condition is Condition.COND1_PLUS else -1
         return s1_hat * (root + sign) ** 2
     raise ValueError(f"{condition.value} does not force an alpha value")
-
-
-def localize_under(ps: ParamSystem, condition_hat: Condition) -> LocalizedParams:
-    """Localized parameters when condition_hat is hypothesized after localizing.
-
-    Raises if the hypothesis is unsatisfiable at parameter level (condition 1
-    needs the localized line size to be a perfect square).
-    """
-    s1_hat = point_localize(ps)
-    return LocalizedParams(s1_hat, localized_alpha(condition_hat, s1_hat), condition_hat)
 
 
 def _square_quantity_from(s1: int, alpha: int, condition_hat: Condition) -> int:

@@ -145,6 +145,19 @@ def integrality_alpha0(s1: int, alpha: int) -> bool:
     return (alpha * alpha) % s1 == 0
 
 
+def square_divisor(n: int) -> int:
+    """The m with n | a^2 exactly when m | a: prod p^ceil(e/2) over n = prod p^e."""
+    m, p = 1, 2
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        m *= p ** ((e + 1) // 2)
+        p += 1
+    return m * n  # what is left is 1 or a prime to the first power
+
+
 def integrality_alpha1(s1: int, beta: int) -> bool:
     """Divisibility forced in the alpha' = 1 regime: s1 | beta."""
     return beta % s1 == 0

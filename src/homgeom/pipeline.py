@@ -27,6 +27,7 @@ from .parameters import (
     condition_alphas,
     integrality_alpha0,
     integrality_alpha1,
+    square_divisor,
 )
 from .localization import (
     CaseLabel,
@@ -36,10 +37,6 @@ from .localization import (
 )
 
 # -- the automaton -----------------------------------------------------------
-
-STANDARD_FORBIDDEN: frozenset[tuple[int, int]] = frozenset(
-    {(1, 1), (1, 2), (2, 2), (3, 1), (3, 2), (3, 3)}
-)
 
 # Which case settles each forbidden pair; (1, 2) splits by the sign of the
 # outer condition-1 instance.
@@ -51,6 +48,8 @@ EDGE_CASES: dict[tuple[int, int], str] = {
     (3, 2): "e",
     (3, 3): "f",
 }
+
+STANDARD_FORBIDDEN: frozenset[tuple[int, int]] = frozenset(EDGE_CASES)
 
 # The chain a counterexample needs: point inside line inside plane.
 LOCALIZATION_CHAIN_DEPTH = 3
@@ -444,19 +443,6 @@ def _jsonable(obj):
 # -- the exhaustive search -----------------------------------------------------
 
 
-def _square_divisor(n: int) -> int:
-    """The m with n | a^2 exactly when m | a: prod p^ceil(e/2) over n = prod p^e."""
-    m, p = 1, 2
-    while p * p <= n:
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        m *= p ** ((e + 1) // 2)
-        p += 1
-    return m * n  # what is left is 1 or a prime to the first power
-
-
 def search(
     s1_max: int,
     alpha_max: int,
@@ -502,7 +488,7 @@ def search(
     survivors: list[dict] = []
     classical = [(0, 0), (0, 1), (1, 0)] if alpha_max >= 1 else [(0, 0), (0, 1)]
     for s1 in range(3, s1_max + 1):
-        integral = alpha_max // _square_divisor(s1)
+        integral = alpha_max // square_divisor(s1)
         if alpha_max >= 1:
             integral += (alpha_max - 1) // s1 + 1
         conditions = sorted(

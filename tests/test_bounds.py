@@ -184,6 +184,21 @@ class TestSweeps:
         expected = sum(1 for a in range(2, 31) if (a * a) % 3 == 0 and a * a >= 3)
         assert result.systems_checked == expected
 
+    def test_alpha_sweep_default_grid_matches_filter(self):
+        # The admissible alphas, filtered one by one, and the first largest r.
+        checked, max_r, worst = 0, 0, None
+        for s1 in range(3, 51):
+            for alpha in range(2, 2501):
+                if (alpha * alpha) % s1 or alpha * alpha < s1:
+                    continue
+                checked += 1
+                r = first_r_exceeding(s1, s2_from(s1, alpha), alpha_route_cap(s1, alpha))
+                if r > max_r:
+                    max_r, worst = r, (s1, alpha)
+        result = alpha_route_sweep()
+        assert result.systems_checked == checked == 12306
+        assert (result.worst.s1, result.worst.driver) == worst
+
     def test_beta_sweep_internal_inequality(self):
         # s2 - s1 >= s1^2 + beta holds throughout the admissible grid.
         for s1 in range(3, 15):

@@ -113,6 +113,12 @@ class TestGeometry:
         assert code == 2
         assert "not prime" in err
 
+    def test_desk_scale_checked_before_primality(self, capsys):
+        # Trial division of a huge q would not finish; the size check comes first.
+        code, _, err = run(capsys, "geometry", "--type", "pg", "--n", "2", "--q", "1000000")
+        assert code == 2
+        assert "desk-scale" in err
+
     def test_affine_dimension_bound(self, capsys):
         # 2^16 points pass the desk-scale limit, but the lattice walk would
         # not finish; the dimension bound rejects it up front.

@@ -126,6 +126,8 @@ class TestConstruction:
     def test_desk_scale_limit(self):
         with pytest.raises(ValueError):
             build_affine(17, 2)  # 2^17 points
+        with pytest.raises(ValueError, match="desk-scale"):
+            build_projective(2, 10**6)  # checked before the primality test
 
 
 class TestFlatProfile:
@@ -229,6 +231,39 @@ class TestClosureAxioms:
             levels = _flats_by_dim(g)
             assert len(g._flats) == sum(len(level) for level in levels), str(g.kind)
             assert set(g._flats.values()) == set().union(*levels)
+
+    def test_walk_closes_each_cover_once(self):
+        # One closure per point, then one per (flat, cover) pair: covered
+        # outside points are skipped, since the covers of a flat partition
+        # the points outside it.
+        class Counted:
+            def __init__(self, g):
+                self.points = g.points
+                self.g = g
+                self.calls = 0
+
+            def closure(self, subset):
+                self.calls += 1
+                return self.g.closure(subset)
+
+        counts = []
+        for g in (
+            build_projective(3, 3),
+            build_projective(4, 2),
+            build_affine(3, 3),
+            build_affine(4, 2),
+            build_affine(2, 7),
+        ):
+            counted = Counted(g)
+            levels = _flats_by_dim(counted)
+            covers = sum(
+                sum(flat < cover for cover in upper)
+                for lower, upper in zip(levels, levels[1:])
+                for flat in lower
+            )
+            assert counted.calls == len(g.points) + covers, str(g.kind)
+            counts.append(counted.calls)
+        assert counts == [1120, 2077, 885, 1546, 497]
 
     def test_parallel_affine_lines_are_disjoint(self):
         # Same direction, different cosets: the base is part of the flat's key.

@@ -16,9 +16,7 @@ from homgeom.localization import (
     CaseLabel,
     CaseRangeError,
     ExternalCaseError,
-    LocalizedParams,
     eliminate_case_instance,
-    localize_under,
     localized_alpha,
     obstruction_value,
     point_localize,
@@ -54,6 +52,7 @@ class TestPointLocalize:
 class TestLocalizedAlpha:
     def test_cond2(self):
         assert localized_alpha(Condition.COND2, 9) == 72
+        assert localized_alpha(Condition.COND2, 13) == 156
 
     def test_cond3(self):
         assert localized_alpha(Condition.COND3, 13) == 170
@@ -65,25 +64,12 @@ class TestLocalizedAlpha:
     def test_cond1_rejects_non_square(self):
         with pytest.raises(ValueError):
             localized_alpha(Condition.COND1_PLUS, 40)
+        with pytest.raises(ValueError):
+            localized_alpha(Condition.COND1_PLUS, 5)  # s1_hat of (3, 2)
 
     def test_advisory_tags_rejected(self):
         with pytest.raises(ValueError):
             localized_alpha(Condition.CLASSICAL_COMPATIBLE, 9)
-
-
-class TestLocalizeUnder:
-    def test_cond2_to_cond2(self):
-        localized = localize_under(ParamSystem(3, 6), Condition.COND2)
-        assert localized == LocalizedParams(9, 72, Condition.COND2)
-        assert s2_from(localized.s1_hat, localized.alpha_hat) == 649
-
-    def test_cond3_to_cond2(self):
-        localized = localize_under(ParamSystem(3, 10, 1), Condition.COND2)
-        assert localized == LocalizedParams(13, 156, Condition.COND2)
-
-    def test_unsatisfiable_hypothesis_rejected(self):
-        with pytest.raises(ValueError):
-            localize_under(ParamSystem(3, 2), Condition.COND1_PLUS)  # s1_hat = 5
 
 
 class TestS2Hat:

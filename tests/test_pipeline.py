@@ -6,7 +6,7 @@ import math
 import pytest
 
 from homgeom.localization import CaseLabel
-from homgeom.parameters import ParamSystem, condition_alphas
+from homgeom.parameters import ParamSystem, condition_alphas, square_divisor
 from homgeom.pipeline import (
     EDGE_CASES,
     STANDARD_FORBIDDEN,
@@ -14,7 +14,6 @@ from homgeom.pipeline import (
     TransitionGraph,
     Verdict,
     _jsonable,
-    _square_divisor,
     eliminate,
     exceptional_min_dim,
     longest_condition_chain,
@@ -272,10 +271,10 @@ class TestSearch:
     def test_square_divisor(self):
         # n | a^2 exactly when m(n) | a.
         for n in range(1, 501):
-            m = _square_divisor(n)
+            m = square_divisor(n)
             for a in range(2001):
                 assert (a * a % n == 0) == (a % m == 0), (n, a)
-        assert [_square_divisor(n) for n in (1, 4, 8, 12, 36, 72, 97)] == [1, 2, 4, 6, 6, 12, 97]
+        assert [square_divisor(n) for n in (1, 4, 8, 12, 36, 72, 97)] == [1, 2, 4, 6, 6, 12, 97]
 
     @pytest.mark.parametrize("alpha_max", [10**5, 10**9])
     def test_large_grid(self, alpha_max):
