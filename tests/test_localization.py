@@ -52,7 +52,6 @@ class TestPointLocalize:
 class TestLocalizedAlpha:
     def test_cond2(self):
         assert localized_alpha(Condition.COND2, 9) == 72
-        assert localized_alpha(Condition.COND2, 13) == 156
 
     def test_cond3(self):
         assert localized_alpha(Condition.COND3, 13) == 170
@@ -64,12 +63,31 @@ class TestLocalizedAlpha:
     def test_cond1_rejects_non_square(self):
         with pytest.raises(ValueError):
             localized_alpha(Condition.COND1_PLUS, 40)
-        with pytest.raises(ValueError):
-            localized_alpha(Condition.COND1_PLUS, 5)  # s1_hat of (3, 2)
 
     def test_advisory_tags_rejected(self):
         with pytest.raises(ValueError):
             localized_alpha(Condition.CLASSICAL_COMPATIBLE, 9)
+
+
+class TestLocalizeUnder:
+    """A system localized under a hypothesis on the localized condition:
+    point_localize, then localized_alpha, then s2_from, as CLI localize does."""
+
+    def test_cond2_to_cond2(self):
+        s1_hat = point_localize(ParamSystem(3, 6))
+        alpha_hat = localized_alpha(Condition.COND2, s1_hat)
+        assert (s1_hat, alpha_hat) == (9, 72)
+        assert s2_from(s1_hat, alpha_hat) == 649
+
+    def test_cond3_to_cond2(self):
+        s1_hat = point_localize(ParamSystem(3, 10, 1))
+        assert (s1_hat, localized_alpha(Condition.COND2, s1_hat)) == (13, 156)
+
+    def test_unsatisfiable_hypothesis_rejected(self):
+        s1_hat = point_localize(ParamSystem(3, 2))
+        assert s1_hat == 5
+        with pytest.raises(ValueError):
+            localized_alpha(Condition.COND1_PLUS, s1_hat)
 
 
 class TestS2Hat:
