@@ -46,49 +46,63 @@ def psi_of(s1: int, alpha: int) -> int:
     return -theta_of(s1, alpha) - s1 * (s1 - 1) * d
 
 
+def _alpha_cap_terms(s1: int, alpha: int) -> tuple[int, int]:
+    """Numerator and positive denominator of alpha_route_cap, unreduced."""
+    if alpha <= 0:
+        raise ValueError("the alpha-route cap needs alpha >= 1")
+    theta, phi, psi = theta_of(s1, alpha), phi_of(s1, alpha), psi_of(s1, alpha)
+    core = theta * phi - 4 * alpha * s1 * psi
+    return phi * phi * core * core - phi, 4 * alpha * s1
+
+
 def alpha_route_cap(s1: int, alpha: int) -> Fraction:
     """Exact flat-size cap (phi^2*(theta*phi - 4*alpha*s1*psi)^2 - phi) / (4*alpha*s1).
 
     Applies in the alpha' = 0 regime; alpha = 0 has no cap (the division
     degenerates) and is rejected.
     """
-    if alpha <= 0:
-        raise ValueError("the alpha-route cap needs alpha >= 1")
-    theta, phi, psi = theta_of(s1, alpha), phi_of(s1, alpha), psi_of(s1, alpha)
-    core = theta * phi - 4 * alpha * s1 * psi
-    return Fraction(phi * phi * core * core - phi, 4 * alpha * s1)
+    return Fraction(*_alpha_cap_terms(s1, alpha))
 
 
-def beta_route_cap(s1: int, beta: int) -> Fraction:
-    """Exact flat-size cap for the alpha' = 1 regime, in terms of beta = alpha - 1."""
+def _beta_cap_terms(s1: int, beta: int) -> tuple[int, int]:
+    """Numerator and positive denominator of beta_route_cap, unreduced."""
     if beta <= 0:
         raise ValueError("the beta-route cap needs beta >= 1")
     a = 4 * beta * s1 + (s1 * s1 - beta) ** 2
     b = s1 * s1 - beta
     c = s1 * s1 + beta
     e = s1 * s1 - beta + 2 * s1 * beta
-    return Fraction((a * a) * (b * b) * (c * c) * (e * e), 4 * beta * s1)
+    return (a * a) * (b * b) * (c * c) * (e * e), 4 * beta * s1
+
+
+def beta_route_cap(s1: int, beta: int) -> Fraction:
+    """Exact flat-size cap for the alpha' = 1 regime, in terms of beta = alpha - 1."""
+    return Fraction(*_beta_cap_terms(s1, beta))
 
 
 def first_r_exceeding(s1: int, s2: int, threshold: Fraction | int) -> int:
     """Smallest r >= 3 whose growth lower bound exceeds the threshold.
 
     The growth bound says an r-flat has at least
-    (s2 - s1)^(r-1) / (s1 - 1)^(r-2) points; this loop is its only copy.
-    Any flat dimension r whose size obeys the threshold then satisfies
-    r < the returned value.
+    (s2 - s1)^(r-1) / (s1 - 1)^(r-2) points; _first_r_over holds its only
+    copy.  Any flat dimension r whose size obeys the threshold then
+    satisfies r < the returned value.
     """
+    thr = Fraction(threshold)
+    return _first_r_over(s1, s2, thr.numerator, thr.denominator)
+
+
+def _first_r_over(s1: int, s2: int, thr_num: int, thr_den: int) -> int:
+    """first_r_exceeding for the threshold thr_num / thr_den, thr_den > 0."""
     if not s2 > s1 >= 2:
         raise ValueError(f"need s2 > s1 >= 2, got s1={s1}, s2={s2}")
-    thr = Fraction(threshold)
     gap = s2 - s1
     base = s1 - 1
     # bound(r) = gap^(r-1) / base^(r-2); it grows iff gap > base.
-    if gap <= base and Fraction(gap * gap, base) <= thr:
+    if gap <= base and gap * gap * thr_den <= thr_num * base:
         raise ValueError("growth bound never exceeds the threshold for these parameters")
     num, den = gap * gap, base
     r = 3
-    thr_num, thr_den = thr.numerator, thr.denominator
     while num * thr_den <= thr_num * den:
         num *= gap
         den *= base
@@ -150,11 +164,10 @@ def alpha_route_sweep(s1_max: int = 50, alpha_max: int = 2500) -> SweepResult:
             s2 = s2_from(s1, alpha)
             if not s2 - s1 >= alpha + u:
                 steps_ok = False
-            cap = alpha_route_cap(s1, alpha)
-            r = first_r_exceeding(s1, s2, cap)
+            r = _first_r_over(s1, s2, *_alpha_cap_terms(s1, alpha))
             if r > max_r:
                 max_r = r
-                worst = ThresholdReport(s1, alpha, cap, r, "alpha-route")
+                worst = ThresholdReport(s1, alpha, alpha_route_cap(s1, alpha), r, "alpha-route")
     return SweepResult("alpha-route", checked, max_r, worst, steps_ok)
 
 
@@ -171,11 +184,10 @@ def beta_route_sweep(s1_max: int = 50, beta_max: int = 2500) -> SweepResult:
             s2 = s2_from(s1, alpha)
             if not s2 - s1 >= s1 * s1 + beta:
                 steps_ok = False
-            cap = beta_route_cap(s1, beta)
-            r = first_r_exceeding(s1, s2, cap)
+            r = _first_r_over(s1, s2, *_beta_cap_terms(s1, beta))
             if r > max_r:
                 max_r = r
-                worst = ThresholdReport(s1, beta, cap, r, "beta-route")
+                worst = ThresholdReport(s1, beta, beta_route_cap(s1, beta), r, "beta-route")
     return SweepResult("beta-route", checked, max_r, worst, steps_ok)
 
 

@@ -10,13 +10,14 @@ t >= t_min.  The gap argument is certified once per case by the
 shifted-coefficient positivity test; a brute-force sieve over an initial
 segment of the integers double-checks the same claim independently.  The
 sieve discards arguments with periodic residue masks (f(t) mod m must be a
-square residue mod m) and confirms the few survivors exactly.
+square residue mod m), combined by the Chinese remainder theorem into ten
+patterns and intersected one fixed-size block at a time, and confirms the few
+survivors exactly.
 """
 
 from __future__ import annotations
 
-import functools
-import operator
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -144,11 +145,36 @@ def certify_no_square(obs: SquareObstruction) -> NoSquareCertificate:
 # then every other prime up to 97.  The values of f cluster on square
 # residues for any single modulus, but the intersection is tight: of the
 # t <= 10^6 only 3 (case c), 2 (e), 1 (f), 2 (b+) and 5 (b-) survive every
-# mask, and of the t <= 10^7 only 7, 8, 6, 20 and 14.
+# mask, and of the t <= 10^7 only 7, 8, 6, 20 and 14.  The moduli are
+# pairwise coprime, so by the Chinese remainder theorem the masks of a group
+# of them are one pattern whose period is the group's product.
 _MASK_MODULI = (
     64, 63, 65, 11,
     17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97,
 )
+
+# Largest period of one combined pattern, and the number of arguments the
+# sieve intersects at a time; together they bound its memory independently
+# of the limit.
+_GROUP_PERIOD_CAP = 1 << 16
+_BLOCK = 1 << 16
+
+
+def _group_moduli(moduli: tuple[int, ...], cap: int) -> tuple[tuple[int, ...], ...]:
+    """Consecutive runs of moduli, each closed before its product exceeds cap."""
+    groups: list[tuple[int, ...]] = []
+    run: tuple[int, ...] = ()
+    for m in moduli:
+        if run and math.prod(run) * m > cap:
+            groups.append(run)
+            run = ()
+        run += (m,)
+    groups.append(run)
+    return tuple(groups)
+
+
+# Ten groups for the 23 moduli: (64, 63), (65, 11, 17), (19, 23, 29), ...
+_MASK_GROUPS = _group_moduli(_MASK_MODULI, _GROUP_PERIOD_CAP)
 
 
 def _eval_int(coeffs_desc: tuple[int, ...], t: int) -> int:
@@ -168,13 +194,17 @@ def sieve_naive(obs: SquareObstruction, limit: int) -> list[int]:
     ]
 
 
-def _residue_mask(coeffs_desc: tuple[int, ...], m: int, length: int) -> int:
-    """Byte t of the result (big-endian, `length` bytes) is 1 exactly when
-    f(t) mod m is a square residue mod m.  f(t) mod m depends only on t mod m,
-    so one period-m pattern is tiled over [0, length)."""
-    squares = {k * k % m for k in range(m)}
-    pattern = bytes(_eval_int(coeffs_desc, r) % m in squares for r in range(m))
-    return int.from_bytes((pattern * -(-length // m))[:length], "big")
+def _group_pattern(coeffs_desc: tuple[int, ...], group: tuple[int, ...]) -> bytes:
+    """Byte r is 1 exactly when f(r) mod m is a square residue mod m for every
+    m in the group; f(t) mod m depends only on t mod m, so the pattern has
+    period prod(group) and is the AND of each modulus's period-m mask tiled."""
+    period = math.prod(group)
+    alive = -1
+    for m in group:
+        squares = {k * k % m for k in range(m)}
+        mask = bytes(_eval_int(coeffs_desc, r) % m in squares for r in range(m))
+        alive &= int.from_bytes(mask * (period // m), "big")
+    return alive.to_bytes(period, "big")
 
 
 def sieve(obs: SquareObstruction, limit: int) -> list[int]:
@@ -182,23 +212,37 @@ def sieve(obs: SquareObstruction, limit: int) -> list[int]:
 
     If f(t) is a square it is a square residue modulo every m, so the
     intersection of the residue masks for _MASK_MODULI (see there for the
-    survivor counts) keeps every t that can still be a square.  Each survivor
-    is confirmed with exact arbitrary-precision evaluation, so the masks only
-    save work and the result is identical to sieve_naive.
+    survivor counts) keeps every t that can still be a square.  The masks are
+    combined into one pattern per group of _MASK_GROUPS and intersected one
+    block of _BLOCK arguments at a time, so memory does not grow with the
+    limit.  Each survivor is confirmed with exact arbitrary-precision
+    evaluation, so the masks only save work and the result is identical to
+    sieve_naive.
     """
     if limit < 0:
         raise ValueError("sieve limit must be nonnegative")
     coeffs_desc = tuple(reversed(obs.f.integer_coefficients()))
-    length = limit + 1
-    alive = functools.reduce(
-        operator.and_, (_residue_mask(coeffs_desc, m, length) for m in _MASK_MODULI)
-    )
-    marks = alive.to_bytes(length, "big")
+    # Each pattern is tiled to one block plus one period, so the block
+    # starting at t0 reads as one slice at offset t0 % period.
+    block = min(_BLOCK, limit + 1)
+    tiled = []
+    for group in _MASK_GROUPS:
+        pattern = _group_pattern(coeffs_desc, group)
+        period = len(pattern)
+        tiled.append((memoryview(pattern * (-(-block // period) + 1)), period))
     found: list[int] = []
-    t = marks.find(1)
-    while t != -1:
-        v = _eval_int(coeffs_desc, t)
-        if v >= 0 and is_perfect_square(v):
-            found.append(t)
-        t = marks.find(1, t + 1)
+    for t0 in range(0, limit + 1, _BLOCK):
+        n = min(_BLOCK, limit + 1 - t0)
+        alive = -1
+        for window, period in tiled:
+            offset = t0 % period
+            alive &= int.from_bytes(window[offset : offset + n], "big")
+        marks = alive.to_bytes(n, "big")
+        i = marks.find(1)
+        while i != -1:
+            t = t0 + i
+            v = _eval_int(coeffs_desc, t)
+            if v >= 0 and is_perfect_square(v):
+                found.append(t)
+            i = marks.find(1, i + 1)
     return found

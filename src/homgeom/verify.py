@@ -19,7 +19,14 @@ from .bounds import (
     spectral_identities,
 )
 from .localization import CaseLabel
-from .obstructions import catalog, certify_no_square, factor_equation, sieve, verify_identity
+from .obstructions import (
+    SquareObstruction,
+    catalog,
+    certify_no_square,
+    factor_equation,
+    sieve,
+    verify_identity,
+)
 from .geometries import (
     alpha_from_profile,
     build_affine,
@@ -48,8 +55,10 @@ EXPECTED_FACTOR_PAIRS = {
 }
 
 
-def _check_decompositions(report: Report) -> None:
-    cat = catalog()
+Catalog = dict[CaseLabel, SquareObstruction]
+
+
+def _check_decompositions(report: Report, cat: Catalog) -> None:
     bad = [obs.label.value for obs in cat.values() if not verify_identity(obs)]
     factor_ok = all(
         factor_equation(cat[label]) == expected
@@ -64,10 +73,10 @@ def _check_decompositions(report: Report) -> None:
     )
 
 
-def _check_certificates(report: Report) -> None:
+def _check_certificates(report: Report, cat: Catalog) -> None:
     results = {}
     gaps = []
-    for label, obs in catalog().items():
+    for label, obs in cat.items():
         cert = certify_no_square(obs)
         results[label.value] = {
             "status": cert.status.value,
@@ -83,10 +92,10 @@ def _check_certificates(report: Report) -> None:
     )
 
 
-def _check_sieve(report: Report, limit: int) -> None:
+def _check_sieve(report: Report, cat: Catalog, limit: int) -> None:
     results = {}
     ok = True
-    for label, obs in catalog().items():
+    for label, obs in cat.items():
         found = sieve(obs, limit)
         in_range = [t for t in found if t >= obs.t_min]
         matches = set(found) == set(obs.known_square_args)
@@ -251,9 +260,10 @@ def verify_all(
 ) -> Report:
     """Run every check and return the combined report."""
     report = Report()
-    _check_decompositions(report)
-    _check_certificates(report)
-    _check_sieve(report, sieve_limit)
+    cat = catalog()
+    _check_decompositions(report, cat)
+    _check_certificates(report, cat)
+    _check_sieve(report, cat, sieve_limit)
     _check_threshold_grids(report)
     _check_spectral_identities(report)
     _check_automaton(report)

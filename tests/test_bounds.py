@@ -198,6 +198,24 @@ class TestSweeps:
         result = alpha_route_sweep()
         assert result.systems_checked == checked == 12306
         assert (result.worst.s1, result.worst.driver) == worst
+        assert result.max_first_r == max_r
+        assert result.worst.threshold == alpha_route_cap(*worst)
+
+    def test_beta_sweep_default_grid_matches_public_cap(self):
+        # The sweep compares unreduced integer pairs; the public Fraction cap
+        # must give the same first r for every system.
+        checked, max_r, worst = 0, 0, None
+        for s1 in range(3, 51):
+            for beta in range(s1, 2501, s1):
+                checked += 1
+                r = first_r_exceeding(s1, s2_from(s1, beta + 1), beta_route_cap(s1, beta))
+                if r > max_r:
+                    max_r, worst = r, (s1, beta)
+        result = beta_route_sweep()
+        assert result.systems_checked == checked
+        assert (result.worst.s1, result.worst.driver) == worst
+        assert result.max_first_r == max_r
+        assert result.worst.threshold == beta_route_cap(*worst)
 
     def test_beta_sweep_internal_inequality(self):
         # s2 - s1 >= s1^2 + beta holds throughout the admissible grid.

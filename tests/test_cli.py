@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+import homgeom.verify
 from homgeom.cli import main
+from homgeom.obstructions import catalog
 
 
 def run(capsys, *argv):
@@ -119,9 +121,25 @@ class TestGeometry:
         assert code == 2
         assert "desk-scale" in err
 
+    def test_lattice_walk_over_desk_scale_rejected(self, capsys):
+        # Few points but many flats: each walk would run for half a minute
+        # or more, so the size check rejects them before any work.
+        for kind, n, q in (("pg", "4", "7"), ("ag", "3", "13")):
+            code, out, err = run(capsys, "geometry", "--type", kind, "--n", n, "--q", q)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("invalid input: ")
+            assert "desk-scale" in err
+
+    def test_largest_admitted_geometry(self, capsys):
+        # PG(2,31): 1 987 flats x 993 points, just under the desk-scale limit.
+        code, out, _ = run(capsys, "geometry", "--type", "pg", "--n", "2", "--q", "31")
+        assert code == 0
+        assert json.loads(out)["profile"] == ["1", "32", "993"]
+
     def test_affine_dimension_bound(self, capsys):
-        # 2^16 points pass the desk-scale limit, but the lattice walk would
-        # not finish; the dimension bound rejects it up front.
+        # The lattice walk of AG(16,2) would not finish; the dimension bound
+        # rejects it up front.
         code, _, err = run(capsys, "geometry", "--type", "ag", "--n", "16", "--q", "2")
         assert code == 2
         assert err.startswith("invalid input: ")
@@ -158,7 +176,15 @@ class TestSearch:
 
 
 class TestVerifyAll:
-    def test_small_run_with_json(self, capsys, tmp_path):
+    def test_small_run_with_json(self, capsys, tmp_path, monkeypatch):
+        # The catalog is derived once and shared by the three checks that use it.
+        derived = []
+
+        def counting_catalog():
+            derived.append(1)
+            return catalog()
+
+        monkeypatch.setattr(homgeom.verify, "catalog", counting_catalog)
         path = tmp_path / "report.json"
         code, out, _ = run(
             capsys,
@@ -190,6 +216,7 @@ class TestVerifyAll:
             c for c in payload["checks"] if c["name"] == "square-sieve"
         )["details"]
         assert sieve_details["limit"] == "2000"
+        assert len(derived) == 1
 
     @pytest.mark.parametrize(
         "flag, value",

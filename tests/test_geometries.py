@@ -19,6 +19,8 @@ from homgeom.geometries import (
     build_projective,
     check_closure_axioms,
     flat_profile,
+    gaussian_binomial,
+    level_counts,
     localize_at_point,
 )
 from homgeom.parameters import Condition, FlatProfile, ParamSystem, classify_condition
@@ -73,15 +75,6 @@ def _scan_closure(g, subset):
     return frozenset(x for x in g.points if in_span(x))
 
 
-def _gaussian_binomial(n, k, q):
-    """Number of k-dimensional subspaces of F_q^n."""
-    num = den = 1
-    for i in range(k):
-        num *= q ** (n - i) - 1
-        den *= q ** (i + 1) - 1
-    return num // den
-
-
 class TestPrimeField:
     def test_non_prime_rejected(self):
         with pytest.raises(UnsupportedFieldError):
@@ -129,6 +122,20 @@ class TestConstruction:
         with pytest.raises(ValueError, match="desk-scale"):
             build_projective(2, 10**6)  # checked before the primality test
 
+    def test_desk_scale_bounds_the_lattice_walk(self):
+        # The bound is on flats x points, the work of the lattice walk, not
+        # on the point count alone: PG(4,7) has only 2 801 points.
+        rejected = [(build_projective, 4, 7), (build_affine, 3, 13), (build_affine, 4, 17)]
+        for builder, n, p in rejected:
+            with pytest.raises(ValueError, match="desk-scale"):
+                builder(n, p)
+        # PG(3,7), PG(2,31) and the geometry-large instances stay admitted.
+        admitted = [(build_projective, 3, 7), (build_projective, 2, 31)]
+        admitted += [(build_projective, 3, 3), (build_projective, 4, 2), (build_projective, 2, 7)]
+        admitted += [(build_affine, 3, 3), (build_affine, 4, 2), (build_affine, 2, 7)]
+        for builder, n, p in admitted:
+            builder(n, p)
+
 
 class TestFlatProfile:
     def test_projective_profiles(self):
@@ -167,14 +174,12 @@ class TestFlatProfile:
             flat_profile(LopsidedGeometry())
 
     def test_lattice_counts_are_gaussian_binomials(self):
-        # PG(3,3) entered by hand: 40 points, 130 lines, 40 planes.
-        assert [_gaussian_binomial(4, k + 1, 3) for k in range(4)] == [40, 130, 40, 1]
+        # Entered by hand: PG(3,3) has 40 points, 130 lines and 40 planes;
+        # AG(2,3) has 9 points and 12 lines.
+        assert [gaussian_binomial(4, k + 1, 3) for k in range(4)] == [40, 130, 40, 1]
+        assert level_counts(GeometryKind("affine", 2, 3)) == [9, 12, 1]
         for g in INSTANCES + LARGER + [build_affine(4, 2)]:
-            n, p = g.kind.n, g.kind.p
-            if g.kind.family == "projective":
-                expected = [_gaussian_binomial(n + 1, k + 1, p) for k in range(n + 1)]
-            else:
-                expected = [p ** (n - k) * _gaussian_binomial(n, k, p) for k in range(n + 1)]
+            expected = level_counts(g.kind)
             assert [len(level) for level in _flats_by_dim(g)] == expected, str(g.kind)
 
 

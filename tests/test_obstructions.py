@@ -1,8 +1,10 @@
 """Tests for the square-obstruction catalog and its certificates."""
 
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -13,6 +15,8 @@ import homgeom
 from homgeom.exact_arith import UniPoly, is_perfect_square
 from homgeom.localization import CaseLabel
 from homgeom.obstructions import (
+    _BLOCK,
+    _MASK_GROUPS,
     _MASK_MODULI,
     SquareObstruction,
     catalog,
@@ -177,13 +181,59 @@ class TestSieve:
             assert sieve(obs, 3000) == sieve_naive(obs, 3000)
 
     def test_mask_period_boundaries(self):
-        # Each mask is one period-m pattern tiled over [0, limit]; a tiling
-        # off by one at a period edge would show at m - 1, m or m + 1.
+        # Each mask repeats with period m; a pattern off by one at a period
+        # edge would show at m - 1, m or m + 1.
         for obs in catalog().values():
             for m in _MASK_MODULI:
                 for limit in (m - 1, m, m + 1):
                     assert sieve(obs, limit) == sieve_naive(obs, limit), (obs.label, limit)
             assert sieve(obs, 10**4) == sieve_naive(obs, 10**4), obs.label
+
+    def test_groups_cover_every_modulus_in_order(self):
+        # A modulus dropped from or doubled in the groups would change which
+        # arguments survive; the CRT combination needs coprime moduli.
+        assert tuple(m for group in _MASK_GROUPS for m in group) == _MASK_MODULI
+        for i, a in enumerate(_MASK_MODULI):
+            for b in _MASK_MODULI[i + 1 :]:
+                assert math.gcd(a, b) == 1, (a, b)
+        assert len(_MASK_GROUPS) == 10
+
+    def test_block_and_group_period_boundaries(self):
+        # Limits on either side of the block edges and of each combined
+        # period, where a window slice off by one would show.
+        limits = {_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1}
+        for group in _MASK_GROUPS:
+            period = math.prod(group)
+            limits |= {period - 1, period, period + 1}
+        cat = catalog()
+        naive = {label: sieve_naive(obs, max(limits)) for label, obs in cat.items()}
+        for label, obs in cat.items():
+            for limit in sorted(limits):
+                expected = [t for t in naive[label] if t <= limit]
+                assert sieve(obs, limit) == expected, (label, limit)
+        # The catalog's squares all sit below the first edge; f = x is a
+        # square at every t = k^2 and has a nontrivial mask for every modulus,
+        # so a window read at the wrong offset would drop some of them.
+        x = UniPoly.x()
+        identity = SquareObstruction(CaseLabel.C, x, x, x.square() - x, 0, frozenset())
+        for limit in sorted(limits):
+            squares = [k * k for k in range(math.isqrt(limit) + 1)]
+            assert sieve(identity, limit) == squares, limit
+
+    def test_memory_flat_in_limit(self):
+        # Blocks and patterns have fixed sizes, so the peak allocation at
+        # 2 * 10^6 stays within two blocks of the peak at 10^5; full-length
+        # masks would add at least the 1.9 * 10^6 extra bytes themselves.
+        obs = catalog()[CaseLabel.C]
+        peaks = []
+        for limit in (10**5, 2 * 10**6):
+            tracemalloc.start()
+            try:
+                sieve(obs, limit)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 2 * _BLOCK, peaks
 
     def test_masks_keep_every_true_square(self):
         # f = (x + 1)^2 is a square at every t, so any mask that dropped a
