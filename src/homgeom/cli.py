@@ -151,7 +151,7 @@ def _cmd_sieve(args) -> int:
                 "case": args.case,
                 "limit": args.limit,
                 "found": found,
-                "expected": sorted(obs.known_square_args),
+                "expected": sorted(t for t in obs.known_square_args if t <= args.limit),
                 "survivorsAtOrAboveTMin": survivors,
             }
         )

@@ -10,8 +10,9 @@ t >= t_min.  The gap argument is certified once per case by the
 shifted-coefficient positivity test; a brute-force sieve over an initial
 segment of the integers double-checks the same claim independently.  The
 sieve discards arguments with periodic residue masks (f(t) mod m must be a
-square residue mod m), combined by the Chinese remainder theorem into ten
-patterns and intersected one fixed-size block at a time, and confirms the few
+square residue mod m), held as bit patterns with one bit per argument,
+combined by the Chinese remainder theorem into ten patterns and intersected
+by shift-and-AND one fixed-size block at a time, and confirms the few
 survivors exactly.
 """
 
@@ -153,9 +154,10 @@ _MASK_MODULI = (
     17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97,
 )
 
-# Largest period of one combined pattern, and the number of arguments the
-# sieve intersects at a time; together they bound its memory independently
-# of the limit.
+# Largest period of one combined bit pattern, and the number of arguments
+# (one bit each) the sieve intersects at a time.  Each pattern is held tiled
+# to one block plus one period, at most 2^17 bits or 16 KiB, so together they
+# bound the sieve's memory independently of the limit.
 _GROUP_PERIOD_CAP = 1 << 16
 _BLOCK = 1 << 16
 
@@ -194,17 +196,20 @@ def sieve_naive(obs: SquareObstruction, limit: int) -> list[int]:
     ]
 
 
-def _group_pattern(coeffs_desc: tuple[int, ...], group: tuple[int, ...]) -> bytes:
-    """Byte r is 1 exactly when f(r) mod m is a square residue mod m for every
-    m in the group; f(t) mod m depends only on t mod m, so the pattern has
-    period prod(group) and is the AND of each modulus's period-m mask tiled."""
-    period = math.prod(group)
-    alive = -1
-    for m in group:
-        squares = {k * k % m for k in range(m)}
-        mask = bytes(_eval_int(coeffs_desc, r) % m in squares for r in range(m))
-        alive &= int.from_bytes(mask * (period // m), "big")
-    return alive.to_bytes(period, "big")
+def _residue_bits(values: list[int], m: int) -> int:
+    """Bit r (for r < m) is set exactly when values[r] = f(r) is a square
+    residue mod m."""
+    squares = {k * k % m for k in range(m)}
+    return sum(1 << r for r in range(m) if values[r] % m in squares)
+
+
+def _tile(bits: int, period: int, length: int) -> int:
+    """The low period bits of bits, repeated by doubling, cut to length bits."""
+    span = period
+    while span < length:
+        bits |= bits << span
+        span *= 2
+    return bits & ((1 << length) - 1)
 
 
 def sieve(obs: SquareObstruction, limit: int) -> list[int]:
@@ -213,36 +218,43 @@ def sieve(obs: SquareObstruction, limit: int) -> list[int]:
     If f(t) is a square it is a square residue modulo every m, so the
     intersection of the residue masks for _MASK_MODULI (see there for the
     survivor counts) keeps every t that can still be a square.  The masks are
-    combined into one pattern per group of _MASK_GROUPS and intersected one
-    block of _BLOCK arguments at a time, so memory does not grow with the
-    limit.  Each survivor is confirmed with exact arbitrary-precision
-    evaluation, so the masks only save work and the result is identical to
-    sieve_naive.
+    bit patterns, bit i for argument i.  f(t) mod m depends only on t mod m,
+    so the masks of one group of _MASK_GROUPS are one pattern of period
+    prod(group), the AND of each modulus's period-m mask tiled to that
+    period.  [0, limit] is intersected one block of _BLOCK bits at a time,
+    one shift and AND per group, so memory does not grow with the limit.
+    Each survivor is confirmed with exact arbitrary-precision evaluation, so
+    the masks only save work and the result is identical to sieve_naive.
     """
     if limit < 0:
         raise ValueError("sieve limit must be nonnegative")
     coeffs_desc = tuple(reversed(obs.f.integer_coefficients()))
+    # f(r) at every residue r of every modulus.
+    values = [_eval_int(coeffs_desc, r) for r in range(max(_MASK_MODULI))]
     # Each pattern is tiled to one block plus one period, so the block
-    # starting at t0 reads as one slice at offset t0 % period.
+    # starting at t0 is the tiled pattern shifted right by t0 % period.
     block = min(_BLOCK, limit + 1)
     tiled = []
     for group in _MASK_GROUPS:
-        pattern = _group_pattern(coeffs_desc, group)
-        period = len(pattern)
-        tiled.append((memoryview(pattern * (-(-block // period) + 1)), period))
+        period = math.prod(group)
+        pattern = -1
+        for m in group:
+            pattern &= _tile(_residue_bits(values, m), m, period)
+        tiled.append((_tile(pattern, period, block + period), period))
     found: list[int] = []
     for t0 in range(0, limit + 1, _BLOCK):
-        n = min(_BLOCK, limit + 1 - t0)
-        alive = -1
-        for window, period in tiled:
-            offset = t0 % period
-            alive &= int.from_bytes(window[offset : offset + n], "big")
-        marks = alive.to_bytes(n, "big")
-        i = marks.find(1)
+        alive = (1 << min(_BLOCK, limit + 1 - t0)) - 1
+        for bits, period in tiled:
+            alive &= bits >> (t0 % period)
+        if not alive:
+            continue
+        # Character i of the reversed binary string is bit i, argument t0 + i.
+        marks = format(alive, "b")[::-1]
+        i = marks.find("1")
         while i != -1:
             t = t0 + i
             v = _eval_int(coeffs_desc, t)
             if v >= 0 and is_perfect_square(v):
                 found.append(t)
-            i = marks.find(1, i + 1)
+            i = marks.find("1", i + 1)
     return found

@@ -6,7 +6,7 @@ import pytest
 
 import homgeom.verify
 from homgeom.cli import main
-from homgeom.obstructions import catalog
+from homgeom.obstructions import catalog, sieve
 
 
 def run(capsys, *argv):
@@ -35,6 +35,14 @@ class TestSieve:
         payload = json.loads(out)
         assert payload["found"] == ["1"]
         assert payload["survivorsAtOrAboveTMin"] == []
+
+    @pytest.mark.parametrize("limit, expected", [("0", ["0"]), ("1", ["0", "1"])])
+    def test_expected_stops_at_limit(self, capsys, limit, expected):
+        # Case c's known squares are 0, 1 and 2; only those <= limit are expected.
+        code, out, _ = run(capsys, "sieve", "--case", "c", "--limit", limit)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["found"] == payload["expected"] == expected
 
     def test_negative_limit(self, capsys):
         code, _, err = run(capsys, "sieve", "--case", "c", "--limit", "-1")
@@ -217,6 +225,42 @@ class TestVerifyAll:
         )["details"]
         assert sieve_details["limit"] == "2000"
         assert len(derived) == 1
+
+    @staticmethod
+    def sieve_check(capsys, tmp_path, limit):
+        path = tmp_path / "report.json"
+        code, _, _ = run(
+            capsys,
+            "verify-all",
+            "--sieve-limit", limit,
+            "--s1-max", "6",
+            "--alpha-max", "100",
+            "--json", str(path),
+        )
+        payload = json.loads(path.read_text())
+        return code, next(c for c in payload["checks"] if c["name"] == "square-sieve")
+
+    @pytest.mark.parametrize("limit", ["0", "1"])
+    def test_sieve_limit_below_known_squares(self, capsys, tmp_path, limit):
+        # Case c's known square at t = 2 lies above these limits, so it is not
+        # expected; nothing at or above t_min was found, so the check passes.
+        code, check = self.sieve_check(capsys, tmp_path, limit)
+        assert code == 0
+        assert check["status"] == "pass"
+        cases = check["details"]["cases"]
+        assert cases["c"]["expected"] == [str(t) for t in range(int(limit) + 1)]
+        assert all(case["found"] == case["expected"] for case in cases.values())
+
+    @pytest.mark.parametrize("limit, left", [("1", ["1"]), ("2000", ["1", "2"])])
+    def test_dropped_known_square_fails(self, capsys, tmp_path, monkeypatch, limit, left):
+        # A sieve that loses the known square t = 0 no longer matches.
+        monkeypatch.setattr(
+            homgeom.verify, "sieve", lambda obs, lim: [t for t in sieve(obs, lim) if t != 0]
+        )
+        code, check = self.sieve_check(capsys, tmp_path, limit)
+        assert code == 1
+        assert check["status"] == "fail"
+        assert check["details"]["cases"]["c"]["found"] == left
 
     @pytest.mark.parametrize(
         "flag, value",

@@ -237,10 +237,12 @@ class TestSieve:
 
     def test_masks_keep_every_true_square(self):
         # f = (x + 1)^2 is a square at every t, so any mask that dropped a
-        # square residue would lose some t here.
+        # square residue would lose some t here; past one and two blocks,
+        # every bit of a full block survives and is read off.
         g = UniPoly([1, 1])
         obs = SquareObstruction(CaseLabel.C, g.square(), g, UniPoly([0]), 0, frozenset())
-        assert sieve(obs, 500) == list(range(501))
+        for limit in (500, _BLOCK + 1, 2 * _BLOCK + 1):
+            assert sieve(obs, limit) == list(range(limit + 1)), limit
 
     def test_negative_values_never_reported(self):
         # f for case f is negative at 0; the sieve must not report it.
