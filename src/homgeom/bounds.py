@@ -110,6 +110,19 @@ def _first_r_over(s1: int, s2: int, thr_num: int, thr_den: int) -> int:
     return r
 
 
+def _may_exceed(s1: int, s2: int, thr_num: int, thr_den: int, r: int) -> bool:
+    """False only if _first_r_over(s1, s2, thr_num, thr_den) <= r, by one comparison.
+
+    When gap = s2 - s1 exceeds base = s1 - 1 the growth bound increases
+    strictly with r, so the first r past the threshold exceeds r >= 3 iff
+    bound(r) <= threshold, that is gap^(r-1) * thr_den <= thr_num * base^(r-2).
+    Otherwise (r < 3, or a bound that does not grow) it answers True and
+    leaves the decision, and the ValueError guard, to _first_r_over.
+    """
+    gap, base = s2 - s1, s1 - 1
+    return r < 3 or gap <= base or gap ** (r - 1) * thr_den <= thr_num * base ** (r - 2)
+
+
 @dataclass(frozen=True)
 class ThresholdReport:
     """Cap and the first excluded dimension for one parameter system."""
@@ -147,6 +160,8 @@ def alpha_route_sweep(s1_max: int = 50, alpha_max: int = 2500) -> SweepResult:
     Alongside the headline first_r_exceeding values this re-checks the two
     intermediate inequalities the cap derivation leans on:
     phi^2 < (alpha + s1*(s1-1))^4 and s2 - s1 >= alpha + s1*(s1-1).
+    Only a system that may beat the running maximum (_may_exceed) runs the
+    full r-loop, so the first system to reach the maximum is the worst.
     """
     checked = 0
     max_r = 0
@@ -164,10 +179,13 @@ def alpha_route_sweep(s1_max: int = 50, alpha_max: int = 2500) -> SweepResult:
             s2 = s2_from(s1, alpha)
             if not s2 - s1 >= alpha + u:
                 steps_ok = False
-            r = _first_r_over(s1, s2, *_alpha_cap_terms(s1, alpha))
-            if r > max_r:
-                max_r = r
-                worst = ThresholdReport(s1, alpha, alpha_route_cap(s1, alpha), r, "alpha-route")
+            num, den = _alpha_cap_terms(s1, alpha)
+            if _may_exceed(s1, s2, num, den, max_r):
+                r = _first_r_over(s1, s2, num, den)
+                if r > max_r:
+                    max_r = r
+                    cap = alpha_route_cap(s1, alpha)
+                    worst = ThresholdReport(s1, alpha, cap, r, "alpha-route")
     return SweepResult("alpha-route", checked, max_r, worst, steps_ok)
 
 
@@ -184,10 +202,12 @@ def beta_route_sweep(s1_max: int = 50, beta_max: int = 2500) -> SweepResult:
             s2 = s2_from(s1, alpha)
             if not s2 - s1 >= s1 * s1 + beta:
                 steps_ok = False
-            r = _first_r_over(s1, s2, *_beta_cap_terms(s1, beta))
-            if r > max_r:
-                max_r = r
-                worst = ThresholdReport(s1, beta, beta_route_cap(s1, beta), r, "beta-route")
+            num, den = _beta_cap_terms(s1, beta)
+            if _may_exceed(s1, s2, num, den, max_r):
+                r = _first_r_over(s1, s2, num, den)
+                if r > max_r:
+                    max_r = r
+                    worst = ThresholdReport(s1, beta, beta_route_cap(s1, beta), r, "beta-route")
     return SweepResult("beta-route", checked, max_r, worst, steps_ok)
 
 

@@ -22,8 +22,8 @@ from .geometries import (
     flat_profile,
     localize_at_point,
 )
-from .pipeline import Verdict, _jsonable, eliminate, required_dimension, search
-from .verify import verify_all
+from .pipeline import Report, Verdict, _jsonable, eliminate, required_dimension, search
+from .verify import check_threshold_grid, verify_all
 
 SIEVE_CASES = {
     "c": CaseLabel.C,
@@ -115,6 +115,19 @@ def _cmd_search(args) -> int:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
     _print_json(report.to_json_dict())
+    return report.exit_code()
+
+
+def _cmd_thresholds(args) -> int:
+    # s1 = 3 with driver 3 is the smallest grid holding a system on both routes.
+    for flag, value in (("--s1-max", args.s1_max), ("--driver-max", args.driver_max)):
+        if value < 3:
+            print(f"invalid input: {flag} must be at least 3", file=sys.stderr)
+            return 2
+    report = Report()
+    for route in ("alpha", "beta"):
+        check_threshold_grid(report, route, args.s1_max, args.driver_max)
+    _print_json({c.name: {"status": c.status, **c.details} for c in report.checks})
     return report.exit_code()
 
 
@@ -212,6 +225,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s1-max", type=int, required=True)
     p.add_argument("--alpha-max", type=int, required=True)
     p.set_defaults(func=_cmd_search)
+
+    p = sub.add_parser("thresholds", help="growth-threshold sweeps of both routes")
+    p.add_argument("--s1-max", type=int, default=50)
+    p.add_argument("--driver-max", type=int, default=2500)
+    p.set_defaults(func=_cmd_thresholds)
 
     p = sub.add_parser("identities", help="square decompositions and certificates")
     p.set_defaults(func=_cmd_identities)

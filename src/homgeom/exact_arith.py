@@ -4,7 +4,8 @@ Everything downstream (growth bounds, square obstructions, sieves) runs on
 this substrate.  There is no floating point anywhere: integers are Python's
 arbitrary-precision ``int``, rationals are ``fractions.Fraction`` (always in
 lowest terms, so equality is structural), and polynomials are dense
-coefficient tuples of ``Fraction``.
+coefficient tuples in which an integral coefficient is an ``int`` and only a
+non-integral one, which only a division makes, is a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -38,8 +39,12 @@ def is_perfect_square(n: int) -> bool:
     return r * r == n
 
 
-def _as_fraction(c: Scalar) -> Fraction:
-    return c if isinstance(c, Fraction) else Fraction(c)
+def _exact(c: Scalar) -> Scalar:
+    """c as an int when it is integral, else as a Fraction."""
+    if type(c) is int:
+        return c
+    c = c if isinstance(c, Fraction) else Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 class UniPoly:
@@ -47,14 +52,15 @@ class UniPoly:
 
     Coefficients are stored densely in ascending order of degree with
     trailing zeros trimmed; the zero polynomial has an empty coefficient
-    tuple and degree -inf.  Instances are immutable and hashable, and all
-    ring operations are exact.
+    tuple and degree -inf.  An integral coefficient is stored as an int,
+    any other as a Fraction, so integral polynomials run on int arithmetic.
+    Instances are immutable and hashable, and all ring operations are exact.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [_as_fraction(c) for c in coeffs]
+        cs = [_exact(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -81,19 +87,19 @@ class UniPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coefficient(self, power: int) -> Fraction:
+    def coefficient(self, power: int) -> Scalar:
         if 0 <= power < len(self.coeffs):
             return self.coeffs[power]
-        return Fraction(0)
+        return 0
 
     def has_integer_coefficients(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
+        return all(type(c) is int for c in self.coeffs)
 
     def integer_coefficients(self) -> tuple[int, ...]:
         """Ascending coefficients as plain ints; raises if any is fractional."""
         if not self.has_integer_coefficients():
             raise ValueError(f"polynomial has non-integer coefficients: {self}")
-        return tuple(c.numerator for c in self.coeffs)
+        return self.coeffs
 
     # -- ring operations -----------------------------------------------------
 
@@ -122,7 +128,7 @@ class UniPoly:
         other = self._coerce(other)
         if self.is_zero() or other.is_zero():
             return UniPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
@@ -153,10 +159,12 @@ class UniPoly:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         d = len(other.coeffs) - 1
+        lead = other.coeffs[-1]
         rem = list(self.coeffs)
-        quot = [Fraction(0)] * max(len(rem) - d, 0)
+        quot = [0] * max(len(rem) - d, 0)
         for k in reversed(range(len(quot))):
-            quot[k] = c = rem[k + d] / other.coeffs[-1]
+            # Fraction division: / on two ints would give a float.
+            quot[k] = c = _exact(Fraction(rem[k + d], lead))
             for i, b in enumerate(other.coeffs):
                 rem[k + i] -= c * b
         return UniPoly(quot), UniPoly(rem[:d])
@@ -174,9 +182,9 @@ class UniPoly:
             raise ValueError(f"{self} has no polynomial square-root part")
         # Adding c*x^k to g changes the x^(n+k) coefficient of g^2 by 2*root*c
         # and leaves every higher one alone, so each c is fixed in turn.
-        g = [Fraction(0)] * n + [root]
+        g = [0] * n + [root]
         for k in reversed(range(n)):
-            g[k] = (self - UniPoly(g).square()).coefficient(n + k) / (2 * root)
+            g[k] = Fraction((self - UniPoly(g).square()).coefficient(n + k), 2 * root)
         return UniPoly(g)
 
     @staticmethod
@@ -199,9 +207,9 @@ class UniPoly:
 
     # -- evaluation and composition -------------------------------------------
 
-    def evaluate(self, t: Scalar) -> Fraction:
+    def evaluate(self, t: Scalar) -> Scalar:
         """Exact Horner evaluation."""
-        acc = Fraction(0)
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * t + c
         return acc

@@ -109,17 +109,25 @@ class Geometry:
         """Reduced row echelon basis of the span, keyed by pivot in pivot order."""
         p = self.kind.p
         rows: dict[int, Point] = {}
-        for v in vectors:
-            vec = self._reduce(list(v), rows)
-            piv = next((i for i, c in enumerate(vec) if c), None)
-            if piv is None:
-                continue
-            inv = self.field.inv(vec[piv])
-            new = tuple((c * inv) % p for c in vec)
+        for vec in vectors:
+            for piv, row in rows.items():
+                c = vec[piv]
+                if c:
+                    vec = [(v - c * r) % p for v, r in zip(vec, row)]
+            for piv, c in enumerate(vec):
+                if c:
+                    break
+            else:
+                continue  # vec lies in the span already
+            if c == 1:
+                new = tuple(vec)
+            else:
+                inv = self.field.inv(c)
+                new = tuple([(a * inv) % p for a in vec])
             for q, row in rows.items():
                 c = row[piv]
                 if c:
-                    rows[q] = tuple((a - c * b) % p for a, b in zip(row, new))
+                    rows[q] = tuple([(a - c * b) % p for a, b in zip(row, new)])
             rows[piv] = new
         return dict(sorted(rows.items()))
 
@@ -129,7 +137,7 @@ class Geometry:
         vecs = [start]
         for row in rows:
             vecs = [
-                tuple((a + c * b) % p for a, b in zip(vec, row))
+                tuple([(a + c * b) % p for a, b in zip(vec, row)])
                 for vec in vecs
                 for c in range(p)
             ]
@@ -140,9 +148,9 @@ class Geometry:
     def closure(self, subset) -> frozenset:
         """Smallest flat containing the given points."""
         pts = frozenset(subset)
-        for x in pts:
-            if x not in self._point_set:
-                raise ValueError(f"{x!r} is not a point of {self.kind}")
+        if not pts <= self._point_set:
+            bad = next(x for x in pts if x not in self._point_set)
+            raise ValueError(f"{bad!r} is not a point of {self.kind}")
         if not pts:
             base, rows = None, {}
         elif self.kind.family == "projective":
@@ -151,7 +159,7 @@ class Geometry:
             origin = min(pts)
             p = self.kind.p
             rows = self._echelon(
-                tuple((a - b) % p for a, b in zip(x, origin)) for x in pts
+                [[(a - b) % p for a, b in zip(x, origin)] for x in pts if x != origin]
             )
             base = tuple(self._reduce(list(origin), rows))
         basis = tuple(rows.values())

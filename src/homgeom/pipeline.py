@@ -368,6 +368,7 @@ class ReportCheck:
     status: str  # "pass", "fail" or "gap"
     details: dict = field(default_factory=dict)
     witness: object = None
+    elapsed_seconds: float | None = None  # set by verify_all, the check's own time
 
 
 @dataclass
@@ -405,6 +406,8 @@ class Report:
                     {
                         "name": c.name,
                         "status": c.status,
+                        **({"elapsedSeconds": c.elapsed_seconds}
+                           if c.elapsed_seconds is not None else {}),
                         "details": c.details,
                         **({"witness": c.witness} if c.witness is not None else {}),
                     }

@@ -9,6 +9,8 @@ but the run's exit status signals that a certificate is missing.
 
 from __future__ import annotations
 
+import time
+
 from .exact_arith import UniPoly
 from .parameters import FlatProfile
 from .bounds import (
@@ -112,33 +114,25 @@ def _check_sieve(report: Report, cat: Catalog, limit: int) -> None:
     )
 
 
-def _check_threshold_grids(report: Report, s1_max: int = 50, driver_max: int = 2500) -> None:
-    alpha_sweep = alpha_route_sweep(s1_max, driver_max)
-    ok_a = alpha_sweep.max_first_r <= ALPHA_ROUTE_MAX_R + 1 and alpha_sweep.internal_steps_ok
+def check_threshold_grid(
+    report: Report, route: str, s1_max: int = 50, driver_max: int = 2500
+) -> None:
+    """Sweep one route ("alpha" or "beta") and add its growth-threshold check."""
+    if route == "alpha":
+        sweep, bound = alpha_route_sweep(s1_max, driver_max), ALPHA_ROUTE_MAX_R + 1
+    else:
+        sweep, bound = beta_route_sweep(s1_max, driver_max), BETA_ROUTE_MAX_R + 1
+    ok = sweep.max_first_r <= bound and sweep.internal_steps_ok
     report.add(
-        "growth-threshold-alpha-route",
-        "pass" if ok_a else "fail",
+        f"growth-threshold-{route}-route",
+        "pass" if ok else "fail",
         details={
-            "grid": {"s1Max": s1_max, "alphaMax": driver_max},
-            "systemsChecked": alpha_sweep.systems_checked,
-            "maxFirstRExceeding": alpha_sweep.max_first_r,
-            "bound": ALPHA_ROUTE_MAX_R + 1,
-            "internalStepsOk": alpha_sweep.internal_steps_ok,
-            "worst": alpha_sweep.worst.to_record() if alpha_sweep.worst else None,
-        },
-    )
-    beta_sweep = beta_route_sweep(s1_max, driver_max)
-    ok_b = beta_sweep.max_first_r <= BETA_ROUTE_MAX_R + 1 and beta_sweep.internal_steps_ok
-    report.add(
-        "growth-threshold-beta-route",
-        "pass" if ok_b else "fail",
-        details={
-            "grid": {"s1Max": s1_max, "betaMax": driver_max},
-            "systemsChecked": beta_sweep.systems_checked,
-            "maxFirstRExceeding": beta_sweep.max_first_r,
-            "bound": BETA_ROUTE_MAX_R + 1,
-            "internalStepsOk": beta_sweep.internal_steps_ok,
-            "worst": beta_sweep.worst.to_record() if beta_sweep.worst else None,
+            "grid": {"s1Max": s1_max, f"{route}Max": driver_max},
+            "systemsChecked": sweep.systems_checked,
+            "maxFirstRExceeding": sweep.max_first_r,
+            "bound": bound,
+            "internalStepsOk": sweep.internal_steps_ok,
+            "worst": sweep.worst.to_record() if sweep.worst else None,
         },
     )
 
@@ -258,16 +252,26 @@ def verify_all(
     s1_max: int = 100,
     alpha_max: int = 10**4,
 ) -> Report:
-    """Run every check and return the combined report."""
+    """Run every check and return the combined report.
+
+    Each check function adds one check, which carries that function's wall
+    time as elapsed_seconds.
+    """
     report = Report()
     cat = catalog()
-    _check_decompositions(report, cat)
-    _check_certificates(report, cat)
-    _check_sieve(report, cat, sieve_limit)
-    _check_threshold_grids(report)
-    _check_spectral_identities(report)
-    _check_automaton(report)
-    _check_dimension_threshold(report)
-    _check_search(report, s1_max, alpha_max)
-    _check_ground_truth(report)
+    for check, *args in (
+        (_check_decompositions, cat),
+        (_check_certificates, cat),
+        (_check_sieve, cat, sieve_limit),
+        (check_threshold_grid, "alpha"),
+        (check_threshold_grid, "beta"),
+        (_check_spectral_identities,),
+        (_check_automaton,),
+        (_check_dimension_threshold,),
+        (_check_search, s1_max, alpha_max),
+        (_check_ground_truth,),
+    ):
+        start = time.perf_counter()
+        check(report, *args)
+        report.checks[-1].elapsed_seconds = time.perf_counter() - start
     return report

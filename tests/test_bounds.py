@@ -6,6 +6,8 @@ import pytest
 
 import homgeom.bounds as bounds
 from homgeom.bounds import (
+    SweepResult,
+    ThresholdReport,
     alpha_route_cap,
     alpha_route_sweep,
     beta_route_cap,
@@ -222,3 +224,67 @@ class TestSweeps:
         for s1 in range(3, 15):
             for beta in range(s1, 200, s1):
                 assert s2_from(s1, beta + 1) - s1 >= s1 * s1 + beta
+
+
+def oracle_sweep(route: str, s1_max: int, driver_max: int) -> tuple[SweepResult, int]:
+    """The sweep as first written: first_r_exceeding on every system.
+
+    Also returns how many systems must run the full r-loop: those that
+    raise the running maximum, and any whose growth bound does not grow.
+    """
+    checked, max_r, worst, steps_ok, full_loops = 0, 0, None, True, 0
+    cap = alpha_route_cap if route == "alpha" else beta_route_cap
+    for s1 in range(3, s1_max + 1):
+        u = s1 * (s1 - 1)
+        if route == "alpha":
+            drivers = [a for a in range(1, driver_max + 1) if a * a % s1 == 0 and a * a >= s1]
+        else:
+            drivers = range(s1, driver_max + 1, s1)
+        for driver in drivers:
+            checked += 1
+            alpha = driver if route == "alpha" else driver + 1
+            s2 = s2_from(s1, alpha)
+            if route == "alpha":
+                steps_ok &= phi_of(s1, alpha) ** 2 < (alpha + u) ** 4 and s2 - s1 >= alpha + u
+            else:
+                steps_ok &= s2 - s1 >= s1 * s1 + driver
+            r = first_r_exceeding(s1, s2, cap(s1, driver))
+            full_loops += r > max_r or s2 - s1 <= s1 - 1
+            if r > max_r:
+                max_r = r
+                worst = ThresholdReport(s1, driver, cap(s1, driver), r, f"{route}-route")
+    return SweepResult(f"{route}-route", checked, max_r, worst, steps_ok), full_loops
+
+
+class TestSweepOracle:
+    @pytest.mark.parametrize("s1_max, driver_max", [(50, 2500), (80, 400)])
+    @pytest.mark.parametrize("route", ["alpha", "beta"])
+    def test_sweep_equals_oracle(self, monkeypatch, route, s1_max, driver_max):
+        expected, full_loops = oracle_sweep(route, s1_max, driver_max)
+        calls = []
+        first_r_over = bounds._first_r_over
+
+        def counted(*args):
+            calls.append(args)
+            return first_r_over(*args)
+
+        monkeypatch.setattr(bounds, "_first_r_over", counted)
+        sweep = alpha_route_sweep if route == "alpha" else beta_route_sweep
+        assert sweep(s1_max, driver_max) == expected
+        # Only a system that beats the running maximum runs the full r-loop.
+        assert len(calls) == full_loops
+
+    def test_may_exceed_matches_first_r(self):
+        # One comparison at r decides first_r_exceeding > r whenever the
+        # growth bound grows (gap > s1 - 1) and r >= 3; otherwise it defers.
+        for s1 in range(2, 9):
+            for s2 in range(s1 + 1, s1 + 40):
+                for thr in (1, 7, 10**3, 10**9 + 7, 10**20):
+                    grows = s2 - s1 > s1 - 1
+                    first = first_r_exceeding(s1, s2, thr) if grows else None
+                    for r in range(0, 30):
+                        may = bounds._may_exceed(s1, s2, thr, 1, r)
+                        if grows and r >= 3:
+                            assert may == (first > r), (s1, s2, thr, r)
+                        else:
+                            assert may

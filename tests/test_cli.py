@@ -160,6 +160,8 @@ class TestSearch:
         assert code == 0
         payload = json.loads(out)
         assert payload["overallStatus"] == "pass"
+        # Only verify-all times its checks; search output stays deterministic.
+        assert "elapsedSeconds" not in payload["checks"][0]
 
     def test_invalid_range(self, capsys):
         code, _, err = run(capsys, "search", "--s1-max", "2", "--alpha-max", "10")
@@ -181,6 +183,63 @@ class TestSearch:
         assert payload["overallStatus"] == "pass"
         details = payload["checks"][0]["details"]
         assert details["systemsChecked"] == str(998 * (10**9 + 1) * 2)
+
+
+class TestThresholds:
+    def test_default_grid(self, capsys):
+        code, out, _ = run(capsys, "thresholds")
+        assert code == 0
+        payload = json.loads(out)
+        alpha = payload["growth-threshold-alpha-route"]
+        beta = payload["growth-threshold-beta-route"]
+        assert alpha["grid"] == {"s1Max": "50", "alphaMax": "2500"}
+        assert beta["grid"] == {"s1Max": "50", "betaMax": "2500"}
+        assert (alpha["systemsChecked"], alpha["maxFirstRExceeding"], alpha["bound"]) == (
+            "12306", "18", "20"
+        )
+        assert (beta["systemsChecked"], beta["maxFirstRExceeding"], beta["bound"]) == (
+            "7480", "16", "17"
+        )
+        assert (alpha["worst"]["s1"], alpha["worst"]["driver"]) == ("16", "4")
+        assert (beta["worst"]["s1"], beta["worst"]["driver"]) == ("21", "21")
+        assert alpha["status"] == beta["status"] == "pass"
+
+    def test_same_checks_as_verify_all(self, capsys):
+        # At the defaults the command prints verify-all's two threshold checks.
+        code, out, _ = run(capsys, "thresholds")
+        assert code == 0
+        report = homgeom.verify.verify_all(sieve_limit=10, s1_max=4, alpha_max=10)
+        checks = report.to_json_dict()["checks"]
+        assert json.loads(out) == {
+            c["name"]: {"status": c["status"], **c["details"]}
+            for c in checks
+            if c["name"].startswith("growth-threshold-")
+        }
+
+    def test_smallest_grid(self, capsys):
+        code, out, _ = run(capsys, "thresholds", "--s1-max", "3", "--driver-max", "3")
+        assert code == 0
+        payload = json.loads(out)
+        assert [route["systemsChecked"] for route in payload.values()] == ["1", "1"]
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--s1-max", "2"), ("--driver-max", "2"), ("--driver-max", "-5")]
+    )
+    def test_bad_size(self, capsys, flag, value):
+        code, out, err = run(capsys, "thresholds", flag, value)
+        assert code == 2
+        assert err.startswith(f"invalid input: {flag} must be at least 3")
+        assert out == ""
+
+    def test_exceeded_bound_exits_one(self, capsys, monkeypatch):
+        # With the alpha-route cap at 16, the sweep's 18 exceeds the bound 17.
+        monkeypatch.setattr(homgeom.verify, "ALPHA_ROUTE_MAX_R", 16)
+        code, out, _ = run(capsys, "thresholds")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["growth-threshold-alpha-route"]["status"] == "fail"
+        assert payload["growth-threshold-alpha-route"]["bound"] == "17"
+        assert payload["growth-threshold-beta-route"]["status"] == "pass"
 
 
 class TestVerifyAll:
@@ -225,6 +284,11 @@ class TestVerifyAll:
         )["details"]
         assert sieve_details["limit"] == "2000"
         assert len(derived) == 1
+        # Each check carries its own time, beside its details.
+        for check in payload["checks"]:
+            assert isinstance(check["elapsedSeconds"], float), check["name"]
+            assert check["elapsedSeconds"] >= 0
+            assert "elapsedSeconds" not in check["details"]
 
     @staticmethod
     def sieve_check(capsys, tmp_path, limit):

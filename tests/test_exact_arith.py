@@ -193,6 +193,57 @@ class TestUniPoly:
             UniPoly([Fraction(1, 2)]).integer_coefficients()
 
 
+def coefficient_types(p: UniPoly) -> set[type]:
+    return {type(c) for c in p.coeffs}
+
+
+class TestCoefficientTypes:
+    def test_integral_polynomials_keep_int_coefficients(self):
+        p = UniPoly([3, -2, 0, 5])
+        q = UniPoly([Fraction(4, 2), 1])  # an integral Fraction is stored as int
+        assert coefficient_types(q) == {int}
+        results = [p + q, p - q, p * q, p**3, -p, 2 * p, p + 1, 1 - p, p.shift(3)]
+        for r in results:
+            assert coefficient_types(r) == {int}, r
+        assert type(p.coefficient(9)) is int
+        assert p.integer_coefficients() == (3, -2, 0, 5)
+
+    def test_sqrt_part_of_integral_square_is_integral(self):
+        g = UniPoly([-1, 2, 0, 1])  # x^3 + 2x - 1
+        f = g * g - UniPoly([5, 1])
+        assert coefficient_types(f) == {int}
+        assert f.sqrt_part() == g
+        assert coefficient_types(f.sqrt_part()) == {int}
+
+    def test_fractions_only_where_a_division_makes_them(self):
+        # x^6 - x^4 + 1 = (x^3 - x/2)^2 - (x^2/4 - 1): halves in g, a quarter
+        # in h, and an int result again once they cancel.
+        g = UniPoly([1, 0, 0, 0, -1, 0, 1]).sqrt_part()
+        assert coefficient_types(g) == {int, Fraction}
+        assert coefficient_types(g * g - UniPoly([-1, 0, Fraction(1, 4)])) == {int}
+        assert coefficient_types(UniPoly([Fraction(1, 2), 1]) * 2) == {int}
+
+    def test_divmod_by_non_monic_divisor_is_exact(self):
+        p = UniPoly([1, 2, 3, 4])
+        d = UniPoly([1, 3])
+        q, r = divmod(p, d)
+        assert float not in coefficient_types(q) | coefficient_types(r)
+        # 4x^3 + 3x^2 + 2x + 1 = (4x^2/3 + 5x/9 + 13/27)(3x + 1) + 14/27
+        assert q.coeffs == (Fraction(13, 27), Fraction(5, 9), Fraction(4, 3))
+        assert r.coeffs == (Fraction(14, 27),)
+        assert q * d + r == p
+        half, rest = divmod(UniPoly([1, 2, 3]), 2)
+        assert half.coeffs == (Fraction(1, 2), 1, Fraction(3, 2)) and rest.is_zero()
+        assert coefficient_types(half) == {int, Fraction}
+
+    def test_catalog_polynomials_are_integral(self):
+        from homgeom.obstructions import catalog
+
+        for obs in catalog().values():
+            assert coefficient_types(obs.f) == {int}, obs.label
+            assert coefficient_types(4 * obs.h) == {int}, obs.label
+
+
 def expand_shift_oracle(coeffs: list[int], c: int) -> list[Fraction]:
     """Independent binomial-theorem expansion of p(x + c)."""
     out = [Fraction(0)] * len(coeffs)

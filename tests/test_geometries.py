@@ -47,6 +47,33 @@ def _reduce(vec, rows, p):
     return vec
 
 
+def _param_id(value) -> str:
+    return str(value.kind) if isinstance(value, Geometry) else repr(value)
+
+
+def _generators(g, subset):
+    """The base point (None for projective) and the vectors spanning the subset."""
+    p = g.kind.p
+    if g.kind.family == "projective":
+        return None, list(subset)
+    base = min(subset)
+    return base, [[(a - b) % p for a, b in zip(x, base)] for x in subset]
+
+
+def _pivots(g, subset):
+    """The pivot values met while reducing the subset's generators in order."""
+    p = g.kind.p
+    rows, pivots = {}, []
+    for v in _generators(g, subset)[1]:
+        v = _reduce(list(v), rows, p)
+        piv = next((i for i, c in enumerate(v) if c), None)
+        if piv is not None:
+            pivots.append(v[piv])
+            inv = pow(v[piv], -1, p)
+            rows[piv] = [(c * inv) % p for c in v]
+    return pivots
+
+
 def _scan_closure(g, subset):
     """Closure by definition: a point is in it when its vector (projective)
     or its difference from a base point of the subset (affine) reduces to
@@ -54,12 +81,7 @@ def _scan_closure(g, subset):
     p = g.kind.p
     if not subset:
         return frozenset()
-    if g.kind.family == "projective":
-        base = None
-        gens = list(subset)
-    else:
-        base = min(subset)
-        gens = [[(a - b) % p for a, b in zip(x, base)] for x in subset]
+    base, gens = _generators(g, subset)
     rows = {}
     for v in gens:
         v = _reduce(list(v), rows, p)
@@ -208,6 +230,18 @@ class TestClosureAxioms:
             for subset in subsets:
                 assert g.closure(subset) == _scan_closure(g, subset), (str(g.kind), subset)
 
+    @pytest.mark.parametrize("g", [build_projective(2, 5), build_affine(2, 7)], ids=_param_id)
+    def test_closure_matches_scan_where_pivots_need_inverses(self, g):
+        # Over F_5 and F_7 a reduced pivot is often not 1, so the echelon
+        # has to scale by its inverse; the random subsets must include such.
+        rng = random.Random(f"pivots {g.kind}")
+        pts = list(g.points)
+        subsets = [tuple(rng.sample(pts, rng.randint(3, 5))) for _ in range(300)]
+        scaled = [s for s in subsets if any(c != 1 for c in _pivots(g, s))]
+        assert len(scaled) > 50
+        for subset in subsets:
+            assert g.closure(subset) == _scan_closure(g, subset), (str(g.kind), subset)
+
     def test_closure_matches_scan_on_lattice_walk(self):
         # Every closure the flat-lattice walk asks for, F + {x} for each flat F.
         class Checked:
@@ -286,6 +320,22 @@ class TestClosureAxioms:
                 g.closure((g.points[0], bad))
         with pytest.raises(ValueError, match="not a point of AG"):
             build_affine(2, 3).closure(((0, 0), (3, 0)))
+
+    @pytest.mark.parametrize(
+        "g, bad",
+        [
+            (build_projective(2, 3), (0, 2, 1)),  # not normalized
+            (build_projective(2, 3), (1, 1)),  # wrong length
+            (build_affine(2, 3), (0, 3)),  # coordinate outside F_3
+            (build_affine(3, 3), ("x", 0, 0)),
+        ],
+        ids=_param_id,
+    )
+    def test_closure_names_the_non_point(self, g, bad):
+        # Among valid points, the one non-point is named, for both kinds.
+        for subset in ((bad,), (g.points[0], bad), (g.points[1], bad, g.points[-1])):
+            with pytest.raises(ValueError, match=re.escape(f"{bad!r} is not a point of {g.kind}")):
+                g.closure(subset)
 
     def test_closure_detects_broken_operator(self):
         class ShrinkingGeometry:
