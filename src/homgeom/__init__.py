@@ -16,6 +16,7 @@ from .parameters import (  # noqa: F401
     ModelScopeError,
     ParamSystem,
     classify_condition,
+    condition_alpha,
     s2_from,
 )
 from .bounds import (  # noqa: F401
@@ -36,7 +37,7 @@ from .localization import (  # noqa: F401
     CaseRangeError,
     ExternalCaseError,
     eliminate_case_instance,
-    localized_alpha,
+    known_square_args,
     obstruction_value,
     point_localize,
 )

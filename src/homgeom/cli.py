@@ -10,9 +10,16 @@ import argparse
 import json
 import sys
 
-from .exact_arith import is_perfect_square
-from .parameters import Condition, ModelScopeError, ParamSystem, classify_condition, s2_from
-from .localization import CaseLabel, localized_alpha, point_localize
+from .parameters import (
+    Condition,
+    ModelScopeError,
+    ParamSystem,
+    classify_condition,
+    condition_alphas,
+    require_hypothesis_line_size,
+    s2_from,
+)
+from .localization import CaseLabel, point_localize
 from .obstructions import catalog, certify_no_square, sieve, verify_identity
 from .geometries import (
     UnsupportedFieldError,
@@ -78,25 +85,22 @@ def _cmd_check_params(args) -> int:
 def _cmd_localize(args) -> int:
     try:
         ps = ParamSystem(args.s1, args.alpha, args.alpha_prime, dim=required_dimension())
+        require_hypothesis_line_size(ps.s1, "s1")
     except (ModelScopeError, ValueError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
-    s1_hat = point_localize(ps)
-    hypotheses = {}
-    for cond in (
-        Condition.COND1_PLUS,
-        Condition.COND1_MINUS,
-        Condition.COND2,
-        Condition.COND3,
-    ):
-        if cond.family == 1 and not is_perfect_square(s1_hat):
-            hypotheses[cond.value] = None
-            continue
-        alpha_hat = localized_alpha(cond, s1_hat)
-        hypotheses[cond.value] = {
-            "alphaHat": alpha_hat,
-            "s2Hat": s2_from(s1_hat, alpha_hat),
-        }
+    s1_hat = point_localize(ps.s1, ps.alpha)
+    # Condition 1 is absent from forced when s1_hat is not a square.
+    forced = condition_alphas(s1_hat)
+    hypotheses = {
+        cond.value: (
+            {"alphaHat": forced[cond], "s2Hat": s2_from(s1_hat, forced[cond])}
+            if cond in forced
+            else None
+        )
+        for cond in Condition
+        if cond.family
+    }
     _print_json(
         {
             "input": ps.to_record(),

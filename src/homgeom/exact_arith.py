@@ -39,6 +39,18 @@ def is_perfect_square(n: int) -> bool:
     return r * r == n
 
 
+def exact_sqrt(n: "int | UniPoly") -> "int | UniPoly":
+    """The r >= 0 with r*r == n, for an int or a UniPoly (leading coefficient
+    positive); raises ValueError when n is not a perfect square."""
+    if isinstance(n, UniPoly):
+        r = n.sqrt_part()
+    else:
+        r = isqrt_floor(n)
+    if r * r != n:
+        raise ValueError(f"{n} is not a perfect square")
+    return r
+
+
 def _exact(c: Scalar) -> Scalar:
     """c as an int when it is integral, else as a Fraction."""
     if type(c) is int:

@@ -4,16 +4,19 @@ Localizing a geometry at a point turns lines through the point into points
 of a smaller geometry whose line size is s1_hat = alpha + s1.  When an
 exceptional condition is hypothesized both before and after localization,
 the squareness requirement riding along with the outer condition becomes a
-concrete integer (computed here structurally, through s1_hat, alpha_hat and
-the localized plane size s2_hat = s2_from(s1_hat, alpha_hat)) that must be a
-perfect square.  Of the six condition pairs, two (A and D) are impossible by
-an imported external fact; the remaining four are killed computationally,
-instance by instance, through that integer.
+concrete integer that must be a perfect square.  It is computed
+structurally, in one path for every case: the outer alpha, the localization
+step, the inner alpha_hat (both from parameters.condition_alpha) and the
+localized plane size s2_hat = s2_from(s1_hat, alpha_hat).  Of the six
+condition pairs, two (A and D) are impossible by an imported external fact;
+the remaining four are killed computationally, instance by instance,
+through that integer.
 
-The same formulas run unchanged over polynomials: evaluated at the
-indeterminate x they give the obstruction polynomial f of each case, from
-which the obstructions module derives its whole catalog.  The hypothesis
-ranges and known square arguments below are the only copy of those facts.
+The same path runs unchanged over polynomials: evaluated at the
+indeterminate x it gives the obstruction polynomial f of each case, from
+which the obstructions module derives its whole catalog.  Each case's
+condition pair and hypothesis range are tabulated here; its known square
+arguments are derived from f.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .exact_arith import UniPoly, isqrt_floor, is_perfect_square
-from .parameters import Condition, ParamSystem, s2_from
+from .parameters import Condition, condition_alpha, s2_from
 
 
 class CaseLabel(Enum):
@@ -53,17 +56,18 @@ class ExternalCaseError(ValueError):
 class CaseRangeError(ValueError):
     """Argument below the case's hypothesis range.
 
-    Carries the arguments at which the obstruction value is known to be a
-    perfect square; all of them sit below the range.
+    Carries the arguments at which the obstruction value is a perfect
+    square; all of them sit below the range.
     """
 
-    def __init__(self, case: "CaseLabel", argument: int, known_square_args: tuple[int, ...]):
+    def __init__(self, case: "CaseLabel", argument: int):
         self.case = case
         self.argument = argument
-        self.known_square_args = known_square_args
+        self.known_square_args = known_square_args(case)
         super().__init__(
             f"case {case.value} argument {argument} is below the hypothesis range "
-            f"(starts at {CASE_MIN_ARG[case]}); known square arguments: {known_square_args}"
+            f"(starts at {CASE_MIN_ARG[case]}); known square arguments: "
+            f"{self.known_square_args}"
         )
 
 
@@ -77,68 +81,38 @@ CASE_MIN_ARG = {
     CaseLabel.B_MINUS: 2,
 }
 
-# Arguments (all below the hypothesis range) where the obstruction value IS a
-# perfect square.  Kept explicit so regressions in the square test surface as
-# sieve diffs.
-KNOWN_SQUARE_ARGS = {
-    CaseLabel.B_PLUS: (0, 1),
-    CaseLabel.B_MINUS: (0, 1),
-    CaseLabel.C: (0, 1, 2),
-    CaseLabel.E: (0, 1),
-    CaseLabel.F: (1,),
+# The condition pair behind each computable case: the outer system's
+# condition, then the one hypothesized on its point localization.
+CASE_CONDITIONS = {
+    CaseLabel.C: (Condition.COND2, Condition.COND2),
+    CaseLabel.E: (Condition.COND3, Condition.COND2),
+    CaseLabel.F: (Condition.COND3, Condition.COND3),
+    CaseLabel.B_PLUS: (Condition.COND1_PLUS, Condition.COND2),
+    CaseLabel.B_MINUS: (Condition.COND1_MINUS, Condition.COND2),
 }
 
 
-def point_localize(ps: ParamSystem) -> int:
+def point_localize(s1: "int | UniPoly", alpha: "int | UniPoly") -> "int | UniPoly":
     """Line size of the localization at a point: s1_hat = alpha + s1.
 
     It equals the quotient (s2 - 1)/(s1 - 1); bounds.spectral_identities
     checks that identity once, as a polynomial identity.
     """
-    return ps.alpha + ps.s1
-
-
-def localized_alpha(condition: Condition, s1_hat: int) -> int:
-    """The alpha value a hypothesized condition forces on the localized system
-    (for conditions 2 and 3, s1_hat may also be a UniPoly)."""
-    if condition is Condition.COND2:
-        return s1_hat * (s1_hat - 1)
-    if condition is Condition.COND3:
-        return s1_hat * s1_hat + 1
-    if condition in (Condition.COND1_PLUS, Condition.COND1_MINUS):
-        if not is_perfect_square(s1_hat):
-            raise ValueError(
-                f"condition {condition.value} needs a square line size, got {s1_hat}"
-            )
-        root = isqrt_floor(s1_hat)
-        sign = 1 if condition is Condition.COND1_PLUS else -1
-        return s1_hat * (root + sign) ** 2
-    raise ValueError(f"{condition.value} does not force an alpha value")
-
-
-def _square_quantity_from(s1: int, alpha: int, condition_hat: Condition) -> int:
-    """s3/s1 of the outer system under the inner hypothesis (s3 via s2_hat).
-
-    The outer squareness requirement reduces to this quantity being a perfect
-    square; for the C pair it is s2_hat itself.  The division must be exact.
-    """
-    s1h = alpha + s1
-    alpha_hat = localized_alpha(condition_hat, s1h)
-    s3 = 1 + (s1 - 1) * s2_from(s1h, alpha_hat)
-    quotient, remainder = divmod(s3, s1)
-    if remainder != 0:
-        raise ArithmeticError(f"s3={s3} not divisible by s1={s1}")
-    return quotient
+    return alpha + s1
 
 
 def obstruction_value(case: CaseLabel, arg: int | UniPoly) -> int | UniPoly:
     """The quantity one instance of a computable case requires to be a square.
 
-    The argument is the outer system's line size s1 for cases C, E, F, and
-    t = sqrt(s1) for the B variants (condition 1 presupposes square s1).
-    Everything is computed structurally through the localization transform,
-    using ring operations and one exact division only.  An integer argument
-    (at least 2) gives the integer for that instance; UniPoly.x() gives the
+    The argument is the outer system's line size s1, or t = sqrt(s1) when
+    the outer condition is condition 1 (the B variants), which presupposes
+    square s1.  With (outer, inner) = CASE_CONDITIONS[case], the path is:
+    alpha forced by outer at s1, the localization s1_hat, alpha_hat forced by
+    inner at s1_hat, and s2_hat = s2_from(s1_hat, alpha_hat).  Under outer
+    condition 2 the quantity is s2_hat itself; otherwise it is s3/s1 with
+    s3 = 1 + (s1 - 1)*s2_hat, and that division must be exact.  Only ring
+    operations and that one division are used, so an integer argument (at
+    least 2) gives the integer for that instance and UniPoly.x() gives the
     case's obstruction polynomial f itself.
     """
     if case in (CaseLabel.A, CaseLabel.D):
@@ -148,18 +122,25 @@ def obstruction_value(case: CaseLabel, arg: int | UniPoly) -> int | UniPoly:
         )
     if isinstance(arg, int) and arg < 2:
         raise ValueError(f"case {case.value} obstruction needs argument >= 2, got {arg}")
-    if case is CaseLabel.C:
-        # Condition 2 outer and inner: the quantity is s2_hat itself, with
-        # s1_hat = s1^2.
-        s1h = arg * arg
-        return s2_from(s1h, localized_alpha(Condition.COND2, s1h))
-    if case in (CaseLabel.E, CaseLabel.F):
-        inner = Condition.COND2 if case is CaseLabel.E else Condition.COND3
-        return _square_quantity_from(arg, arg * arg + 1, inner)
-    # B variants: outer condition 1 with t = sqrt(s1), inner condition 2.
-    sign = 1 if case is CaseLabel.B_PLUS else -1
-    s1 = arg * arg
-    return _square_quantity_from(s1, s1 * (arg + sign) ** 2, Condition.COND2)
+    outer, inner = CASE_CONDITIONS[case]
+    s1 = arg * arg if outer.family == 1 else arg
+    s1_hat = point_localize(s1, condition_alpha(outer, s1))
+    s2_hat = s2_from(s1_hat, condition_alpha(inner, s1_hat))
+    if outer is Condition.COND2:
+        return s2_hat
+    s3 = 1 + (s1 - 1) * s2_hat
+    quotient, remainder = divmod(s3, s1)
+    if remainder != 0:
+        raise ArithmeticError(f"s3={s3} not divisible by s1={s1}")
+    return quotient
+
+
+def known_square_args(case: CaseLabel) -> tuple[int, ...]:
+    """The t in [0, t_min) at which the case's obstruction value is a perfect
+    square, with t_min = CASE_MIN_ARG[case]; the case's no-square
+    certificate covers every t >= t_min."""
+    f = obstruction_value(case, UniPoly.x())
+    return tuple(t for t in range(CASE_MIN_ARG[case]) if is_perfect_square(f.evaluate_int(t)))
 
 
 @dataclass(frozen=True)
@@ -202,7 +183,7 @@ def eliminate_case_instance(
             f"case {case.value} is settled by an imported external fact"
         )
     if enforce_range and arg < CASE_MIN_ARG[case]:
-        raise CaseRangeError(case, arg, KNOWN_SQUARE_ARGS[case])
+        raise CaseRangeError(case, arg)
     value = obstruction_value(case, arg)
     if is_perfect_square(value):
         return CaseInstanceVerdict(case, arg, value, False, root=isqrt_floor(value))

@@ -28,7 +28,7 @@ from .exact_arith import (
     eventually_positive,
     is_perfect_square,
 )
-from .localization import CASE_MIN_ARG, KNOWN_SQUARE_ARGS, CaseLabel, obstruction_value
+from .localization import CASE_MIN_ARG, CaseLabel, known_square_args, obstruction_value
 
 
 @dataclass(frozen=True)
@@ -36,8 +36,8 @@ class SquareObstruction:
     """One impossibility instance: f = g^2 - h plus the range it covers.
 
     f has integer coefficients; in the five cases 2g and 4h are integral.
-    known_square_args lists every argument in the sieve range where f takes a
-    square value; all sit below t_min.
+    known_square_args lists every t in [0, t_min) where f takes a square
+    value; the certificate covers the t >= t_min.
     """
 
     label: CaseLabel
@@ -51,17 +51,17 @@ class SquareObstruction:
 def _derive(label: CaseLabel) -> SquareObstruction:
     f = obstruction_value(label, UniPoly.x())
     g = f.sqrt_part()
-    known = frozenset(KNOWN_SQUARE_ARGS[label])
+    known = frozenset(known_square_args(label))
     return SquareObstruction(label, f, g, g.square() - f, CASE_MIN_ARG[label], known)
 
 
 def catalog() -> dict[CaseLabel, SquareObstruction]:
     """The five obstructions, keyed by case label, derived on each call.
 
-    f comes from localization.obstruction_value at the indeterminate x (b-
-    through the same path as b+, with sign -1), g is f.sqrt_part() and
-    h = g^2 - f.  t_min and the known square arguments are the localization
-    module's CASE_MIN_ARG and KNOWN_SQUARE_ARGS.
+    f comes from localization.obstruction_value at the indeterminate x (one
+    path for every case), g is f.sqrt_part() and
+    h = g^2 - f.  t_min is the localization module's CASE_MIN_ARG, and the
+    known square arguments come from its known_square_args.
     """
     return {label: _derive(label) for label in CASE_MIN_ARG}
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .exact_arith import isqrt_floor, is_perfect_square
+from .exact_arith import UniPoly, exact_sqrt, is_perfect_square
 
 
 class ModelScopeError(ValueError):
@@ -24,7 +24,8 @@ class Condition(Enum):
 
     Cond1Plus / Cond1Minus require s1 to be a perfect square and
     alpha = s1*(sqrt(s1) +/- 1)^2; Cond2 is alpha = s1*(s1-1) with
-    alpha' = 0; Cond3 is alpha = s1^2 + 1 with alpha' = 1.
+    alpha' = 0; Cond3 is alpha = s1^2 + 1 with alpha' = 1.  These four
+    equations are written once, in `condition_alpha`.
     ClassicalCompatible marks the projective-like (alpha = 0) and
     affine-like (alpha = 1, alpha' = 0) shapes, and is advisory only.
     """
@@ -163,31 +164,52 @@ def integrality_alpha1(s1: int, beta: int) -> bool:
     return beta % s1 == 0
 
 
+def require_hypothesis_line_size(s1: int, name: str) -> None:
+    """Reject a line size (or line-size bound) below the hypothesis s1 >= 3."""
+    if s1 < 3:
+        raise ValueError(f"hypothesis requires at least 3 points on a line ({name} >= 3)")
+
+
+def condition_alpha(condition: Condition, s1: "int | UniPoly") -> "int | UniPoly":
+    """The alpha value an exceptional condition forces at line size s1.
+
+    s1 may be an int or a UniPoly; the same ring operations serve both.
+    Condition 1 needs s1 to be a perfect square and raises ValueError
+    otherwise, as does an advisory tag, which forces no alpha value.
+    """
+    if condition is Condition.COND2:
+        return s1 * (s1 - 1)
+    if condition is Condition.COND3:
+        return s1 * s1 + 1
+    if condition.family == 1:
+        sign = 1 if condition is Condition.COND1_PLUS else -1
+        return s1 * (exact_sqrt(s1) + sign) ** 2
+    raise ValueError(f"{condition.value} does not force an alpha value")
+
+
 def condition_alphas(s1: int) -> dict[Condition, int]:
-    """The alpha value each exceptional condition forces at this line size."""
-    out = {Condition.COND2: s1 * (s1 - 1), Condition.COND3: s1 * s1 + 1}
-    if is_perfect_square(s1):
-        root = isqrt_floor(s1)
-        out[Condition.COND1_PLUS] = s1 * (root + 1) ** 2
-        out[Condition.COND1_MINUS] = s1 * (root - 1) ** 2
-    return out
+    """The alpha value each exceptional condition forces at this line size
+    (condition 1 only when s1 is a perfect square)."""
+    return {
+        cond: condition_alpha(cond, s1)
+        for cond in Condition
+        if cond.family and (cond.family != 1 or is_perfect_square(s1))
+    }
+
 
 def classify_condition(ps: ParamSystem) -> frozenset[Condition]:
     """Tag every condition equation that (s1, alpha, alpha') satisfies.
 
+    Condition 3 lives in the alpha' = 1 regime, the others in alpha' = 0.
     Per-flat squareness requirements (s_i square for i >= 3, and so on) are
     not checked here; they only become decidable after localization, where
     the relevant flat sizes are computable.
     """
-    tags = set()
-    forced = condition_alphas(ps.s1)
-    if ps.alpha_prime == 0:
-        for cond in (Condition.COND1_PLUS, Condition.COND1_MINUS, Condition.COND2):
-            if cond in forced and ps.alpha == forced[cond]:
-                tags.add(cond)
-    else:
-        if ps.alpha == forced[Condition.COND3]:
-            tags.add(Condition.COND3)
+    tags = {
+        cond
+        for cond, alpha in condition_alphas(ps.s1).items()
+        if alpha == ps.alpha and ps.alpha_prime == (1 if cond is Condition.COND3 else 0)
+    }
     if ps.alpha == 0 or (ps.alpha == 1 and ps.alpha_prime == 0):
         tags.add(Condition.CLASSICAL_COMPATIBLE)
     if not tags:

@@ -19,7 +19,7 @@ from enum import Enum
 from fractions import Fraction
 
 from . import __version__
-from .exact_arith import is_perfect_square, isqrt_floor
+from .exact_arith import exact_sqrt
 from .parameters import (
     Condition,
     ParamSystem,
@@ -27,13 +27,14 @@ from .parameters import (
     condition_alphas,
     integrality_alpha0,
     integrality_alpha1,
+    require_hypothesis_line_size,
     square_divisor,
 )
 from .localization import (
     CaseLabel,
     CaseInstanceVerdict,
     eliminate_case_instance,
-    localized_alpha,
+    point_localize,
 )
 
 # -- the automaton -----------------------------------------------------------
@@ -92,39 +93,24 @@ def longest_condition_chain(graph: TransitionGraph) -> "int | float":
     """Length in edges of the longest simple directed path over allowed edges.
 
     Returns math.inf when the allowed edges contain a cycle (a cycle allows
-    chains of any length).  The standard graph has no cycle and longest
-    path 2, strictly below the 3 transitions a counterexample chain needs.
+    chains of any length); one depth-first search finds both, since an edge
+    back onto the current path closes a cycle.  The standard graph has no
+    cycle and longest path 2, strictly below the 3 transitions a
+    counterexample chain needs.
     """
     adjacency: dict[int, list[int]] = {n: [] for n in graph.nodes}
     for a, b in graph.allowed_pairs():
         adjacency[a].append(b)
 
-    # Cycle detection by DFS coloring.
-    color = {n: 0 for n in graph.nodes}  # 0 new, 1 on stack, 2 done
-
-    def has_cycle(node: int) -> bool:
-        color[node] = 1
+    def longest_from(node: int, path: frozenset[int]) -> "int | float":
+        best = 0
         for nxt in adjacency[node]:
-            if color[nxt] == 1 or (color[nxt] == 0 and has_cycle(nxt)):
-                return True
-        color[node] = 2
-        return False
+            if nxt in path:
+                return math.inf
+            best = max(best, 1 + longest_from(nxt, path | {nxt}))
+        return best
 
-    if any(color[n] == 0 and has_cycle(n) for n in graph.nodes):
-        return math.inf
-
-    best = 0
-
-    def dfs(node: int, visited: frozenset[int], length: int) -> None:
-        nonlocal best
-        best = max(best, length)
-        for nxt in adjacency[node]:
-            if nxt not in visited:
-                dfs(nxt, visited | {nxt}, length + 1)
-
-    for n in graph.nodes:
-        dfs(n, frozenset({n}), 0)
-    return best
+    return max(longest_from(n, frozenset({n})) for n in graph.nodes)
 
 
 def exceptional_min_dim(
@@ -193,14 +179,6 @@ def normalize_disabled(cases) -> frozenset[CaseLabel]:
     return frozenset(out)
 
 
-_START_ORDER = (
-    Condition.COND1_PLUS,
-    Condition.COND1_MINUS,
-    Condition.COND2,
-    Condition.COND3,
-)
-
-
 def _edge_case(parent: Condition, target_family: int) -> CaseLabel:
     letter = EDGE_CASES[(parent.family, target_family)]
     if letter == "b":
@@ -246,12 +224,8 @@ class _Walk:
                         f"(case {case.value}, external provenance); branch eliminated"
                     )
                     continue
-                if case in (CaseLabel.B_PLUS, CaseLabel.B_MINUS):
-                    arg = isqrt_floor(s1)
-                    if arg * arg != s1:
-                        raise ArithmeticError("condition 1 presupposes a square line size")
-                else:
-                    arg = s1
+                # Cases with outer condition 1 take t = sqrt(s1) as argument.
+                arg = exact_sqrt(s1) if fam == 1 else s1
                 inst = eliminate_case_instance(case, arg)
                 self.instances.append(inst)
                 if inst.eliminated:
@@ -268,21 +242,17 @@ class _Walk:
                     self.survivors.append(f"{chain} -> case {case.value} survivor at {arg}")
                 continue
             # Allowed pair: localize and keep walking.
-            s1_hat = alpha + s1
-            if target == 1:
-                if not is_perfect_square(s1_hat):
-                    self.trace.append(
-                        f"{pad}pair {pair} allowed, but condition 1 needs a square "
-                        f"line size and {s1_hat} is not a square; branch closed"
-                    )
-                    continue
-                children = (Condition.COND1_PLUS, Condition.COND1_MINUS)
-            elif target == 2:
-                children = (Condition.COND2,)
-            else:
-                children = (Condition.COND3,)
+            s1_hat = point_localize(s1, alpha)
+            forced = condition_alphas(s1_hat)
+            children = [c for c in forced if c.family == target]
+            if not children:
+                self.trace.append(
+                    f"{pad}pair {pair} allowed, but condition 1 needs a square "
+                    f"line size and {s1_hat} is not a square; branch closed"
+                )
+                continue
             for child in children:
-                alpha_hat = localized_alpha(child, s1_hat)
+                alpha_hat = forced[child]
                 self.trace.append(
                     f"{pad}pair {pair} allowed: localized system "
                     f"(s1_hat={s1_hat}, alpha_hat={alpha_hat}) under {child.value}"
@@ -313,8 +283,7 @@ def eliminate(
     continuation must be killed by its case instance.  The alpha floor
     alpha^2 >= s1 (alpha > 0) needs no rule: s1 | alpha^2 implies it.
     """
-    if ps.s1 < 3:
-        raise ValueError("hypothesis requires at least 3 points on a line (s1 >= 3)")
+    require_hypothesis_line_size(ps.s1, "s1")
     _check_dimension(ps.dim)
     graph = graph or standard_graph()
     tags = classify_condition(ps)
@@ -335,7 +304,7 @@ def eliminate(
         if not integrality_alpha1(ps.s1, beta):
             trace.append(f"integrality failure: s1={ps.s1} does not divide beta={beta}")
             return EliminationVerdict(ps, Verdict.ELIMINATED, tuple(trace))
-    start_conditions = [c for c in _START_ORDER if c in tags]
+    start_conditions = [c for c in Condition if c.family and c in tags]
     if not start_conditions:
         trace.append(
             "condition trichotomy: alpha matches no exceptional family; "
@@ -474,8 +443,7 @@ def search(
     injection via disabled_cases must produce survivors, proving the search
     exercises each case.
     """
-    if s1_max < 3:
-        raise ValueError("hypothesis requires at least 3 points on a line (s1_max >= 3)")
+    require_hypothesis_line_size(s1_max, "s1_max")
     if alpha_max < 0:
         raise ValueError("alpha_max must be nonnegative")
     dim = required_dimension() if dim is None else dim

@@ -12,7 +12,7 @@ from __future__ import annotations
 import time
 
 from .exact_arith import UniPoly
-from .parameters import FlatProfile
+from .parameters import Condition, FlatProfile, condition_alpha
 from .bounds import (
     alpha_route_cap,
     alpha_route_sweep,
@@ -141,7 +141,7 @@ def _check_spectral_identities(report: Report) -> None:
     identities = spectral_identities()
     # Condition-2 parameters collapse the cap to exactly 1.
     cond2_cap_is_one = all(
-        alpha_route_cap(s1, s1 * (s1 - 1)) == 1 for s1 in range(3, 60)
+        alpha_route_cap(s1, condition_alpha(Condition.COND2, s1)) == 1 for s1 in range(3, 60)
     )
     ok = all(identities.values()) and cond2_cap_is_one
     report.add(

@@ -100,6 +100,16 @@ class TestLocalize:
         assert payload["s1Hat"] == "5"
         assert payload["localizedUnder"]["Cond1Plus"] is None
 
+    def test_s1_below_hypothesis_rejected(self, capsys):
+        # The same floor as check-params and search: s1 = 2 is a valid
+        # parameter system, but not one the hypothesis covers.
+        code, out, err = run(capsys, "localize", "--s1", "2", "--alpha", "2")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "invalid input: hypothesis requires at least 3 points on a line (s1 >= 3)\n"
+        )
+
 
 class TestGeometry:
     def test_projective(self, capsys):

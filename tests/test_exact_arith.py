@@ -11,6 +11,7 @@ from homgeom.exact_arith import (
     Positivity,
     UniPoly,
     eventually_positive,
+    exact_sqrt,
     is_perfect_square,
     isqrt_floor,
 )
@@ -79,6 +80,24 @@ class TestIsPerfectSquare:
         squares = {k * k for k in range(1001)}
         for n in range(1_000_001):
             assert is_perfect_square(n) == (n in squares)
+
+
+class TestExactSqrt:
+    def test_integers(self):
+        for r in range(200):
+            assert exact_sqrt(r * r) == r
+        for n in (2, 40, 48, 50, -4):
+            with pytest.raises(ValueError):
+                exact_sqrt(n)
+
+    def test_polynomials(self):
+        x = UniPoly.x()
+        for root in (x, x + 1, 2 * x * x - 3 * x + Fraction(1, 2)):
+            assert exact_sqrt(root * root) == root
+        # Odd degree, a constant, and a nonzero remainder after sqrt_part.
+        for p in (x, UniPoly.constant(4), x * x + 1):
+            with pytest.raises(ValueError):
+                exact_sqrt(p)
 
 
 class TestUniPoly:

@@ -19,7 +19,6 @@ ALLOWED = {
     "ParamSystem.from_record": "inverse of to_record, for consumers of the JSON report",
     "FlatProfile.truncate": "the rank-k truncation the ground truth is to cover",
     "UniPoly.degree": "the degree is part of the polynomial type's interface",
-    "UniPoly.evaluate_int": "integer evaluation of a catalog polynomial",
     "normalize_disabled": "turns case letters into the fault-injection case set",
 }
 

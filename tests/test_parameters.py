@@ -1,5 +1,6 @@
 """Tests for the parameter model."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -158,6 +159,16 @@ class TestClassify:
         tags = classify_condition(ParamSystem(9, 9 * 16, 0))  # 9*(3+1)^2
         assert tags == {Condition.COND1_PLUS}
         assert is_perfect_square(9)
+
+    def test_condition_alphas_closed_forms(self):
+        # The four condition equations, spelled out, against condition_alphas.
+        for s1 in range(3, 2000):
+            expected = {Condition.COND2: s1 * (s1 - 1), Condition.COND3: s1 * s1 + 1}
+            root = math.isqrt(s1)
+            if root * root == s1:
+                expected[Condition.COND1_PLUS] = s1 * (root + 1) ** 2
+                expected[Condition.COND1_MINUS] = s1 * (root - 1) ** 2
+            assert condition_alphas(s1) == expected, s1
 
 
 class TestFlatProfile:

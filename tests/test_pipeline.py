@@ -1,11 +1,15 @@
 """Tests for the transition automaton, elimination walk, search and report."""
 
+import itertools
 import json
 import math
+import re
 
 import pytest
 
-from homgeom.localization import CaseLabel
+import homgeom.pipeline as pipeline
+from homgeom.localization import CASE_CONDITIONS, CaseLabel
+from homgeom.obstructions import catalog
 from homgeom.parameters import ParamSystem, condition_alphas, square_divisor
 from homgeom.pipeline import (
     EDGE_CASES,
@@ -80,6 +84,12 @@ class TestTransitionGraph:
             (3, 3): "f",
         }
 
+    def test_edge_cases_agree_with_case_conditions(self):
+        # The walk picks a case by (outer family, target family); obstruction
+        # values compute it from the case's own condition pair.
+        for case, (outer, inner) in CASE_CONDITIONS.items():
+            assert pipeline._edge_case(outer, inner.family) is case
+
     def test_with_restored(self):
         graph = standard_graph().with_restored((3, 3))
         assert (3, 3) in graph.allowed_pairs()
@@ -105,6 +115,26 @@ class TestLongestChain:
 
     def test_empty_forbidden_set_is_cyclic(self):
         assert longest_condition_chain(TransitionGraph(forbidden=frozenset())) == math.inf
+
+    @staticmethod
+    def brute_force_chain(graph):
+        """Longest simple path by enumerating vertex sequences; inf on a cycle."""
+        allowed = set(graph.allowed_pairs())
+        best = 0
+        for k in range(1, len(graph.nodes) + 1):
+            for seq in itertools.permutations(graph.nodes, k):
+                if all(edge in allowed for edge in zip(seq, seq[1:])):
+                    if (seq[-1], seq[0]) in allowed:  # closes a cycle (k = 1: a loop)
+                        return math.inf
+                    best = max(best, k - 1)
+        return best
+
+    def test_every_forbidden_set_matches_brute_force(self):
+        pairs = [(a, b) for a in (1, 2, 3) for b in (1, 2, 3)]
+        for mask in range(1 << len(pairs)):
+            forbidden = frozenset(p for i, p in enumerate(pairs) if mask >> i & 1)
+            graph = TransitionGraph(forbidden=forbidden)
+            assert longest_condition_chain(graph) == self.brute_force_chain(graph), forbidden
 
 
 class TestRequiredDimension:
@@ -300,6 +330,32 @@ class TestSearch:
             for alpha in range(1, 10**4 + 1):
                 sq = alpha * alpha
                 assert sq % s1 != 0 or sq >= s1
+
+    def test_case_instances_match_catalog_polynomials(self, monkeypatch):
+        # Every case instance the default search runs, through the walk's
+        # integer path, equals the case's catalog polynomial f evaluated at
+        # its argument, and that argument is a line size the walk visited
+        # (its square root for the b cases).
+        verdicts = []
+
+        def recording_eliminate(ps, **kwargs):
+            verdicts.append(eliminate(ps, **kwargs))
+            return verdicts[-1]
+
+        monkeypatch.setattr(pipeline, "eliminate", recording_eliminate)
+        counts = search(100, 10**4).checks[0].details["counts"]
+        assert len(verdicts) == counts["condition-eliminated"]
+        cat = catalog()
+        seen = set()
+        for v in verdicts:
+            sizes = {v.subject.s1} | {int(n) for n in re.findall(r"s1_hat=(\d+)", str(v.trace))}
+            for ci in v.case_instances:
+                seen.add(ci.case)
+                b_case = ci.case in (CaseLabel.B_PLUS, CaseLabel.B_MINUS)
+                assert (ci.argument**2 if b_case else ci.argument) in sizes, ci
+                f = cat[ci.case].f
+                assert ci.to_record()["obstructionValue"] == str(f.evaluate_int(ci.argument))
+        assert seen == set(cat)
 
     def test_enumeration_count(self):
         details = search(5, 50).checks[0].details
