@@ -19,7 +19,7 @@ from .parameters import (
     require_hypothesis_line_size,
     s2_from,
 )
-from .localization import CaseLabel, point_localize
+from .localization import CASE_MIN_ARG, CaseLabel, point_localize
 from .obstructions import catalog, certify_no_square, sieve, verify_identity
 from .geometries import (
     UnsupportedFieldError,
@@ -32,21 +32,13 @@ from .geometries import (
 from .pipeline import Report, Verdict, _jsonable, eliminate, required_dimension, search
 from .verify import check_threshold_grid, verify_all
 
-SIEVE_CASES = {
-    "c": CaseLabel.C,
-    "e": CaseLabel.E,
-    "f": CaseLabel.F,
-    "b+": CaseLabel.B_PLUS,
-    "b-": CaseLabel.B_MINUS,
-}
-
-
 def _print_json(payload) -> None:
     print(json.dumps(_jsonable(payload), indent=2))
 
 
 def _cmd_verify_all(args) -> int:
-    # Checked up front so that a bad size fails before any check runs.
+    # Checked up front so that a bad size or --json path fails before any
+    # check runs.
     for flag, value, least in (
         ("--sieve-limit", args.sieve_limit, 0),
         ("--s1-max", args.s1_max, 3),
@@ -54,6 +46,13 @@ def _cmd_verify_all(args) -> int:
     ):
         if value < least:
             print(f"invalid input: {flag} must be at least {least}", file=sys.stderr)
+            return 2
+    if args.json:
+        # Append mode tests the path without truncating an existing report.
+        try:
+            open(args.json, "a").close()
+        except OSError as exc:
+            print(f"invalid input: --json: {exc}", file=sys.stderr)
             return 2
     report = verify_all(
         sieve_limit=args.sieve_limit, s1_max=args.s1_max, alpha_max=args.alpha_max
@@ -153,7 +152,7 @@ def _cmd_identities(args) -> int:
 
 
 def _cmd_sieve(args) -> int:
-    obs = catalog()[SIEVE_CASES[args.case]]
+    obs = catalog()[CaseLabel(args.case)]
     if args.limit < 0:
         print("invalid input: limit must be nonnegative", file=sys.stderr)
         return 2
@@ -239,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_identities)
 
     p = sub.add_parser("sieve", help="brute-force square sieve for one case")
-    p.add_argument("--case", choices=sorted(SIEVE_CASES), required=True)
+    p.add_argument("--case", choices=sorted(c.value for c in CASE_MIN_ARG), required=True)
     p.add_argument("--limit", type=int, required=True)
     p.add_argument("--raw", action="store_true", help="stream found arguments, one per line")
     p.set_defaults(func=_cmd_sieve)

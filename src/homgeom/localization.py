@@ -1,22 +1,22 @@
-"""Point localization and the per-case square obstructions it produces.
+"""Point localization, the forbidden condition pairs, and the per-case
+square obstructions.
 
 Localizing a geometry at a point turns lines through the point into points
 of a smaller geometry whose line size is s1_hat = alpha + s1.  When an
 exceptional condition is hypothesized both before and after localization,
 the squareness requirement riding along with the outer condition becomes a
-concrete integer that must be a perfect square.  It is computed
-structurally, in one path for every case: the outer alpha, the localization
-step, the inner alpha_hat (both from parameters.condition_alpha) and the
-localized plane size s2_hat = s2_from(s1_hat, alpha_hat).  Of the six
-condition pairs, two (A and D) are impossible by an imported external fact;
-the remaining four are killed computationally, instance by instance,
-through that integer.
+concrete integer that must be a perfect square.  `FORBIDDEN_PAIRS` is the
+one record of which (outer condition, localized family) pairs are
+impossible and of the case that settles each.  The cases in `CASE_MIN_ARG`
+are computed here; the other two (A and D) are imported external facts.
 
-The same path runs unchanged over polynomials: evaluated at the
-indeterminate x it gives the obstruction polynomial f of each case, from
-which the obstructions module derives its whole catalog.  Each case's
-condition pair and hypothesis range are tabulated here; its known square
-arguments are derived from f.
+A computable case's integer comes from one path for every case: the outer
+alpha, the localization step, the inner alpha_hat (both from
+parameters.condition_alpha) and the localized plane size
+s2_hat = s2_from(s1_hat, alpha_hat).  The same path runs unchanged over
+polynomials: at the indeterminate x it gives each case's obstruction
+polynomial f, from which the obstructions module derives its whole catalog,
+known square arguments included.
 """
 
 from __future__ import annotations
@@ -29,10 +29,10 @@ from .parameters import Condition, condition_alpha, s2_from
 
 
 class CaseLabel(Enum):
-    """The six impossible condition pairs, with the sign split for case B.
+    """The cases that settle the impossible condition pairs.
 
-    A is the pair (1, 1), B the pair (1, 2) in its two sign variants,
-    C = (2, 2), D = (3, 1), E = (3, 2), F = (3, 3).
+    Which pair each settles is recorded in `FORBIDDEN_PAIRS`; case B splits
+    by the sign of the outer condition 1.
     """
 
     A = "a"
@@ -46,7 +46,7 @@ class CaseLabel(Enum):
     @property
     def provenance(self) -> str:
         """Whether this artifact verifies the case or imports it as a fact."""
-        return "external" if self in (CaseLabel.A, CaseLabel.D) else "internal"
+        return "internal" if self in CASE_MIN_ARG else "external"
 
 
 class ExternalCaseError(ValueError):
@@ -71,24 +71,28 @@ class CaseRangeError(ValueError):
         )
 
 
+# The six forbidden pairs: (outer condition, family hypothesized on its point
+# localization) -> the case that makes the pair impossible.  Condition 1
+# enters with both signs, so the table has eight rows.
+FORBIDDEN_PAIRS: dict[tuple[Condition, int], CaseLabel] = {
+    (Condition.COND1_PLUS, 1): CaseLabel.A,
+    (Condition.COND1_MINUS, 1): CaseLabel.A,
+    (Condition.COND1_PLUS, 2): CaseLabel.B_PLUS,
+    (Condition.COND1_MINUS, 2): CaseLabel.B_MINUS,
+    (Condition.COND2, 2): CaseLabel.C,
+    (Condition.COND3, 1): CaseLabel.D,
+    (Condition.COND3, 2): CaseLabel.E,
+    (Condition.COND3, 3): CaseLabel.F,
+}
+
 # Smallest argument at which each computable case's elimination is claimed.
-# Its keys, in this order, are the computable cases.
+# Its keys, in this order, are the computable cases; the rest are imported.
 CASE_MIN_ARG = {
     CaseLabel.C: 3,
     CaseLabel.E: 2,
     CaseLabel.F: 2,
     CaseLabel.B_PLUS: 2,
     CaseLabel.B_MINUS: 2,
-}
-
-# The condition pair behind each computable case: the outer system's
-# condition, then the one hypothesized on its point localization.
-CASE_CONDITIONS = {
-    CaseLabel.C: (Condition.COND2, Condition.COND2),
-    CaseLabel.E: (Condition.COND3, Condition.COND2),
-    CaseLabel.F: (Condition.COND3, Condition.COND3),
-    CaseLabel.B_PLUS: (Condition.COND1_PLUS, Condition.COND2),
-    CaseLabel.B_MINUS: (Condition.COND1_MINUS, Condition.COND2),
 }
 
 
@@ -106,7 +110,8 @@ def obstruction_value(case: CaseLabel, arg: int | UniPoly) -> int | UniPoly:
 
     The argument is the outer system's line size s1, or t = sqrt(s1) when
     the outer condition is condition 1 (the B variants), which presupposes
-    square s1.  With (outer, inner) = CASE_CONDITIONS[case], the path is:
+    square s1.  The case's row of FORBIDDEN_PAIRS gives the outer condition
+    and the localized family, whose condition is the inner one; the path is:
     alpha forced by outer at s1, the localization s1_hat, alpha_hat forced by
     inner at s1_hat, and s2_hat = s2_from(s1_hat, alpha_hat).  Under outer
     condition 2 the quantity is s2_hat itself; otherwise it is s3/s1 with
@@ -115,14 +120,16 @@ def obstruction_value(case: CaseLabel, arg: int | UniPoly) -> int | UniPoly:
     least 2) gives the integer for that instance and UniPoly.x() gives the
     case's obstruction polynomial f itself.
     """
-    if case in (CaseLabel.A, CaseLabel.D):
+    if case not in CASE_MIN_ARG:
         raise ExternalCaseError(
             f"case {case.value} is settled by an imported external fact; "
             "it has no computable obstruction here"
         )
     if isinstance(arg, int) and arg < 2:
         raise ValueError(f"case {case.value} obstruction needs argument >= 2, got {arg}")
-    outer, inner = CASE_CONDITIONS[case]
+    outer, target = next(pair for pair, c in FORBIDDEN_PAIRS.items() if c is case)
+    # Every computable case localizes into family 2 or 3, one condition each.
+    inner = next(c for c in Condition if c.family == target)
     s1 = arg * arg if outer.family == 1 else arg
     s1_hat = point_localize(s1, condition_alpha(outer, s1))
     s2_hat = s2_from(s1_hat, condition_alpha(inner, s1_hat))
@@ -178,12 +185,9 @@ def eliminate_case_instance(
     the known near-misses, for example case c at s1 = 2, come back as
     SurvivesSquareTest.
     """
-    if case in (CaseLabel.A, CaseLabel.D):
-        raise ExternalCaseError(
-            f"case {case.value} is settled by an imported external fact"
-        )
-    if enforce_range and arg < CASE_MIN_ARG[case]:
+    if enforce_range and case in CASE_MIN_ARG and arg < CASE_MIN_ARG[case]:
         raise CaseRangeError(case, arg)
+    # obstruction_value raises ExternalCaseError for an imported case.
     value = obstruction_value(case, arg)
     if is_perfect_square(value):
         return CaseInstanceVerdict(case, arg, value, False, root=isqrt_floor(value))

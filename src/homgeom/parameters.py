@@ -23,34 +23,28 @@ class Condition(Enum):
     """Exceptional parameter families surviving the growth-threshold analysis.
 
     Cond1Plus / Cond1Minus require s1 to be a perfect square and
-    alpha = s1*(sqrt(s1) +/- 1)^2; Cond2 is alpha = s1*(s1-1) with
-    alpha' = 0; Cond3 is alpha = s1^2 + 1 with alpha' = 1.  These four
-    equations are written once, in `condition_alpha`.
+    alpha = s1*(sqrt(s1) +/- 1)^2; Cond2 is alpha = s1*(s1-1); Cond3 is
+    alpha = s1^2 + 1.  These four equations are written once, in
+    `condition_alpha`.  Each member carries its family index (1, 2 or 3)
+    and the alpha' at which it lives (1 for Cond3, 0 for the others).
     ClassicalCompatible marks the projective-like (alpha = 0) and
-    affine-like (alpha = 1, alpha' = 0) shapes, and is advisory only.
+    affine-like (alpha = 1, alpha' = 0) shapes, and is advisory only; the
+    advisory tags have family 0 and alpha_prime None.
     """
 
-    COND1_PLUS = "Cond1Plus"
-    COND1_MINUS = "Cond1Minus"
-    COND2 = "Cond2"
-    COND3 = "Cond3"
-    CLASSICAL_COMPATIBLE = "ClassicalCompatible"
-    NONE_APPLIES = "NoneApplies"
+    COND1_PLUS = ("Cond1Plus", 1, 0)
+    COND1_MINUS = ("Cond1Minus", 1, 0)
+    COND2 = ("Cond2", 2, 0)
+    COND3 = ("Cond3", 3, 1)
+    CLASSICAL_COMPATIBLE = ("ClassicalCompatible", 0, None)
+    NONE_APPLIES = ("NoneApplies", 0, None)
 
-    @property
-    def family(self) -> int:
-        """The condition family index 1, 2 or 3 (0 for the advisory tags)."""
-        return _FAMILY[self]
-
-
-_FAMILY = {
-    Condition.COND1_PLUS: 1,
-    Condition.COND1_MINUS: 1,
-    Condition.COND2: 2,
-    Condition.COND3: 3,
-    Condition.CLASSICAL_COMPATIBLE: 0,
-    Condition.NONE_APPLIES: 0,
-}
+    def __new__(cls, value: str, family: int, alpha_prime: "int | None"):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.family = family
+        member.alpha_prime = alpha_prime
+        return member
 
 
 @dataclass(frozen=True)
@@ -200,7 +194,7 @@ def condition_alphas(s1: int) -> dict[Condition, int]:
 def classify_condition(ps: ParamSystem) -> frozenset[Condition]:
     """Tag every condition equation that (s1, alpha, alpha') satisfies.
 
-    Condition 3 lives in the alpha' = 1 regime, the others in alpha' = 0.
+    Each condition must also match its alpha' (`Condition.alpha_prime`).
     Per-flat squareness requirements (s_i square for i >= 3, and so on) are
     not checked here; they only become decidable after localization, where
     the relevant flat sizes are computable.
@@ -208,7 +202,7 @@ def classify_condition(ps: ParamSystem) -> frozenset[Condition]:
     tags = {
         cond
         for cond, alpha in condition_alphas(ps.s1).items()
-        if alpha == ps.alpha and ps.alpha_prime == (1 if cond is Condition.COND3 else 0)
+        if alpha == ps.alpha and ps.alpha_prime == cond.alpha_prime
     }
     if ps.alpha == 0 or (ps.alpha == 1 and ps.alpha_prime == 0):
         tags.add(Condition.CLASSICAL_COMPATIBLE)

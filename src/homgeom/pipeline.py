@@ -3,10 +3,12 @@
 The final argument has the shape of a path problem.  Each of the three
 exceptional condition families is a node; an ordered pair (i, j) means
 "family i holds in a geometry while family j holds in its point
-localization".  Six of the nine pairs are impossible (two by imported
-external facts, four by square obstructions computed per instance), and
-the surviving pairs admit no directed path of three transitions, which is
-what a high-dimensional counterexample would need for its chain of nested
+localization".  Six of the nine pairs are impossible; the automaton's
+forbidden edges and the case the walk consults for each are read off
+`localization.FORBIDDEN_PAIRS`.  Two cases are imported external facts and
+four are square obstructions computed per instance.  The surviving pairs
+admit no directed path of three transitions, which is what a
+high-dimensional counterexample would need for its chain of nested
 localizations at a point, a line and a plane.
 """
 
@@ -31,6 +33,8 @@ from .parameters import (
     square_divisor,
 )
 from .localization import (
+    CASE_MIN_ARG,
+    FORBIDDEN_PAIRS,
     CaseLabel,
     CaseInstanceVerdict,
     eliminate_case_instance,
@@ -39,18 +43,9 @@ from .localization import (
 
 # -- the automaton -----------------------------------------------------------
 
-# Which case settles each forbidden pair; (1, 2) splits by the sign of the
-# outer condition-1 instance.
-EDGE_CASES: dict[tuple[int, int], str] = {
-    (1, 1): "a",
-    (1, 2): "b",
-    (2, 2): "c",
-    (3, 1): "d",
-    (3, 2): "e",
-    (3, 3): "f",
-}
-
-STANDARD_FORBIDDEN: frozenset[tuple[int, int]] = frozenset(EDGE_CASES)
+STANDARD_FORBIDDEN: frozenset[tuple[int, int]] = frozenset(
+    (outer.family, target) for outer, target in FORBIDDEN_PAIRS
+)
 
 # The chain a counterexample needs: point inside line inside plane.
 LOCALIZATION_CHAIN_DEPTH = 3
@@ -82,7 +77,12 @@ class TransitionGraph:
         return TransitionGraph(self.nodes, self.forbidden - {pair})
 
     def forbidden_cases(self) -> dict[tuple[int, int], str]:
-        return {pair: EDGE_CASES[pair] for pair in sorted(self.forbidden)}
+        """Each forbidden pair's case letter; "b" stands for both sign variants."""
+        letters = {
+            (outer.family, target): case.value[0]
+            for (outer, target), case in FORBIDDEN_PAIRS.items()
+        }
+        return {pair: letters[pair] for pair in sorted(self.forbidden)}
 
 
 def standard_graph() -> TransitionGraph:
@@ -179,13 +179,6 @@ def normalize_disabled(cases) -> frozenset[CaseLabel]:
     return frozenset(out)
 
 
-def _edge_case(parent: Condition, target_family: int) -> CaseLabel:
-    letter = EDGE_CASES[(parent.family, target_family)]
-    if letter == "b":
-        return CaseLabel.B_PLUS if parent is Condition.COND1_PLUS else CaseLabel.B_MINUS
-    return CaseLabel(letter)
-
-
 class _Walk:
     """Depth-first exploration of every hypothesized condition chain."""
 
@@ -207,10 +200,10 @@ class _Walk:
             self.survivors.append(chain)
             return
         fam = cond.family
-        for target in (1, 2, 3):
+        for target in self.graph.nodes:
             pair = (fam, target)
             if self.graph.is_forbidden(pair):
-                case = _edge_case(cond, target)
+                case = FORBIDDEN_PAIRS[cond, target]
                 if case in self.disabled:
                     self.trace.append(
                         f"{pad}pair {pair} forbidden by case {case.value}, but that case "
@@ -218,7 +211,7 @@ class _Walk:
                     )
                     self.survivors.append(f"{chain} -> blocked case {case.value} disabled")
                     continue
-                if case in (CaseLabel.A, CaseLabel.D):
+                if case not in CASE_MIN_ARG:
                     self.trace.append(
                         f"{pad}pair {pair} impossible by imported fact "
                         f"(case {case.value}, external provenance); branch eliminated"
@@ -420,7 +413,6 @@ def search(
     alpha_max: int,
     *,
     dim: int | None = None,
-    graph: TransitionGraph | None = None,
     disabled_cases: frozenset[CaseLabel] = frozenset(),
 ) -> Report:
     """Classify-or-eliminate every parameter system of the grid, counting per s1.
@@ -448,7 +440,6 @@ def search(
         raise ValueError("alpha_max must be nonnegative")
     dim = required_dimension() if dim is None else dim
     _check_dimension(dim)
-    graph = graph or standard_graph()
     counts = {
         "classical": 0,
         "integrality": 0,
@@ -463,7 +454,7 @@ def search(
         if alpha_max >= 1:
             integral += (alpha_max - 1) // s1 + 1
         conditions = sorted(
-            (alpha, 1 if cond is Condition.COND3 else 0)
+            (alpha, cond.alpha_prime)
             for cond, alpha in condition_alphas(s1).items()
             if alpha <= alpha_max
         )
@@ -477,7 +468,7 @@ def search(
         # Reports list survivors in (s1, alpha, alpha') order.
         for alpha, alpha_prime in conditions:
             ps = ParamSystem(s1, alpha, alpha_prime, dim)
-            verdict = eliminate(ps, graph=graph, disabled_cases=disabled_cases)
+            verdict = eliminate(ps, disabled_cases=disabled_cases)
             if verdict.verdict is Verdict.SURVIVES_SQUARE_TEST:
                 survivors.append(verdict.to_record())
             else:

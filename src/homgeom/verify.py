@@ -40,6 +40,7 @@ from .geometries import (
 from .pipeline import (
     ALPHA_ROUTE_MAX_R,
     BETA_ROUTE_MAX_R,
+    LOCALIZATION_CHAIN_DEPTH,
     Report,
     exceptional_min_dim,
     longest_condition_chain,
@@ -159,7 +160,8 @@ def _check_automaton(report: Report) -> None:
         mutated = longest_condition_chain(graph.with_restored(pair))
         mutations[str(pair)] = "cycle" if mutated == float("inf") else mutated
     sensitive = all(
-        m == "cycle" or (isinstance(m, int) and m >= 3) for m in mutations.values()
+        m == "cycle" or (isinstance(m, int) and m >= LOCALIZATION_CHAIN_DEPTH)
+        for m in mutations.values()
     )
     ok = longest == 2 and sensitive
     report.add(
@@ -167,7 +169,7 @@ def _check_automaton(report: Report) -> None:
         "pass" if ok else "fail",
         details={
             "longestAllowedChain": longest,
-            "requiredTransitions": 3,
+            "requiredTransitions": LOCALIZATION_CHAIN_DEPTH,
             "forbiddenEdges": {str(k): v for k, v in graph.forbidden_cases().items()},
             "singleEdgeRestorations": mutations,
         },

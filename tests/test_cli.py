@@ -1,12 +1,15 @@
 """CLI behavior: output shape and exit codes."""
 
 import json
+import re
 
 import pytest
 
+import homgeom.cli
 import homgeom.verify
 from homgeom.cli import main
 from homgeom.obstructions import catalog, sieve
+from homgeom.pipeline import Report
 
 
 def run(capsys, *argv):
@@ -43,6 +46,23 @@ class TestSieve:
         assert code == 0
         payload = json.loads(out)
         assert payload["found"] == payload["expected"] == expected
+
+    def test_case_choices_are_the_catalog_cases(self, capsys):
+        for label in catalog():
+            code, out, _ = run(capsys, "sieve", "--case", label.value, "--limit", "10")
+            assert code == 0
+            assert json.loads(out)["case"] == label.value
+        with pytest.raises(SystemExit):
+            run(capsys, "sieve", "--help")
+        choices = re.search(r"--case \{(.*?)\}", capsys.readouterr().out).group(1)
+        assert choices.split(",") == sorted(label.value for label in catalog())
+
+    def test_imported_case_rejected(self, capsys):
+        # Case a is an imported fact with no obstruction to sieve.
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "sieve", "--case", "a", "--limit", "10")
+        assert exc.value.code == 2
+        assert "invalid choice: 'a'" in capsys.readouterr().err
 
     def test_negative_limit(self, capsys):
         code, _, err = run(capsys, "sieve", "--case", "c", "--limit", "-1")
@@ -335,6 +355,36 @@ class TestVerifyAll:
         assert code == 1
         assert check["status"] == "fail"
         assert check["details"]["cases"]["c"]["found"] == left
+
+    @pytest.mark.parametrize("target", ["missing/report.json", "."])
+    def test_unwritable_json_rejected_before_any_check(
+        self, capsys, tmp_path, monkeypatch, target
+    ):
+        # A path under a missing directory, or a directory itself, cannot take
+        # the report; that is invalid input, found before the checks run.
+        monkeypatch.setattr(homgeom.cli, "verify_all", lambda **_: pytest.fail("checks ran"))
+        code, out, err = run(capsys, "verify-all", "--json", str(tmp_path / target))
+        assert code == 2
+        assert err.startswith("invalid input: --json")
+        assert out == ""
+        assert not (tmp_path / "missing").exists()
+
+    def test_json_check_leaves_an_existing_report_until_the_run_ends(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "report.json"
+        path.write_text("old")
+        seen = []
+
+        def fake_verify_all(**_):
+            seen.append(path.read_text())
+            return Report()
+
+        monkeypatch.setattr(homgeom.cli, "verify_all", fake_verify_all)
+        code, _, _ = run(capsys, "verify-all", "--json", str(path))
+        assert code == 0
+        assert seen == ["old"]
+        assert json.loads(path.read_text())["overallStatus"] == "pass"
 
     @pytest.mark.parametrize(
         "flag, value",

@@ -165,12 +165,15 @@ class TestObstructionValues:
                 except error:
                     fired += 1
 
-            # localization: under the pair (Cond1Plus, Cond3), which no case
-            # has, s3 = 1 + (s1 - 1)*s2_hat is 1 mod s1, so the exact division
-            # fails at t = 2 and for polynomials at x.
-            loc.CASE_CONDITIONS[CaseLabel.B_PLUS] = (Condition.COND1_PLUS, Condition.COND3)
+            # localization: with B+'s row moved to the pair (Cond1Plus, 3),
+            # which no case has, s3 = 1 + (s1 - 1)*s2_hat is 1 mod s1, so the
+            # exact division fails at t = 2 and for polynomials at x.
+            del loc.FORBIDDEN_PAIRS[Condition.COND1_PLUS, 2]
+            loc.FORBIDDEN_PAIRS[Condition.COND1_PLUS, 3] = CaseLabel.B_PLUS
             for t in (2, UniPoly.x()):
                 fires(lambda: loc.obstruction_value(CaseLabel.B_PLUS, t))
+            del loc.FORBIDDEN_PAIRS[Condition.COND1_PLUS, 3]
+            loc.FORBIDDEN_PAIRS[Condition.COND1_PLUS, 2] = CaseLabel.B_PLUS
             # geometries: a parent profile whose s_2 - 1 is not divisible by
             # s_1 - 1, then one that predicts the wrong number of lines.
             fano = geo.build_projective(2, 2)

@@ -12,6 +12,7 @@ from homgeom.parameters import (
     ModelScopeError,
     ParamSystem,
     classify_condition,
+    condition_alpha,
     condition_alphas,
     integrality_alpha0,
     integrality_alpha1,
@@ -126,6 +127,22 @@ class TestClassify:
         assert Condition.COND1_PLUS not in condition_alphas(5)
         tags = classify_condition(ParamSystem(5, 5 * (1 + 1) ** 2, 0))
         assert Condition.COND1_PLUS not in tags
+
+    def test_each_condition_holds_only_at_its_alpha_prime(self):
+        for cond in Condition:
+            if not cond.family:
+                continue
+            for s1 in range(3, 201):
+                if cond.family == 1 and not is_perfect_square(s1):
+                    continue
+                alpha = condition_alpha(cond, s1)
+                assert cond in classify_condition(ParamSystem(s1, alpha, cond.alpha_prime))
+                other = 1 - cond.alpha_prime
+                assert cond not in classify_condition(ParamSystem(s1, alpha, other))
+
+    def test_advisory_tags_carry_no_family(self):
+        for cond in (Condition.CLASSICAL_COMPATIBLE, Condition.NONE_APPLIES):
+            assert (cond.family, cond.alpha_prime) == (0, None)
 
     def test_cond3_needs_alpha_prime_one(self):
         assert classify_condition(ParamSystem(3, 10, 0)) == {Condition.NONE_APPLIES}

@@ -8,11 +8,10 @@ import re
 import pytest
 
 import homgeom.pipeline as pipeline
-from homgeom.localization import CASE_CONDITIONS, CaseLabel
+from homgeom.localization import CASE_MIN_ARG, FORBIDDEN_PAIRS, CaseLabel
 from homgeom.obstructions import catalog
-from homgeom.parameters import ParamSystem, condition_alphas, square_divisor
+from homgeom.parameters import Condition, ParamSystem, condition_alphas, square_divisor
 from homgeom.pipeline import (
-    EDGE_CASES,
     STANDARD_FORBIDDEN,
     Report,
     TransitionGraph,
@@ -84,11 +83,34 @@ class TestTransitionGraph:
             (3, 3): "f",
         }
 
-    def test_edge_cases_agree_with_case_conditions(self):
-        # The walk picks a case by (outer family, target family); obstruction
-        # values compute it from the case's own condition pair.
-        for case, (outer, inner) in CASE_CONDITIONS.items():
-            assert pipeline._edge_case(outer, inner.family) is case
+    def test_forbidden_pairs_table(self):
+        # Eight rows: the six family pairs, with (1, 1) and (1, 2) split by the
+        # sign of the outer condition 1.  Each computable case owns one row.
+        assert FORBIDDEN_PAIRS == {
+            (Condition.COND1_PLUS, 1): CaseLabel.A,
+            (Condition.COND1_MINUS, 1): CaseLabel.A,
+            (Condition.COND1_PLUS, 2): CaseLabel.B_PLUS,
+            (Condition.COND1_MINUS, 2): CaseLabel.B_MINUS,
+            (Condition.COND2, 2): CaseLabel.C,
+            (Condition.COND3, 1): CaseLabel.D,
+            (Condition.COND3, 2): CaseLabel.E,
+            (Condition.COND3, 3): CaseLabel.F,
+        }
+        assert {(o.family, t) for o, t in FORBIDDEN_PAIRS} == STANDARD_FORBIDDEN
+        computable = [c for c in FORBIDDEN_PAIRS.values() if c in CASE_MIN_ARG]
+        assert sorted(computable, key=list(CASE_MIN_ARG).index) == list(CASE_MIN_ARG)
+
+    def test_walk_settles_each_pair_with_its_table_case(self):
+        # Disabling one case makes the walk name that case, at its own pair,
+        # for a start condition of the table row.
+        for (outer, target), case in FORBIDDEN_PAIRS.items():
+            s1 = 4 if outer.family == 1 else 3
+            ps = ParamSystem(s1, condition_alphas(s1)[outer], outer.alpha_prime, DIM)
+            verdict = eliminate(ps, disabled_cases=frozenset({case}))
+            assert any(
+                f"pair {(outer.family, target)} forbidden by case {case.value}," in line
+                for line in verdict.trace
+            ), (outer, target)
 
     def test_with_restored(self):
         graph = standard_graph().with_restored((3, 3))
