@@ -42,16 +42,23 @@ def theta_of(s1: int, alpha: int) -> int:
 
 def psi_of(s1: int, alpha: int) -> int:
     """psi = -theta - s1*(s1-1)*D, the value forced by the product identity."""
-    d = discriminant_shift(s1, alpha)
-    return -theta_of(s1, alpha) - s1 * (s1 - 1) * d
+    return _psi(s1, theta_of(s1, alpha), discriminant_shift(s1, alpha))
 
 
-def _alpha_cap_terms(s1: int, alpha: int) -> tuple[int, int]:
-    """Numerator and positive denominator of alpha_route_cap, unreduced."""
+def _psi(s1: int, theta: int, d: int) -> int:
+    """psi_of's formula, for a caller that already holds theta and D."""
+    return -theta - s1 * (s1 - 1) * d
+
+
+def _alpha_cap_terms(s1: int, alpha: int, phi: int) -> tuple[int, int]:
+    """Numerator and positive denominator of alpha_route_cap, unreduced.
+
+    phi is phi_of(s1, alpha), which the sweep has already computed.
+    """
     if alpha <= 0:
         raise ValueError("the alpha-route cap needs alpha >= 1")
-    theta, phi, psi = theta_of(s1, alpha), phi_of(s1, alpha), psi_of(s1, alpha)
-    core = theta * phi - 4 * alpha * s1 * psi
+    theta = theta_of(s1, alpha)
+    core = theta * phi - 4 * alpha * s1 * _psi(s1, theta, discriminant_shift(s1, alpha))
     return phi * phi * core * core - phi, 4 * alpha * s1
 
 
@@ -61,7 +68,7 @@ def alpha_route_cap(s1: int, alpha: int) -> Fraction:
     Applies in the alpha' = 0 regime; alpha = 0 has no cap (the division
     degenerates) and is rejected.
     """
-    return Fraction(*_alpha_cap_terms(s1, alpha))
+    return Fraction(*_alpha_cap_terms(s1, alpha, phi_of(s1, alpha)))
 
 
 def _beta_cap_terms(s1: int, beta: int) -> tuple[int, int]:
@@ -179,13 +186,12 @@ def alpha_route_sweep(s1_max: int = 50, alpha_max: int = 2500) -> SweepResult:
             s2 = s2_from(s1, alpha)
             if not s2 - s1 >= alpha + u:
                 steps_ok = False
-            num, den = _alpha_cap_terms(s1, alpha)
+            num, den = _alpha_cap_terms(s1, alpha, phi)
             if _may_exceed(s1, s2, num, den, max_r):
                 r = _first_r_over(s1, s2, num, den)
                 if r > max_r:
                     max_r = r
-                    cap = alpha_route_cap(s1, alpha)
-                    worst = ThresholdReport(s1, alpha, cap, r, "alpha-route")
+                    worst = ThresholdReport(s1, alpha, Fraction(num, den), r, "alpha-route")
     return SweepResult("alpha-route", checked, max_r, worst, steps_ok)
 
 

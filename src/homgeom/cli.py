@@ -7,9 +7,12 @@ input or a certificate gap.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import sys
+import types
 
+from .exact_arith import _jsonable
 from .parameters import (
     Condition,
     ModelScopeError,
@@ -20,7 +23,6 @@ from .parameters import (
     s2_from,
 )
 from .localization import CASE_MIN_ARG, CaseLabel, point_localize
-from .obstructions import catalog, certify_no_square, sieve, verify_identity
 from .geometries import (
     UnsupportedFieldError,
     alpha_from_profile,
@@ -29,8 +31,35 @@ from .geometries import (
     flat_profile,
     localize_at_point,
 )
-from .pipeline import Report, Verdict, _jsonable, eliminate, required_dimension, search
-from .verify import check_threshold_grid, verify_all
+
+
+def _lazy(name: str) -> types.ModuleType:
+    """The module homgeom.<name>, whose code runs on its first attribute access.
+
+    This is importlib's LazyLoader recipe: the module object goes into
+    sys.modules and onto the package at once, so a command that never
+    touches the module never executes it.
+    """
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# No command calls bounds directly; registering it too puts every module of
+# the package in sys.modules once the CLI is imported, where tools that wrap
+# functions by module name (perfbench/tracer.py) find them.
+_lazy("bounds")
+obstructions = _lazy("obstructions")
+pipeline = _lazy("pipeline")
+verify = _lazy("verify")
+
 
 def _print_json(payload) -> None:
     print(json.dumps(_jsonable(payload), indent=2))
@@ -54,7 +83,7 @@ def _cmd_verify_all(args) -> int:
         except OSError as exc:
             print(f"invalid input: --json: {exc}", file=sys.stderr)
             return 2
-    report = verify_all(
+    report = verify.verify_all(
         sieve_limit=args.sieve_limit, s1_max=args.s1_max, alpha_max=args.alpha_max
     )
     for check in report.checks:
@@ -69,21 +98,22 @@ def _cmd_verify_all(args) -> int:
 
 def _cmd_check_params(args) -> int:
     try:
-        ps = ParamSystem(args.s1, args.alpha, args.alpha_prime, args.dim)
-        verdict = eliminate(ps)
+        dim = pipeline.required_dimension() if args.dim is None else args.dim
+        ps = ParamSystem(args.s1, args.alpha, args.alpha_prime, dim)
+        verdict = pipeline.eliminate(ps)
     except ModelScopeError as exc:
-        _print_json({"verdict": Verdict.OUT_OF_MODELED_SCOPE.value, "error": str(exc)})
+        _print_json({"verdict": pipeline.Verdict.OUT_OF_MODELED_SCOPE.value, "error": str(exc)})
         return 2
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
     _print_json(verdict.to_record())
-    return 1 if verdict.verdict is Verdict.SURVIVES_SQUARE_TEST else 0
+    return 1 if verdict.verdict is pipeline.Verdict.SURVIVES_SQUARE_TEST else 0
 
 
 def _cmd_localize(args) -> int:
     try:
-        ps = ParamSystem(args.s1, args.alpha, args.alpha_prime, dim=required_dimension())
+        ps = ParamSystem(args.s1, args.alpha, args.alpha_prime, dim=pipeline.required_dimension())
         require_hypothesis_line_size(ps.s1, "s1")
     except (ModelScopeError, ValueError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
@@ -113,7 +143,7 @@ def _cmd_localize(args) -> int:
 
 def _cmd_search(args) -> int:
     try:
-        report = search(args.s1_max, args.alpha_max)
+        report = pipeline.search(args.s1_max, args.alpha_max)
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
@@ -127,18 +157,18 @@ def _cmd_thresholds(args) -> int:
         if value < 3:
             print(f"invalid input: {flag} must be at least 3", file=sys.stderr)
             return 2
-    report = Report()
+    report = pipeline.Report()
     for route in ("alpha", "beta"):
-        check_threshold_grid(report, route, args.s1_max, args.driver_max)
+        verify.check_threshold_grid(report, route, args.s1_max, args.driver_max)
     _print_json({c.name: {"status": c.status, **c.details} for c in report.checks})
     return report.exit_code()
 
 
 def _cmd_identities(args) -> int:
     worst = 0
-    for label, obs in catalog().items():
-        identity_ok = verify_identity(obs)
-        cert = certify_no_square(obs)
+    for label, obs in obstructions.catalog().items():
+        identity_ok = obstructions.verify_identity(obs)
+        cert = obstructions.certify_no_square(obs)
         status = "ok" if identity_ok and cert.proved else ("gap" if identity_ok else "FAIL")
         print(
             f"case {label.value}: f = g^2 - h {'holds' if identity_ok else 'FAILS'}; "
@@ -152,11 +182,11 @@ def _cmd_identities(args) -> int:
 
 
 def _cmd_sieve(args) -> int:
-    obs = catalog()[CaseLabel(args.case)]
+    obs = obstructions.catalog()[CaseLabel(args.case)]
     if args.limit < 0:
         print("invalid input: limit must be nonnegative", file=sys.stderr)
         return 2
-    found = sieve(obs, args.limit)
+    found = obstructions.sieve(obs, args.limit)
     survivors = [t for t in found if t >= obs.t_min]
     if args.raw:
         for t in found:
@@ -215,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s1", type=int, required=True)
     p.add_argument("--alpha", type=int, required=True)
     p.add_argument("--alpha-prime", type=int, default=0)
-    p.add_argument("--dim", type=int, default=required_dimension())
+    p.add_argument("--dim", type=int)
     p.set_defaults(func=_cmd_check_params)
 
     p = sub.add_parser("localize", help="point-localization data for a parameter system")

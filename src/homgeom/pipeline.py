@@ -18,10 +18,9 @@ import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
-from fractions import Fraction
 
 from . import __version__
-from .exact_arith import exact_sqrt
+from .exact_arith import _jsonable, exact_sqrt
 from .parameters import (
     Condition,
     ParamSystem,
@@ -76,8 +75,23 @@ class TransitionGraph:
             raise ValueError(f"{pair} is not a forbidden edge")
         return TransitionGraph(self.nodes, self.forbidden - {pair})
 
+    def require_cases(self) -> None:
+        """Raise ValueError unless a case settles every forbidden pair.
+
+        Construction accepts any forbidden set, so that every set's longest
+        chain can be computed; the walk and forbidden_cases need each
+        forbidden pair to have a row in FORBIDDEN_PAIRS.
+        """
+        unsettled = sorted(self.forbidden - STANDARD_FORBIDDEN)
+        if unsettled:
+            raise ValueError(
+                f"no case settles the forbidden pair(s) {unsettled}: "
+                "FORBIDDEN_PAIRS has no row for them"
+            )
+
     def forbidden_cases(self) -> dict[tuple[int, int], str]:
         """Each forbidden pair's case letter; "b" stands for both sign variants."""
+        self.require_cases()
         letters = {
             (outer.family, target): case.value[0]
             for (outer, target), case in FORBIDDEN_PAIRS.items()
@@ -279,6 +293,7 @@ def eliminate(
     require_hypothesis_line_size(ps.s1, "s1")
     _check_dimension(ps.dim)
     graph = graph or standard_graph()
+    graph.require_cases()
     tags = classify_condition(ps)
     if Condition.CLASSICAL_COMPATIBLE in tags:
         shape = "projective-like (alpha=0)" if ps.alpha == 0 else "affine-like (alpha=1)"
@@ -377,32 +392,6 @@ class Report:
                 ],
             }
         )
-
-
-def _jsonable(obj):
-    """JSON-friendly form with every integer as a decimal string.
-
-    Consumers of the report must not lose precision on the big integers, so
-    ints are serialized as strings throughout.
-    """
-    if isinstance(obj, bool) or obj is None or isinstance(obj, str):
-        return obj
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return obj
-    if isinstance(obj, Fraction):
-        return f"{obj.numerator}/{obj.denominator}"
-    if isinstance(obj, Enum):
-        return obj.value
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        items = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
-        return [_jsonable(v) for v in items]
-    if hasattr(obj, "to_record"):
-        return _jsonable(obj.to_record())
-    raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
 # -- the exhaustive search -----------------------------------------------------

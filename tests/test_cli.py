@@ -1,15 +1,25 @@
 """CLI behavior: output shape and exit codes."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
 import homgeom.cli
 import homgeom.verify
-from homgeom.cli import main
+from homgeom.cli import build_parser, main
 from homgeom.obstructions import catalog, sieve
-from homgeom.pipeline import Report
+from homgeom.pipeline import Report, required_dimension
+
+PERFBENCH = Path(__file__).parents[1] / "perfbench"
+SUBCOMMANDS = sorted(
+    next(a.choices for a in build_parser()._actions if isinstance(a.choices, dict))
+)
 
 
 def run(capsys, *argv):
@@ -94,6 +104,11 @@ class TestCheckParams:
         code, _, err = run(capsys, "check-params", "--s1", "2", "--alpha", "0")
         assert code == 2
         assert "invalid input" in err
+
+    def test_dim_defaults_to_the_required_dimension(self, capsys):
+        code, out, _ = run(capsys, "check-params", "--s1", "3", "--alpha", "6")
+        assert code == 0
+        assert json.loads(out)["subject"]["dim"] == str(required_dimension())
 
     def test_dim_too_small(self, capsys):
         code, _, err = run(
@@ -362,7 +377,7 @@ class TestVerifyAll:
     ):
         # A path under a missing directory, or a directory itself, cannot take
         # the report; that is invalid input, found before the checks run.
-        monkeypatch.setattr(homgeom.cli, "verify_all", lambda **_: pytest.fail("checks ran"))
+        monkeypatch.setattr(homgeom.verify, "verify_all", lambda **_: pytest.fail("checks ran"))
         code, out, err = run(capsys, "verify-all", "--json", str(tmp_path / target))
         assert code == 2
         assert err.startswith("invalid input: --json")
@@ -380,7 +395,7 @@ class TestVerifyAll:
             seen.append(path.read_text())
             return Report()
 
-        monkeypatch.setattr(homgeom.cli, "verify_all", fake_verify_all)
+        monkeypatch.setattr(homgeom.verify, "verify_all", fake_verify_all)
         code, _, _ = run(capsys, "verify-all", "--json", str(path))
         assert code == 0
         assert seen == ["old"]
@@ -395,3 +410,58 @@ class TestVerifyAll:
         assert code == 2
         assert err.startswith(f"invalid input: {flag}")
         assert out == ""
+
+
+def fresh_interpreter(*args: str) -> subprocess.CompletedProcess:
+    """Run python with these arguments in a new process that imports homgeom from src."""
+    env = {**os.environ, "PYTHONPATH": str(Path(homgeom.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, check=True
+    )
+
+
+class TestModuleLoading:
+    """What each command loads, each case in a fresh interpreter."""
+
+    def test_geometry_runs_no_verify_pipeline_obstructions_or_bounds(self):
+        # A lazily registered module that was never touched is still a
+        # LazyLoader module object, not a plain module.
+        script = textwrap.dedent(
+            """
+            import json, sys, types
+            import homgeom.cli
+            code = homgeom.cli.main(["geometry", "--type", "ag", "--n", "2", "--q", "3", "--localize"])
+            executed = [
+                name
+                for name in ("verify", "pipeline", "obstructions", "bounds")
+                if type(sys.modules.get("homgeom." + name)) is types.ModuleType
+            ]
+            print(json.dumps({"code": code, "executed": executed}))
+            """
+        )
+        *geometry, last = fresh_interpreter("-c", script).stdout.splitlines()
+        assert json.loads(last) == {"code": 0, "executed": []}
+        assert json.loads("\n".join(geometry))["profile"] == ["1", "3", "9"]
+
+    def test_cli_import_registers_every_traced_module(self):
+        # perfbench/tracer.py looks its targets up in sys.modules right after
+        # importing homgeom.cli, and wraps them there.
+        script = textwrap.dedent(
+            f"""
+            import json, sys
+            sys.path.insert(0, {str(PERFBENCH)!r})
+            import tracer
+            import homgeom.cli
+            absent = sorted({{m for m, _ in tracer.TARGETS.values()}} - set(sys.modules))
+            t = tracer.Tracer()
+            t.install()
+            print(json.dumps({{"absent": absent, "missing": t.missing}}))
+            """
+        )
+        last = fresh_interpreter("-c", script).stdout.splitlines()[-1]
+        assert json.loads(last) == {"absent": [], "missing": []}
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_help_exits_zero(self, command):
+        out = fresh_interpreter("-m", "homgeom.cli", command, "--help").stdout
+        assert out.startswith(f"usage: homgeom {command}")

@@ -8,6 +8,7 @@ import re
 import pytest
 
 import homgeom.pipeline as pipeline
+from homgeom.exact_arith import _jsonable
 from homgeom.localization import CASE_MIN_ARG, FORBIDDEN_PAIRS, CaseLabel
 from homgeom.obstructions import catalog
 from homgeom.parameters import Condition, ParamSystem, condition_alphas, square_divisor
@@ -16,7 +17,6 @@ from homgeom.pipeline import (
     Report,
     TransitionGraph,
     Verdict,
-    _jsonable,
     eliminate,
     exceptional_min_dim,
     longest_condition_chain,
@@ -111,6 +111,19 @@ class TestTransitionGraph:
                 f"pair {(outer.family, target)} forbidden by case {case.value}," in line
                 for line in verdict.trace
             ), (outer, target)
+
+    @pytest.mark.parametrize("pair", [(2, 1), (1, 3), (2, 3)])
+    def test_forbidden_pair_without_a_case_rejected(self, pair):
+        # Any forbidden set can be built, but only a pair with a table row can
+        # be walked or named; the others are a ValueError naming the pair.
+        graph = TransitionGraph(forbidden=STANDARD_FORBIDDEN | {pair})
+        message = re.escape(f"no case settles the forbidden pair(s) [{pair}]")
+        with pytest.raises(ValueError, match=message):
+            graph.forbidden_cases()
+        with pytest.raises(ValueError, match=message):
+            eliminate(ParamSystem(3, 6, 0, DIM), graph=graph)
+        # A subset of the standard pairs stays walkable.
+        eliminate(ParamSystem(3, 6, 0, DIM), graph=standard_graph().with_restored((3, 3)))
 
     def test_with_restored(self):
         graph = standard_graph().with_restored((3, 3))
