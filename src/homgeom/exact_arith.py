@@ -23,16 +23,6 @@ Scalar = Union[int, Fraction]
 NEG_INF = float("-inf")
 
 
-def isqrt_floor(n: int) -> int:
-    """Largest r with r*r <= n.
-
-    Raises ValueError for negative input.
-    """
-    if n < 0:
-        raise ValueError(f"isqrt_floor is undefined for negative input {n}")
-    return math.isqrt(n)
-
-
 def is_perfect_square(n: int) -> bool:
     """True iff n is the square of a nonnegative integer."""
     if n < 0:
@@ -43,11 +33,12 @@ def is_perfect_square(n: int) -> bool:
 
 def exact_sqrt(n: "int | UniPoly") -> "int | UniPoly":
     """The r >= 0 with r*r == n, for an int or a UniPoly (leading coefficient
-    positive); raises ValueError when n is not a perfect square."""
+    positive); raises ValueError when n is not a perfect square (math.isqrt
+    raises it for a negative int)."""
     if isinstance(n, UniPoly):
         r = n.sqrt_part()
     else:
-        r = isqrt_floor(n)
+        r = math.isqrt(n)
     if r * r != n:
         raise ValueError(f"{n} is not a perfect square")
     return r

@@ -318,13 +318,14 @@ def alpha_from_profile(profile: FlatProfile) -> int:
     return num // (s1 - 1)
 
 
-def check_closure_axioms(g, *, samples: int = 200, seed: int = 0) -> dict[str, bool]:
+def check_closure_axioms(g, *, samples: int = 200) -> dict[str, bool]:
     """Test the closure axioms and exchange on a family of subsets.
 
     The family is every subset of size <= 2 plus `samples` random larger
-    ones.  Exchange is the expensive test, so it runs on a capped subfamily.
+    ones, drawn from a fixed seed so that the result is deterministic.
+    Exchange is the expensive test, so it runs on a capped subfamily.
     """
-    rng = random.Random(seed)
+    rng = random.Random(0)
     pts = list(g.points)
     subsets: list[tuple[Point, ...]] = [()]
     subsets += [(x,) for x in pts]

@@ -21,10 +21,11 @@ known square arguments included.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .exact_arith import UniPoly, isqrt_floor, is_perfect_square
+from .exact_arith import UniPoly, is_perfect_square
 from .parameters import Condition, condition_alpha, s2_from
 
 
@@ -190,5 +191,5 @@ def eliminate_case_instance(
     # obstruction_value raises ExternalCaseError for an imported case.
     value = obstruction_value(case, arg)
     if is_perfect_square(value):
-        return CaseInstanceVerdict(case, arg, value, False, root=isqrt_floor(value))
+        return CaseInstanceVerdict(case, arg, value, False, root=math.isqrt(value))
     return CaseInstanceVerdict(case, arg, value, True)

@@ -42,6 +42,9 @@ from .localization import (
 
 # -- the automaton -----------------------------------------------------------
 
+# The exceptional condition families, the automaton's nodes.
+FAMILIES: tuple[int, ...] = tuple(sorted({c.family for c in Condition if c.family}))
+
 STANDARD_FORBIDDEN: frozenset[tuple[int, int]] = frozenset(
     (outer.family, target) for outer, target in FORBIDDEN_PAIRS
 )
@@ -54,67 +57,17 @@ ALPHA_ROUTE_MAX_R = 19
 BETA_ROUTE_MAX_R = 16
 
 
-@dataclass(frozen=True)
-class TransitionGraph:
-    """Directed graph on the condition families with a forbidden-edge set."""
-
-    nodes: tuple[int, ...] = (1, 2, 3)
-    forbidden: frozenset[tuple[int, int]] = STANDARD_FORBIDDEN
-
-    def allowed_pairs(self) -> list[tuple[int, int]]:
-        return [
-            (a, b) for a in self.nodes for b in self.nodes if (a, b) not in self.forbidden
-        ]
-
-    def is_forbidden(self, pair: tuple[int, int]) -> bool:
-        return pair in self.forbidden
-
-    def with_restored(self, pair: tuple[int, int]) -> "TransitionGraph":
-        """The mutated graph with one forbidden edge moved to the allowed set."""
-        if pair not in self.forbidden:
-            raise ValueError(f"{pair} is not a forbidden edge")
-        return TransitionGraph(self.nodes, self.forbidden - {pair})
-
-    def require_cases(self) -> None:
-        """Raise ValueError unless a case settles every forbidden pair.
-
-        Construction accepts any forbidden set, so that every set's longest
-        chain can be computed; the walk and forbidden_cases need each
-        forbidden pair to have a row in FORBIDDEN_PAIRS.
-        """
-        unsettled = sorted(self.forbidden - STANDARD_FORBIDDEN)
-        if unsettled:
-            raise ValueError(
-                f"no case settles the forbidden pair(s) {unsettled}: "
-                "FORBIDDEN_PAIRS has no row for them"
-            )
-
-    def forbidden_cases(self) -> dict[tuple[int, int], str]:
-        """Each forbidden pair's case letter; "b" stands for both sign variants."""
-        self.require_cases()
-        letters = {
-            (outer.family, target): case.value[0]
-            for (outer, target), case in FORBIDDEN_PAIRS.items()
-        }
-        return {pair: letters[pair] for pair in sorted(self.forbidden)}
-
-
-def standard_graph() -> TransitionGraph:
-    return TransitionGraph()
-
-
-def longest_condition_chain(graph: TransitionGraph) -> "int | float":
-    """Length in edges of the longest simple directed path over allowed edges.
+def longest_condition_chain(forbidden: frozenset[tuple[int, int]]) -> "int | float":
+    """Length in edges of the longest simple directed path over the family
+    pairs not in `forbidden`.
 
     Returns math.inf when the allowed edges contain a cycle (a cycle allows
     chains of any length); one depth-first search finds both, since an edge
-    back onto the current path closes a cycle.  The standard graph has no
+    back onto the current path closes a cycle.  STANDARD_FORBIDDEN has no
     cycle and longest path 2, strictly below the 3 transitions a
     counterexample chain needs.
     """
-    adjacency: dict[int, list[int]] = {n: [] for n in graph.nodes}
-    for a, b in graph.allowed_pairs():
-        adjacency[a].append(b)
+    adjacency = {a: [b for b in FAMILIES if (a, b) not in forbidden] for a in FAMILIES}
 
     def longest_from(node: int, path: frozenset[int]) -> "int | float":
         best = 0
@@ -124,7 +77,7 @@ def longest_condition_chain(graph: TransitionGraph) -> "int | float":
             best = max(best, 1 + longest_from(nxt, path | {nxt}))
         return best
 
-    return max(longest_from(n, frozenset({n})) for n in graph.nodes)
+    return max(longest_from(n, frozenset({n})) for n in FAMILIES)
 
 
 def exceptional_min_dim(
@@ -180,24 +133,14 @@ class EliminationVerdict:
         }
 
 
-def normalize_disabled(cases) -> frozenset[CaseLabel]:
-    """Accept CaseLabels or letter strings; 'b' expands to both sign variants."""
-    out: set[CaseLabel] = set()
-    for c in cases:
-        if isinstance(c, CaseLabel):
-            out.add(c)
-        elif c == "b":
-            out.update({CaseLabel.B_PLUS, CaseLabel.B_MINUS})
-        else:
-            out.add(CaseLabel(c))
-    return frozenset(out)
-
-
 class _Walk:
-    """Depth-first exploration of every hypothesized condition chain."""
+    """Depth-first exploration of every hypothesized condition chain.
 
-    def __init__(self, graph: TransitionGraph, disabled: frozenset[CaseLabel]):
-        self.graph = graph
+    A pair (condition, family) is forbidden exactly when FORBIDDEN_PAIRS has
+    a row for it, and the row names the case that must settle it.
+    """
+
+    def __init__(self, disabled: frozenset[CaseLabel]):
         self.disabled = disabled
         self.trace: list[str] = []
         self.survivors: list[str] = []
@@ -214,10 +157,10 @@ class _Walk:
             self.survivors.append(chain)
             return
         fam = cond.family
-        for target in self.graph.nodes:
+        for target in FAMILIES:
             pair = (fam, target)
-            if self.graph.is_forbidden(pair):
-                case = FORBIDDEN_PAIRS[cond, target]
+            case = FORBIDDEN_PAIRS.get((cond, target))
+            if case is not None:
                 if case in self.disabled:
                     self.trace.append(
                         f"{pad}pair {pair} forbidden by case {case.value}, but that case "
@@ -269,18 +212,9 @@ class _Walk:
                 )
 
 
-def _check_dimension(dim: int) -> None:
-    if dim < required_dimension():
-        raise ValueError(
-            f"dim={dim} is below the threshold {required_dimension()} "
-            "where the chain argument applies"
-        )
-
-
 def eliminate(
     ps: ParamSystem,
     *,
-    graph: TransitionGraph | None = None,
     disabled_cases: frozenset[CaseLabel] = frozenset(),
 ) -> EliminationVerdict:
     """Classify-or-eliminate one parameter system.
@@ -291,9 +225,11 @@ def eliminate(
     alpha^2 >= s1 (alpha > 0) needs no rule: s1 | alpha^2 implies it.
     """
     require_hypothesis_line_size(ps.s1, "s1")
-    _check_dimension(ps.dim)
-    graph = graph or standard_graph()
-    graph.require_cases()
+    if ps.dim < required_dimension():
+        raise ValueError(
+            f"dim={ps.dim} is below the threshold {required_dimension()} "
+            "where the chain argument applies"
+        )
     tags = classify_condition(ps)
     if Condition.CLASSICAL_COMPATIBLE in tags:
         shape = "projective-like (alpha=0)" if ps.alpha == 0 else "affine-like (alpha=1)"
@@ -319,7 +255,7 @@ def eliminate(
             "system excluded by the growth-threshold analysis"
         )
         return EliminationVerdict(ps, Verdict.ELIMINATED, tuple(trace))
-    walk = _Walk(graph, disabled_cases)
+    walk = _Walk(disabled_cases)
     for cond in start_conditions:
         walk.run(cond, ps.s1, ps.alpha)
     trace.extend(walk.trace)
@@ -401,7 +337,6 @@ def search(
     s1_max: int,
     alpha_max: int,
     *,
-    dim: int | None = None,
     disabled_cases: frozenset[CaseLabel] = frozenset(),
 ) -> Report:
     """Classify-or-eliminate every parameter system of the grid, counting per s1.
@@ -427,8 +362,7 @@ def search(
     require_hypothesis_line_size(s1_max, "s1_max")
     if alpha_max < 0:
         raise ValueError("alpha_max must be nonnegative")
-    dim = required_dimension() if dim is None else dim
-    _check_dimension(dim)
+    dim = required_dimension()
     counts = {
         "classical": 0,
         "integrality": 0,

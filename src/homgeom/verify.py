@@ -20,7 +20,7 @@ from .bounds import (
     first_r_exceeding,
     spectral_identities,
 )
-from .localization import CaseLabel
+from .localization import FORBIDDEN_PAIRS, CaseLabel
 from .obstructions import (
     SquareObstruction,
     catalog,
@@ -41,12 +41,12 @@ from .pipeline import (
     ALPHA_ROUTE_MAX_R,
     BETA_ROUTE_MAX_R,
     LOCALIZATION_CHAIN_DEPTH,
+    STANDARD_FORBIDDEN,
     Report,
     exceptional_min_dim,
     longest_condition_chain,
     required_dimension,
     search,
-    standard_graph,
 )
 
 # The displayed factor pairs (A, 4h) for the three sextic cases, pinned as
@@ -153,24 +153,27 @@ def _check_spectral_identities(report: Report) -> None:
 
 
 def _check_automaton(report: Report) -> None:
-    graph = standard_graph()
-    longest = longest_condition_chain(graph)
+    longest = longest_condition_chain(STANDARD_FORBIDDEN)
     mutations = {}
-    for pair in sorted(graph.forbidden):
-        mutated = longest_condition_chain(graph.with_restored(pair))
+    for pair in sorted(STANDARD_FORBIDDEN):
+        mutated = longest_condition_chain(STANDARD_FORBIDDEN - {pair})
         mutations[str(pair)] = "cycle" if mutated == float("inf") else mutated
     sensitive = all(
         m == "cycle" or (isinstance(m, int) and m >= LOCALIZATION_CHAIN_DEPTH)
         for m in mutations.values()
     )
     ok = longest == 2 and sensitive
+    # Each forbidden pair's case letter; "b" stands for both sign variants.
+    letters = {
+        (outer.family, target): case.value[0] for (outer, target), case in FORBIDDEN_PAIRS.items()
+    }
     report.add(
         "condition-chain-automaton",
         "pass" if ok else "fail",
         details={
             "longestAllowedChain": longest,
             "requiredTransitions": LOCALIZATION_CHAIN_DEPTH,
-            "forbiddenEdges": {str(k): v for k, v in graph.forbidden_cases().items()},
+            "forbiddenEdges": {str(pair): letters[pair] for pair in sorted(letters)},
             "singleEdgeRestorations": mutations,
         },
     )

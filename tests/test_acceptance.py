@@ -23,10 +23,8 @@ from homgeom.pipeline import (
     STANDARD_FORBIDDEN,
     exceptional_min_dim,
     longest_condition_chain,
-    normalize_disabled,
     required_dimension,
     search,
-    standard_graph,
 )
 
 COMPUTABLE_CASES = (CaseLabel.C, CaseLabel.E, CaseLabel.F, CaseLabel.B_PLUS, CaseLabel.B_MINUS)
@@ -125,8 +123,8 @@ def test_criterion_5_spectral_identities():
 
 def test_criterion_6_automaton():
     with _Criterion(6, "automaton"):
-        assert longest_condition_chain(standard_graph()) == 2
-        assert longest_condition_chain(standard_graph()) < 3
+        assert longest_condition_chain(STANDARD_FORBIDDEN) == 2
+        assert longest_condition_chain(STANDARD_FORBIDDEN) < 3
         assert exceptional_min_dim() == max(19, 16) + 1 == 20
         assert required_dimension() == 20 + 3 == 23
         # Recomputed from constituents, not a constant.
@@ -150,7 +148,7 @@ def test_criterion_7_search_and_fault_injection():
                 assert (q, 1, 0) in witnesses, f"affine shape missing for q={q}"
         # Disabling any one case must surface at least one witnessed survivor.
         for case in ("a", "b+", "b-", "c", "d", "e", "f"):
-            injected = search(10, 200, disabled_cases=normalize_disabled([case]))
+            injected = search(10, 200, disabled_cases=frozenset({CaseLabel(case)}))
             assert injected.overall_status == "fail", case
             assert injected.checks[0].witness, case
 

@@ -13,7 +13,6 @@ from homgeom.exact_arith import (
     eventually_positive,
     exact_sqrt,
     is_perfect_square,
-    isqrt_floor,
 )
 
 
@@ -27,42 +26,6 @@ def isqrt_bisect(n: int) -> int:
         else:
             hi = mid - 1
     return lo
-
-
-class TestIsqrtFloor:
-    def test_exact_square(self):
-        assert isqrt_floor(49) == 7
-
-    def test_one_below_square(self):
-        assert isqrt_floor(48) == 6
-
-    def test_large_value_against_bisection_oracle(self):
-        assert isqrt_bisect(46801) == 216
-        assert isqrt_floor(46801) == 216
-        assert 216**2 <= 46801 < 217**2
-
-    def test_negative_raises(self):
-        with pytest.raises(ValueError):
-            isqrt_floor(-1)
-
-    def test_postcondition_exhaustive_small(self):
-        for n in range(10_000):
-            r = isqrt_floor(n)
-            assert r * r <= n < (r + 1) * (r + 1)
-
-    def test_postcondition_random_big(self):
-        rng = random.Random(7)
-        for _ in range(200):
-            n = rng.randrange(10**30, 10**40)
-            r = isqrt_floor(n)
-            assert r * r <= n < (r + 1) * (r + 1)
-
-    def test_monotone_on_initial_segment(self):
-        prev = 0
-        for n in range(1_000_001):
-            r = isqrt_floor(n)
-            assert r >= prev
-            prev = r
 
 
 class TestIsPerfectSquare:
@@ -98,6 +61,22 @@ class TestExactSqrt:
         for p in (x, UniPoly.constant(4), x * x + 1):
             with pytest.raises(ValueError):
                 exact_sqrt(p)
+
+    def test_negative_raises(self):
+        with pytest.raises(ValueError):
+            exact_sqrt(-1)
+
+    def test_large_value_against_bisection_oracle(self):
+        assert isqrt_bisect(46801) == 216
+        assert 216**2 < 46801 < 217**2
+        assert not is_perfect_square(46801)
+        with pytest.raises(ValueError):
+            exact_sqrt(46801)
+        rng = random.Random(7)
+        for _ in range(200):
+            r = isqrt_bisect(rng.randrange(10**30, 10**40))
+            assert exact_sqrt(r * r) == r
+            assert is_perfect_square(r * r) and not is_perfect_square(r * r + 1)
 
 
 class TestUniPoly:

@@ -154,7 +154,7 @@ class TestObstructionValues:
             from homgeom.exact_arith import UniPoly
             from homgeom.localization import CaseLabel
             from homgeom.parameters import Condition, FlatProfile
-            from homgeom.pipeline import _Walk, standard_graph
+            from homgeom.pipeline import _Walk
 
             fired = 0
 
@@ -182,7 +182,7 @@ class TestObstructionValues:
             # geometries: a closure input that is not a point of the geometry.
             fires(lambda: fano.closure(((2, 0, 0),)), error=ValueError)
             # pipeline: the condition-1 case b walk at a non-square line size.
-            walk = _Walk(standard_graph(), frozenset())
+            walk = _Walk(frozenset())
             fires(lambda: walk.run(Condition.COND1_PLUS, 5, 0), error=ValueError)
             print(fired)
             """

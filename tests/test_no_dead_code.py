@@ -5,6 +5,10 @@ as a name or attribute anywhere under src/homgeom is reachable only from
 tests or from the package exports.  Such code either carries a fact no
 check runs, or is a second copy of one; the guard fails on it unless it is
 listed below with its reason.
+
+The same holds for knobs: a keyword-only parameter whose name is passed as
+a keyword at no call under src/homgeom is set only by tests, so every
+branch it opens is one the package never takes.
 """
 
 import ast
@@ -19,7 +23,12 @@ ALLOWED = {
     "ParamSystem.from_record": "inverse of to_record, for consumers of the JSON report",
     "FlatProfile.truncate": "the rank-k truncation the ground truth is to cover",
     "UniPoly.degree": "the degree is part of the polynomial type's interface",
-    "normalize_disabled": "turns case letters into the fault-injection case set",
+}
+
+ALLOWED_KNOBS = {
+    "eliminate_case_instance.enforce_range": (
+        "the seam that reaches the below-range near misses (case c at 2 gives 49 = 7^2)"
+    ),
 }
 
 
@@ -54,6 +63,26 @@ def _used_names(trees):
     return used
 
 
+def _knobs(trees):
+    """Keyword-only parameters of every function and method, as function.parameter."""
+    out = []
+    for filename, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                out += [(filename, f"{node.name}.{a.arg}", a.arg) for a in node.args.kwonlyargs]
+    return out
+
+
+def _passed_keywords(trees):
+    return {
+        kw.arg
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        for kw in node.keywords
+    }
+
+
 def test_every_definition_is_used_in_the_package():
     trees = _trees()
     used = _used_names(trees)
@@ -65,10 +94,24 @@ def test_every_definition_is_used_in_the_package():
     assert not unused, "defined but never used under src/homgeom: " + ", ".join(unused)
 
 
+def test_every_keyword_only_parameter_is_passed_in_the_package():
+    trees = _trees()
+    passed = _passed_keywords(trees)
+    unset = [
+        f"{filename}: {qualified}"
+        for filename, qualified, name in _knobs(trees)
+        if name not in passed and qualified not in ALLOWED_KNOBS
+    ]
+    assert not unset, "keyword-only parameters no package call passes: " + ", ".join(unset)
+
+
 def test_allowlist_is_current():
     # An allowed name that the package starts using, or deletes, leaves the list.
     trees = _trees()
     used = _used_names(trees)
     defined = {qualified: name for _, qualified, name in _definitions(trees)}
     stale = [q for q in ALLOWED if q not in defined or defined[q] in used]
+    passed = _passed_keywords(trees)
+    knobs = {qualified: name for _, qualified, name in _knobs(trees)}
+    stale += [q for q in ALLOWED_KNOBS if q not in knobs or knobs[q] in passed]
     assert not stale, f"allowlist entries no longer needed: {stale}"

@@ -13,18 +13,17 @@ from homgeom.localization import CASE_MIN_ARG, FORBIDDEN_PAIRS, CaseLabel
 from homgeom.obstructions import catalog
 from homgeom.parameters import Condition, ParamSystem, condition_alphas, square_divisor
 from homgeom.pipeline import (
+    FAMILIES,
     STANDARD_FORBIDDEN,
     Report,
-    TransitionGraph,
     Verdict,
     eliminate,
     exceptional_min_dim,
     longest_condition_chain,
-    normalize_disabled,
     required_dimension,
     search,
-    standard_graph,
 )
+from homgeom.verify import _check_automaton
 
 DIM = required_dimension()
 
@@ -69,18 +68,22 @@ def _largest_condition_alpha(s1):
 
 class TestTransitionGraph:
     def test_standard_edges(self):
-        graph = standard_graph()
-        assert graph.forbidden == {(1, 1), (1, 2), (2, 2), (3, 1), (3, 2), (3, 3)}
-        assert sorted(graph.allowed_pairs()) == [(1, 3), (2, 1), (2, 3)]
+        assert FAMILIES == (1, 2, 3)
+        assert STANDARD_FORBIDDEN == {(1, 1), (1, 2), (2, 2), (3, 1), (3, 2), (3, 3)}
+        allowed = [(a, b) for a in FAMILIES for b in FAMILIES if (a, b) not in STANDARD_FORBIDDEN]
+        assert allowed == [(1, 3), (2, 1), (2, 3)]
 
     def test_forbidden_case_map(self):
-        assert standard_graph().forbidden_cases() == {
-            (1, 1): "a",
-            (1, 2): "b",
-            (2, 2): "c",
-            (3, 1): "d",
-            (3, 2): "e",
-            (3, 3): "f",
+        # The automaton check names each forbidden pair's case, "b" for both signs.
+        report = Report()
+        _check_automaton(report)
+        assert report.checks[0].details["forbiddenEdges"] == {
+            "(1, 1)": "a",
+            "(1, 2)": "b",
+            "(2, 2)": "c",
+            "(3, 1)": "d",
+            "(3, 2)": "e",
+            "(3, 3)": "f",
         }
 
     def test_forbidden_pairs_table(self):
@@ -112,52 +115,33 @@ class TestTransitionGraph:
                 for line in verdict.trace
             ), (outer, target)
 
-    @pytest.mark.parametrize("pair", [(2, 1), (1, 3), (2, 3)])
-    def test_forbidden_pair_without_a_case_rejected(self, pair):
-        # Any forbidden set can be built, but only a pair with a table row can
-        # be walked or named; the others are a ValueError naming the pair.
-        graph = TransitionGraph(forbidden=STANDARD_FORBIDDEN | {pair})
-        message = re.escape(f"no case settles the forbidden pair(s) [{pair}]")
-        with pytest.raises(ValueError, match=message):
-            graph.forbidden_cases()
-        with pytest.raises(ValueError, match=message):
-            eliminate(ParamSystem(3, 6, 0, DIM), graph=graph)
-        # A subset of the standard pairs stays walkable.
-        eliminate(ParamSystem(3, 6, 0, DIM), graph=standard_graph().with_restored((3, 3)))
-
-    def test_with_restored(self):
-        graph = standard_graph().with_restored((3, 3))
-        assert (3, 3) in graph.allowed_pairs()
-        with pytest.raises(ValueError):
-            standard_graph().with_restored((1, 3))
-
 
 class TestLongestChain:
     def test_standard_graph_is_two(self):
-        assert longest_condition_chain(standard_graph()) == 2
+        assert longest_condition_chain(STANDARD_FORBIDDEN) == 2
 
     def test_below_required_transitions(self):
-        assert longest_condition_chain(standard_graph()) < 3
+        assert longest_condition_chain(STANDARD_FORBIDDEN) < 3
 
     def test_self_loop_restored_gives_cycle(self):
-        mutated = standard_graph().with_restored((3, 3))
-        assert longest_condition_chain(mutated) == math.inf
+        assert longest_condition_chain(STANDARD_FORBIDDEN - {(3, 3)}) == math.inf
 
     def test_every_single_edge_restoration_breaks_the_argument(self):
         for pair in STANDARD_FORBIDDEN:
-            value = longest_condition_chain(standard_graph().with_restored(pair))
+            value = longest_condition_chain(STANDARD_FORBIDDEN - {pair})
             assert value == math.inf or value >= 3, pair
 
     def test_empty_forbidden_set_is_cyclic(self):
-        assert longest_condition_chain(TransitionGraph(forbidden=frozenset())) == math.inf
+        assert longest_condition_chain(frozenset()) == math.inf
 
     @staticmethod
-    def brute_force_chain(graph):
+    def brute_force_chain(forbidden):
         """Longest simple path by enumerating vertex sequences; inf on a cycle."""
-        allowed = set(graph.allowed_pairs())
+        nodes = (1, 2, 3)
+        allowed = {(a, b) for a in nodes for b in nodes if (a, b) not in forbidden}
         best = 0
-        for k in range(1, len(graph.nodes) + 1):
-            for seq in itertools.permutations(graph.nodes, k):
+        for k in range(1, len(nodes) + 1):
+            for seq in itertools.permutations(nodes, k):
                 if all(edge in allowed for edge in zip(seq, seq[1:])):
                     if (seq[-1], seq[0]) in allowed:  # closes a cycle (k = 1: a loop)
                         return math.inf
@@ -168,8 +152,7 @@ class TestLongestChain:
         pairs = [(a, b) for a in (1, 2, 3) for b in (1, 2, 3)]
         for mask in range(1 << len(pairs)):
             forbidden = frozenset(p for i, p in enumerate(pairs) if mask >> i & 1)
-            graph = TransitionGraph(forbidden=forbidden)
-            assert longest_condition_chain(graph) == self.brute_force_chain(graph), forbidden
+            assert longest_condition_chain(forbidden) == self.brute_force_chain(forbidden), forbidden
 
 
 class TestRequiredDimension:
@@ -248,27 +231,23 @@ class TestEliminate:
             assert verdict.verdict is Verdict.ELIMINATED
             assert verdict.trace
 
-    def test_mutated_graph_completes_a_chain(self):
-        # With the (3,3) edge allowed, condition 3 feeds itself forever and
-        # the chain reaches the full depth: a survivor must be reported.
-        mutated = standard_graph().with_restored((3, 3))
-        verdict = eliminate(ParamSystem(3, 10, 1, DIM), graph=mutated)
+    def test_mutated_graph_completes_a_chain(self, monkeypatch):
+        # With the (3,3) row gone from the table, condition 3 feeds itself
+        # forever and the chain reaches the full depth: a survivor must be
+        # reported.
+        monkeypatch.delitem(FORBIDDEN_PAIRS, (Condition.COND3, 3))
+        verdict = eliminate(ParamSystem(3, 10, 1, DIM))
         assert verdict.verdict is Verdict.SURVIVES_SQUARE_TEST
-        assert any("SURVIVOR" in line for line in verdict.trace)
+        assert any("completed 3 transitions: SURVIVOR" in line for line in verdict.trace)
+        assert "Cond3(s1=3) -> Cond3(s1=13) -> Cond3(s1=183) -> Cond3(s1=" in (
+            verdict.survivor_chains[0]
+        )
 
     def test_disabled_case_reports_survivor(self):
-        disabled = normalize_disabled(["c"])
+        disabled = frozenset({CaseLabel.C})
         verdict = eliminate(ParamSystem(3, 6, 0, DIM), disabled_cases=disabled)
         assert verdict.verdict is Verdict.SURVIVES_SQUARE_TEST
         assert verdict.survivor_chains
-
-
-class TestNormalizeDisabled:
-    def test_letter_b_covers_both_signs(self):
-        assert normalize_disabled(["b"]) == {CaseLabel.B_PLUS, CaseLabel.B_MINUS}
-
-    def test_labels_pass_through(self):
-        assert normalize_disabled([CaseLabel.C, "e"]) == {CaseLabel.C, CaseLabel.E}
 
 
 class TestSearch:
@@ -282,9 +261,6 @@ class TestSearch:
     def test_hypothesis_error(self):
         with pytest.raises(ValueError):
             search(2, 100)
-        # Below the required dimension even when no condition alpha is reached.
-        with pytest.raises(ValueError, match="below the threshold"):
-            search(3, 5, dim=3)
 
     def test_classical_witnesses_cover_small_primes(self):
         details = search(10, 200).checks[0].details
@@ -298,7 +274,7 @@ class TestSearch:
 
     @pytest.mark.parametrize("case", ["a", "b+", "b-", "c", "d", "e", "f"])
     def test_fault_injection_produces_witnessed_survivor(self, case):
-        report = search(10, 200, disabled_cases=normalize_disabled([case]))
+        report = search(10, 200, disabled_cases=frozenset({CaseLabel(case)}))
         assert report.overall_status == "fail"
         witnesses = report.checks[0].witness
         assert witnesses
@@ -325,7 +301,7 @@ class TestSearch:
 
     @pytest.mark.parametrize("case", ["a", "b+", "b-", "c", "d", "e", "f"])
     def test_disabled_case_matches_brute_force_oracle(self, case):
-        disabled = normalize_disabled([case])
+        disabled = frozenset({CaseLabel(case)})
         check = search(10, 200, disabled_cases=disabled).checks[0]
         counts, classical, survivors = _oracle(10, 200, disabled)
         assert survivors
