@@ -50,30 +50,28 @@ def _psi(s1: int, theta: int, d: int) -> int:
     return -theta - s1 * (s1 - 1) * d
 
 
-def _alpha_cap_terms(s1: int, alpha: int, phi: int) -> tuple[int, int]:
-    """Numerator and positive denominator of alpha_route_cap, unreduced.
+def alpha_cap_terms(s1: int, alpha: int, phi: int) -> tuple[int, int]:
+    """Numerator and denominator of the alpha' = 0 regime's exact flat-size cap,
+    (phi^2*(theta*phi - 4*alpha*s1*psi)^2 - phi) / (4*alpha*s1), unreduced.
 
-    phi is phi_of(s1, alpha), which the sweep has already computed.
+    phi is phi_of(s1, alpha), which the sweep has already computed.  The
+    same ring operations run on int and on UniPoly; an int alpha = 0 has no
+    cap (the division degenerates) and is rejected.
     """
-    if alpha <= 0:
+    if isinstance(alpha, int) and alpha <= 0:
         raise ValueError("the alpha-route cap needs alpha >= 1")
     theta = theta_of(s1, alpha)
     core = theta * phi - 4 * alpha * s1 * _psi(s1, theta, discriminant_shift(s1, alpha))
     return phi * phi * core * core - phi, 4 * alpha * s1
 
 
-def alpha_route_cap(s1: int, alpha: int) -> Fraction:
-    """Exact flat-size cap (phi^2*(theta*phi - 4*alpha*s1*psi)^2 - phi) / (4*alpha*s1).
+def beta_cap_terms(s1: int, beta: int) -> tuple[int, int]:
+    """Numerator and denominator of the alpha' = 1 regime's exact flat-size
+    cap, in terms of beta = alpha - 1, unreduced.
 
-    Applies in the alpha' = 0 regime; alpha = 0 has no cap (the division
-    degenerates) and is rejected.
+    Runs on int and on UniPoly; an int beta = 0 is rejected.
     """
-    return Fraction(*_alpha_cap_terms(s1, alpha, phi_of(s1, alpha)))
-
-
-def _beta_cap_terms(s1: int, beta: int) -> tuple[int, int]:
-    """Numerator and positive denominator of beta_route_cap, unreduced."""
-    if beta <= 0:
+    if isinstance(beta, int) and beta <= 0:
         raise ValueError("the beta-route cap needs beta >= 1")
     a = 4 * beta * s1 + (s1 * s1 - beta) ** 2
     b = s1 * s1 - beta
@@ -82,52 +80,34 @@ def _beta_cap_terms(s1: int, beta: int) -> tuple[int, int]:
     return (a * a) * (b * b) * (c * c) * (e * e), 4 * beta * s1
 
 
-def beta_route_cap(s1: int, beta: int) -> Fraction:
-    """Exact flat-size cap for the alpha' = 1 regime, in terms of beta = alpha - 1."""
-    return Fraction(*_beta_cap_terms(s1, beta))
+def growth_margin(s1: int, s2: int, num: int, den: int, r: int) -> int:
+    """den*(s2 - s1)^(r-1) - num*(s1 - 1)^(r-2), the one copy of the growth bound.
+
+    The growth bound says an r-flat has at least
+    (s2 - s1)^(r-1) / (s1 - 1)^(r-2) points.  For den > 0 and s1 >= 2 the
+    margin is positive exactly when that bound exceeds num / den.  It runs
+    on int and on UniPoly alike.
+    """
+    return den * (s2 - s1) ** (r - 1) - num * (s1 - 1) ** (r - 2)
 
 
 def first_r_exceeding(s1: int, s2: int, threshold: Fraction | int) -> int:
     """Smallest r >= 3 whose growth lower bound exceeds the threshold.
 
-    The growth bound says an r-flat has at least
-    (s2 - s1)^(r-1) / (s1 - 1)^(r-2) points; _first_r_over holds its only
-    copy.  Any flat dimension r whose size obeys the threshold then
-    satisfies r < the returned value.
+    Any flat dimension r whose size obeys the threshold then satisfies
+    r < the returned value.  The search asks growth_margin at each r.
     """
-    thr = Fraction(threshold)
-    return _first_r_over(s1, s2, thr.numerator, thr.denominator)
-
-
-def _first_r_over(s1: int, s2: int, thr_num: int, thr_den: int) -> int:
-    """first_r_exceeding for the threshold thr_num / thr_den, thr_den > 0."""
     if not s2 > s1 >= 2:
         raise ValueError(f"need s2 > s1 >= 2, got s1={s1}, s2={s2}")
-    gap = s2 - s1
-    base = s1 - 1
-    # bound(r) = gap^(r-1) / base^(r-2); it grows iff gap > base.
-    if gap <= base and gap * gap * thr_den <= thr_num * base:
+    thr = Fraction(threshold)
+    num, den = thr.numerator, thr.denominator
+    # The bound grows with r iff s2 - s1 > s1 - 1; otherwise r = 3 is its peak.
+    if s2 - s1 <= s1 - 1 and growth_margin(s1, s2, num, den, 3) <= 0:
         raise ValueError("growth bound never exceeds the threshold for these parameters")
-    num, den = gap * gap, base
     r = 3
-    while num * thr_den <= thr_num * den:
-        num *= gap
-        den *= base
+    while growth_margin(s1, s2, num, den, r) <= 0:
         r += 1
     return r
-
-
-def _may_exceed(s1: int, s2: int, thr_num: int, thr_den: int, r: int) -> bool:
-    """False only if _first_r_over(s1, s2, thr_num, thr_den) <= r, by one comparison.
-
-    When gap = s2 - s1 exceeds base = s1 - 1 the growth bound increases
-    strictly with r, so the first r past the threshold exceeds r >= 3 iff
-    bound(r) <= threshold, that is gap^(r-1) * thr_den <= thr_num * base^(r-2).
-    Otherwise (r < 3, or a bound that does not grow) it answers True and
-    leaves the decision, and the ValueError guard, to _first_r_over.
-    """
-    gap, base = s2 - s1, s1 - 1
-    return r < 3 or gap <= base or gap ** (r - 1) * thr_den <= thr_num * base ** (r - 2)
 
 
 @dataclass(frozen=True)
@@ -167,8 +147,10 @@ def alpha_route_sweep(s1_max: int = 50, alpha_max: int = 2500) -> SweepResult:
     Alongside the headline first_r_exceeding values this re-checks the two
     intermediate inequalities the cap derivation leans on:
     phi^2 < (alpha + s1*(s1-1))^4 and s2 - s1 >= alpha + s1*(s1-1).
-    Only a system that may beat the running maximum (_may_exceed) runs the
-    full r-loop, so the first system to reach the maximum is the worst.
+    A system whose growth margin at the running maximum r is positive has
+    first_r_exceeding <= r, so one exact comparison skips it; only the
+    others run the full r-loop, and the first system to reach the maximum
+    is the worst.
     """
     checked = 0
     max_r = 0
@@ -186,12 +168,12 @@ def alpha_route_sweep(s1_max: int = 50, alpha_max: int = 2500) -> SweepResult:
             s2 = s2_from(s1, alpha)
             if not s2 - s1 >= alpha + u:
                 steps_ok = False
-            num, den = _alpha_cap_terms(s1, alpha, phi)
-            if _may_exceed(s1, s2, num, den, max_r):
-                r = _first_r_over(s1, s2, num, den)
+            num, den = alpha_cap_terms(s1, alpha, phi)
+            if max_r < 3 or growth_margin(s1, s2, num, den, max_r) <= 0:
+                r = first_r_exceeding(s1, s2, thr := Fraction(num, den))
                 if r > max_r:
                     max_r = r
-                    worst = ThresholdReport(s1, alpha, Fraction(num, den), r, "alpha-route")
+                    worst = ThresholdReport(s1, alpha, thr, r, "alpha-route")
     return SweepResult("alpha-route", checked, max_r, worst, steps_ok)
 
 
@@ -208,12 +190,12 @@ def beta_route_sweep(s1_max: int = 50, beta_max: int = 2500) -> SweepResult:
             s2 = s2_from(s1, alpha)
             if not s2 - s1 >= s1 * s1 + beta:
                 steps_ok = False
-            num, den = _beta_cap_terms(s1, beta)
-            if _may_exceed(s1, s2, num, den, max_r):
-                r = _first_r_over(s1, s2, num, den)
+            num, den = beta_cap_terms(s1, beta)
+            if max_r < 3 or growth_margin(s1, s2, num, den, max_r) <= 0:
+                r = first_r_exceeding(s1, s2, thr := Fraction(num, den))
                 if r > max_r:
                     max_r = r
-                    worst = ThresholdReport(s1, beta, beta_route_cap(s1, beta), r, "beta-route")
+                    worst = ThresholdReport(s1, beta, thr, r, "beta-route")
     return SweepResult("beta-route", checked, max_r, worst, steps_ok)
 
 

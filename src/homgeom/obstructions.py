@@ -73,10 +73,8 @@ def verify_identity(obs: SquareObstruction) -> bool:
 
 def factor_equation(obs: SquareObstruction) -> tuple[UniPoly, UniPoly]:
     """The pair (A, 4h) with A = 2g, so that a^2 = f(t) forces
-    (A(t) - 2a)(A(t) + 2a) = 4h(t)."""
-    # A^2 - 4f = 4h is the decomposition f = g^2 - h multiplied by 4.
-    if not verify_identity(obs):
-        raise ValueError(f"case {obs.label.value}: f = g^2 - h does not hold")
+    (A(t) - 2a)(A(t) + 2a) = 4h(t) whenever f = g^2 - h holds
+    (A^2 - 4f = 4h is that decomposition multiplied by 4)."""
     return 2 * obs.g, 4 * obs.h
 
 
@@ -90,8 +88,9 @@ class NoSquareCertificate:
     """Result of the gap argument for one obstruction.
 
     PROVED_IMPOSSIBLE means: for every integer t >= t_min, f(t) is not a
-    perfect square.  It is granted only when all three positivity checks
-    succeed; anything less is INCONCLUSIVE, never a fabricated proof.
+    perfect square.  It is granted only when f = g^2 - h holds and all three
+    positivity checks succeed; anything less is INCONCLUSIVE, never a
+    fabricated proof.
     """
 
     label: CaseLabel
@@ -115,7 +114,9 @@ def certify_no_square(obs: SquareObstruction) -> NoSquareCertificate:
     4h(t) = A^2 - m^2 >= 2|A(t)| - 1 >= 2A(t) - 1.  If 4h(t) < 0 then
     |m| >= |A(t)| + 1 and -4h(t) >= 2|A(t)| + 1 >= ... > -(2A(t) + 1) is
     violated.  Certifying 4h strictly between -(2A + 1) and 2A - 1, and
-    nonzero, therefore excludes every integer solution at once.
+    nonzero, therefore excludes every integer solution at once.  The
+    argument rests on f = g^2 - h, so a decomposition that verify_identity
+    rejects is never proved.
     """
     a_poly, four_h = factor_equation(obs)
     upper = eventually_positive(2 * a_poly - 1 - four_h, obs.t_min)
@@ -129,7 +130,7 @@ def certify_no_square(obs: SquareObstruction) -> NoSquareCertificate:
         neg = eventually_positive(-four_h, obs.t_min)
         if neg.proved:
             side, nonzero = "negative", neg
-    proved = upper.proved and lower.proved and nonzero is not None
+    proved = verify_identity(obs) and upper.proved and lower.proved and nonzero is not None
     return NoSquareCertificate(
         label=obs.label,
         status=Impossibility.PROVED_IMPOSSIBLE if proved else Impossibility.INCONCLUSIVE,
@@ -179,21 +180,11 @@ def _group_moduli(moduli: tuple[int, ...], cap: int) -> tuple[tuple[int, ...], .
 _MASK_GROUPS = _group_moduli(_MASK_MODULI, _GROUP_PERIOD_CAP)
 
 
-def _eval_int(coeffs_desc: tuple[int, ...], t: int) -> int:
-    acc = 0
-    for c in coeffs_desc:
-        acc = acc * t + c
-    return acc
-
-
 def sieve_naive(obs: SquareObstruction, limit: int) -> list[int]:
     """Reference sieve: full-precision evaluation and square test at every t."""
-    coeffs_desc = tuple(reversed(obs.f.integer_coefficients()))
-    return [
-        t
-        for t in range(limit + 1)
-        if (v := _eval_int(coeffs_desc, t)) >= 0 and is_perfect_square(v)
-    ]
+    # The square test needs integer values f(t); this raises otherwise.
+    obs.f.integer_coefficients()
+    return [t for t in range(limit + 1) if (v := obs.f.evaluate(t)) >= 0 and is_perfect_square(v)]
 
 
 def _residue_bits(values: list[int], m: int) -> int:
@@ -228,9 +219,11 @@ def sieve(obs: SquareObstruction, limit: int) -> list[int]:
     """
     if limit < 0:
         raise ValueError("sieve limit must be nonnegative")
-    coeffs_desc = tuple(reversed(obs.f.integer_coefficients()))
+    f = obs.f
+    # The residue masks need integer values f(r); this raises otherwise.
+    f.integer_coefficients()
     # f(r) at every residue r of every modulus.
-    values = [_eval_int(coeffs_desc, r) for r in range(max(_MASK_MODULI))]
+    values = [f.evaluate(r) for r in range(max(_MASK_MODULI))]
     # Each pattern is tiled to one block plus one period, so the block
     # starting at t0 is the tiled pattern shifted right by t0 % period.
     block = min(_BLOCK, limit + 1)
@@ -253,7 +246,7 @@ def sieve(obs: SquareObstruction, limit: int) -> list[int]:
         i = marks.find("1")
         while i != -1:
             t = t0 + i
-            v = _eval_int(coeffs_desc, t)
+            v = f.evaluate(t)
             if v >= 0 and is_perfect_square(v):
                 found.append(t)
             i = marks.find("1", i + 1)

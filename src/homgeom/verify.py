@@ -14,10 +14,11 @@ import time
 from .exact_arith import UniPoly
 from .parameters import Condition, FlatProfile, condition_alpha
 from .bounds import (
-    alpha_route_cap,
+    alpha_cap_terms,
     alpha_route_sweep,
     beta_route_sweep,
     first_r_exceeding,
+    phi_of,
     spectral_identities,
 )
 from .localization import FORBIDDEN_PAIRS, CaseLabel
@@ -140,10 +141,13 @@ def check_threshold_grid(
 
 def _check_spectral_identities(report: Report) -> None:
     identities = spectral_identities()
-    # Condition-2 parameters collapse the cap to exactly 1.
-    cond2_cap_is_one = all(
-        alpha_route_cap(s1, condition_alpha(Condition.COND2, s1)) == 1 for s1 in range(3, 60)
-    )
+    # Condition-2 parameters collapse the cap to exactly 1, as an identity in
+    # s1: D = 0 gives core = 0, so the numerator -phi = 4*alpha*s1 is the
+    # denominator.
+    s1 = UniPoly.x()
+    alpha = condition_alpha(Condition.COND2, s1)
+    num, den = alpha_cap_terms(s1, alpha, phi_of(s1, alpha))
+    cond2_cap_is_one = num == den
     ok = all(identities.values()) and cond2_cap_is_one
     report.add(
         "spectral-identities",

@@ -5,10 +5,17 @@ are asserted where the criterion carries one.
 """
 
 import time
+from fractions import Fraction
 
 
 from homgeom.exact_arith import UniPoly
-from homgeom.bounds import alpha_route_cap, alpha_route_sweep, beta_route_sweep, spectral_identities
+from homgeom.bounds import (
+    alpha_cap_terms,
+    alpha_route_sweep,
+    beta_route_sweep,
+    phi_of,
+    spectral_identities,
+)
 from homgeom.localization import CaseLabel
 from homgeom.obstructions import catalog, certify_no_square, factor_equation, sieve, verify_identity
 from homgeom.geometries import (
@@ -118,7 +125,8 @@ def test_criterion_5_spectral_identities():
         identities = spectral_identities()
         assert identities and all(identities.values()), identities
         for s1 in range(3, 100):
-            assert alpha_route_cap(s1, s1 * (s1 - 1)) == 1
+            alpha = s1 * (s1 - 1)
+            assert Fraction(*alpha_cap_terms(s1, alpha, phi_of(s1, alpha))) == 1
 
 
 def test_criterion_6_automaton():

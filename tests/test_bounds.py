@@ -5,23 +5,36 @@ from fractions import Fraction
 import pytest
 
 import homgeom.bounds as bounds
+import homgeom.verify as verify
 from homgeom.bounds import (
     SweepResult,
     ThresholdReport,
-    alpha_route_cap,
+    alpha_cap_terms,
     alpha_route_sweep,
-    beta_route_cap,
+    beta_cap_terms,
     beta_route_sweep,
     discriminant_shift,
     first_r_exceeding,
+    growth_margin,
     phi_of,
     psi_of,
     spectral_identities,
     theta_of,
 )
+from homgeom.exact_arith import UniPoly
 from homgeom.parameters import s2_from
 from homgeom.pipeline import Report
 from homgeom.verify import _check_spectral_identities
+
+
+def alpha_cap(s1: int, alpha: int) -> Fraction:
+    """The alpha-route cap, the Fraction of its terms."""
+    return Fraction(*alpha_cap_terms(s1, alpha, phi_of(s1, alpha)))
+
+
+def beta_cap(s1: int, beta: int) -> Fraction:
+    """The beta-route cap, the Fraction of its terms."""
+    return Fraction(*beta_cap_terms(s1, beta))
 
 
 def phi_oracle(s1: int, alpha: int) -> int:
@@ -94,32 +107,45 @@ class TestSpectralIdentities:
         assert check.status == "fail"
         assert check.details["polynomialIdentities"][broken] is False
 
+    def test_wrong_cap_terms_fail_cond2_check(self, monkeypatch):
+        def sign_slip(s1, alpha, phi):
+            # phi^2*core^2 + phi in place of phi^2*core^2 - phi.
+            num, den = alpha_cap_terms(s1, alpha, phi)
+            return num + 2 * phi, den
+
+        monkeypatch.setattr(verify, "alpha_cap_terms", sign_slip)
+        report = Report()
+        _check_spectral_identities(report)
+        (check,) = report.checks
+        assert check.status == "fail"
+        assert check.details["cond2CapIsOne"] is False
+
 
 class TestAlphaRouteCap:
     def test_cond2_collapse(self):
-        assert alpha_route_cap(3, 6) == 1
+        assert alpha_cap(3, 6) == 1
 
     def test_big_value(self):
-        assert alpha_route_cap(4, 2) == Fraction(61266150332, 32)
+        assert alpha_cap(4, 2) == Fraction(61266150332, 32)
 
     def test_cond2_always_one(self):
         for s1 in range(3, 80):
-            assert alpha_route_cap(s1, s1 * (s1 - 1)) == 1
+            assert alpha_cap(s1, s1 * (s1 - 1)) == 1
 
     def test_alpha_zero_rejected(self):
         with pytest.raises(ValueError):
-            alpha_route_cap(3, 0)
+            alpha_cap(3, 0)
 
 
 class TestBetaRouteCap:
     def test_example(self):
-        assert beta_route_cap(3, 3) == 429981696
-        assert beta_route_cap(3, 3) == 72**2 * 6**2 * 12**2 * 24**2 // 36
+        assert beta_cap(3, 3) == 429981696
+        assert beta_cap(3, 3) == 72**2 * 6**2 * 12**2 * 24**2 // 36
 
     def test_degenerate_beta_equals_s1_squared(self):
         # The middle factor (s1^2 - beta)^2 vanishes, capping every flat.
-        assert beta_route_cap(3, 9) == 0
-        assert beta_route_cap(5, 25) == 0
+        assert beta_cap(3, 9) == 0
+        assert beta_cap(5, 25) == 0
 
     def test_oracle_recompute(self):
         s1, beta = 3, 6
@@ -128,17 +154,17 @@ class TestBetaRouteCap:
             a**2 * (s1**2 - beta) ** 2 * (s1**2 + beta) ** 2 * (s1**2 - beta + 2 * s1 * beta) ** 2,
             4 * beta * s1,
         )
-        assert beta_route_cap(3, 6) == expected
+        assert beta_cap(3, 6) == expected
         assert expected > 0
 
     def test_beta_zero_rejected(self):
         with pytest.raises(ValueError):
-            beta_route_cap(3, 0)
+            beta_cap(3, 0)
 
 
 class TestFirstRExceeding:
     def test_examples(self):
-        assert first_r_exceeding(4, s2_from(4, 2), alpha_route_cap(4, 2)) == 14
+        assert first_r_exceeding(4, s2_from(4, 2), alpha_cap(4, 2)) == 14
         assert first_r_exceeding(3, 19, 1) == 3
         assert first_r_exceeding(3, s2_from(3, 4), 429981696) == 12
 
@@ -194,30 +220,30 @@ class TestSweeps:
                 if (alpha * alpha) % s1 or alpha * alpha < s1:
                     continue
                 checked += 1
-                r = first_r_exceeding(s1, s2_from(s1, alpha), alpha_route_cap(s1, alpha))
+                r = first_r_exceeding(s1, s2_from(s1, alpha), alpha_cap(s1, alpha))
                 if r > max_r:
                     max_r, worst = r, (s1, alpha)
         result = alpha_route_sweep()
         assert result.systems_checked == checked == 12306
         assert (result.worst.s1, result.worst.driver) == worst
         assert result.max_first_r == max_r
-        assert result.worst.threshold == alpha_route_cap(*worst)
+        assert result.worst.threshold == alpha_cap(*worst)
 
     def test_beta_sweep_default_grid_matches_public_cap(self):
-        # The sweep compares unreduced integer pairs; the public Fraction cap
-        # must give the same first r for every system.
+        # The sweep compares unreduced integer pairs; the reduced Fraction of
+        # the same terms must give the same first r for every system.
         checked, max_r, worst = 0, 0, None
         for s1 in range(3, 51):
             for beta in range(s1, 2501, s1):
                 checked += 1
-                r = first_r_exceeding(s1, s2_from(s1, beta + 1), beta_route_cap(s1, beta))
+                r = first_r_exceeding(s1, s2_from(s1, beta + 1), beta_cap(s1, beta))
                 if r > max_r:
                     max_r, worst = r, (s1, beta)
         result = beta_route_sweep()
         assert result.systems_checked == checked
         assert (result.worst.s1, result.worst.driver) == worst
         assert result.max_first_r == max_r
-        assert result.worst.threshold == beta_route_cap(*worst)
+        assert result.worst.threshold == beta_cap(*worst)
 
     def test_beta_sweep_internal_inequality(self):
         # s2 - s1 >= s1^2 + beta holds throughout the admissible grid.
@@ -230,10 +256,10 @@ def oracle_sweep(route: str, s1_max: int, driver_max: int) -> tuple[SweepResult,
     """The sweep as first written: first_r_exceeding on every system.
 
     Also returns how many systems must run the full r-loop: those that
-    raise the running maximum, and any whose growth bound does not grow.
+    raise the running maximum.
     """
     checked, max_r, worst, steps_ok, full_loops = 0, 0, None, True, 0
-    cap = alpha_route_cap if route == "alpha" else beta_route_cap
+    cap = alpha_cap if route == "alpha" else beta_cap
     for s1 in range(3, s1_max + 1):
         u = s1 * (s1 - 1)
         if route == "alpha":
@@ -249,7 +275,7 @@ def oracle_sweep(route: str, s1_max: int, driver_max: int) -> tuple[SweepResult,
             else:
                 steps_ok &= s2 - s1 >= s1 * s1 + driver
             r = first_r_exceeding(s1, s2, cap(s1, driver))
-            full_loops += r > max_r or s2 - s1 <= s1 - 1
+            full_loops += r > max_r
             if r > max_r:
                 max_r = r
                 worst = ThresholdReport(s1, driver, cap(s1, driver), r, f"{route}-route")
@@ -262,29 +288,66 @@ class TestSweepOracle:
     def test_sweep_equals_oracle(self, monkeypatch, route, s1_max, driver_max):
         expected, full_loops = oracle_sweep(route, s1_max, driver_max)
         calls = []
-        first_r_over = bounds._first_r_over
 
         def counted(*args):
             calls.append(args)
-            return first_r_over(*args)
+            return first_r_exceeding(*args)
 
-        monkeypatch.setattr(bounds, "_first_r_over", counted)
+        monkeypatch.setattr(bounds, "first_r_exceeding", counted)
         sweep = alpha_route_sweep if route == "alpha" else beta_route_sweep
         assert sweep(s1_max, driver_max) == expected
         # Only a system that beats the running maximum runs the full r-loop.
         assert len(calls) == full_loops
 
-    def test_may_exceed_matches_first_r(self):
-        # One comparison at r decides first_r_exceeding > r whenever the
-        # growth bound grows (gap > s1 - 1) and r >= 3; otherwise it defers.
+    def test_margin_sign_matches_first_r(self):
+        # The margin at r is positive exactly when the growth bound at r
+        # exceeds the threshold; where the bound grows (gap > s1 - 1) that
+        # is first_r_exceeding <= r.
         for s1 in range(2, 9):
             for s2 in range(s1 + 1, s1 + 40):
-                for thr in (1, 7, 10**3, 10**9 + 7, 10**20):
+                for thr in (1, 7, 10**3, 10**9 + 7, 10**20, Fraction(12345678, 7)):
+                    thr = Fraction(thr)
                     grows = s2 - s1 > s1 - 1
                     first = first_r_exceeding(s1, s2, thr) if grows else None
-                    for r in range(0, 30):
-                        may = bounds._may_exceed(s1, s2, thr, 1, r)
-                        if grows and r >= 3:
-                            assert may == (first > r), (s1, s2, thr, r)
-                        else:
-                            assert may
+                    for r in range(3, 30):
+                        positive = growth_margin(s1, s2, thr.numerator, thr.denominator, r) > 0
+                        bound = Fraction((s2 - s1) ** (r - 1), (s1 - 1) ** (r - 2))
+                        assert positive == (bound > thr), (s1, s2, thr, r)
+                        if grows:
+                            assert positive == (first <= r), (s1, s2, thr, r)
+
+
+class TestKernelsOverPolynomials:
+    """growth_margin with either route's cap terms, run over UniPoly.
+
+    The driver (alpha or beta) is x and s1 is x^k, the Kronecker
+    substitution that sends s1^i * driver^j to x^(k*i + j); it is injective
+    while k exceeds the driver-degree.  Both cap numerators have
+    driver-degree 10 (alpha: phi^2 * core^2 with phi of degree 2 and core
+    of degree 3; beta: (a*b*c*e)^2 with degrees 2, 1, 1, 1), and the
+    denominators and s2 - s1 have degree 1, so the margin at r has
+    driver-degree at most max(10, r).
+    """
+
+    @staticmethod
+    def _margin(route, s1, driver, r):
+        if route == "alpha":
+            num, den = alpha_cap_terms(s1, driver, phi_of(s1, driver))
+            s2 = s2_from(s1, driver)
+        else:
+            num, den = beta_cap_terms(s1, driver)
+            s2 = s2_from(s1, driver + 1)
+        return growth_margin(s1, s2, num, den, r)
+
+    @pytest.mark.parametrize(
+        "route, r", [("alpha", 19), ("alpha", 20), ("beta", 17), ("beta", 18)]
+    )
+    def test_margin_matches_int_values(self, route, r):
+        k = max(10, r) + 1
+        x = UniPoly.x()
+        margin = self._margin(route, x**k, x, r)
+        terms = {divmod(e, k): c for e, c in enumerate(margin.coeffs) if c}
+        for s1 in range(3, 9):
+            for driver in range(1, 13):
+                value = sum(c * s1**i * driver**j for (i, j), c in terms.items())
+                assert value == self._margin(route, s1, driver, r), (s1, driver)

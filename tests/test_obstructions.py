@@ -12,6 +12,9 @@ from pathlib import Path
 import pytest
 
 import homgeom
+import homgeom.obstructions as obstructions
+import homgeom.verify as verify
+from homgeom.cli import main
 from homgeom.exact_arith import UniPoly, is_perfect_square
 from homgeom.localization import CaseLabel
 from homgeom.obstructions import (
@@ -111,10 +114,31 @@ class TestFactorEquation:
         assert a_poly == UniPoly([-1, 5, -5, -2, 8, -6, 2])
         assert four_h == UniPoly([-3, -10, 19, -14, 5])
 
-    def test_mutated_catalog_rejected(self):
-        obs = catalog()[CaseLabel.C]
-        with pytest.raises(ValueError):
-            factor_equation(replace(obs, h=obs.h + 1))
+    def test_mutated_catalog_rejected(self, monkeypatch, capsys):
+        # Case e with h + 1: verify_identity, the one place that checks
+        # f = g^2 - h, rejects it; the run reports that instead of raising.
+        def mutated_catalog():
+            cat = catalog()
+            cat[CaseLabel.E] = replace(cat[CaseLabel.E], h=cat[CaseLabel.E].h + 1)
+            return cat
+
+        monkeypatch.setattr(obstructions, "catalog", mutated_catalog)
+        monkeypatch.setattr(verify, "catalog", mutated_catalog)
+        assert not certify_no_square(mutated_catalog()[CaseLabel.E]).proved
+        report = verify.verify_all(sieve_limit=100, s1_max=5, alpha_max=50)
+        checks = {check.name: check for check in report.checks}
+        decompositions = checks["square-decompositions"]
+        assert decompositions.status == "fail"
+        assert decompositions.details["failed"] == ["e"]
+        assert decompositions.details["factorPairsReproduced"] is False
+        certificates = checks["no-square-certificates"]
+        assert certificates.status == "gap"
+        assert certificates.details["gaps"] == ["e"]
+        assert certificates.details["certificates"]["e"]["status"] == "inconclusive"
+        assert main(["identities"]) == 1
+        out = capsys.readouterr().out
+        assert "case e: f = g^2 - h FAILS; no-square certificate inconclusive" in out
+        assert out.count("holds") == 4
 
     def test_algebraic_consequence(self):
         # If a^2 = f(t), then (A(t) - 2a)(A(t) + 2a) = 4h(t); equivalently
