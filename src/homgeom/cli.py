@@ -22,7 +22,7 @@ from .parameters import (
     require_hypothesis_line_size,
     s2_from,
 )
-from .localization import CASE_MIN_ARG, CaseLabel, point_localize
+from .localization import point_localize
 from .geometries import (
     UnsupportedFieldError,
     alpha_from_profile,
@@ -52,11 +52,11 @@ def _lazy(name: str) -> types.ModuleType:
     return module
 
 
-# No command calls bounds directly; registering it too puts every module of
-# the package in sys.modules once the CLI is imported, where tools that wrap
-# functions by module name (perfbench/tracer.py) find them.
+# No command calls bounds or obstructions directly; registering them too puts
+# every module of the package in sys.modules once the CLI is imported, where
+# tools that wrap functions by module name (perfbench/tracer.py) find them.
 _lazy("bounds")
-obstructions = _lazy("obstructions")
+_lazy("obstructions")
 pipeline = _lazy("pipeline")
 verify = _lazy("verify")
 
@@ -66,16 +66,25 @@ def _print_json(payload) -> None:
 
 
 def _cmd_verify_all(args) -> int:
-    # Checked up front so that a bad size or --json path fails before any
-    # check runs.
+    # Checked up front so that a bad size, check name or --json path fails
+    # before any check runs.  s1 = 3 with driver 3 is the smallest threshold
+    # grid holding a system on both routes.
     for flag, value, least in (
         ("--sieve-limit", args.sieve_limit, 0),
         ("--s1-max", args.s1_max, 3),
         ("--alpha-max", args.alpha_max, 0),
+        ("--grid-s1-max", args.grid_s1_max, 3),
+        ("--driver-max", args.driver_max, 3),
     ):
         if value < least:
             print(f"invalid input: {flag} must be at least {least}", file=sys.stderr)
             return 2
+    only = None if args.only is None else args.only.split(",")
+    try:
+        verify.select_checks(only)
+    except ValueError as exc:
+        print(f"invalid input: --only: {exc}", file=sys.stderr)
+        return 2
     if args.json:
         # Append mode tests the path without truncating an existing report.
         try:
@@ -84,7 +93,12 @@ def _cmd_verify_all(args) -> int:
             print(f"invalid input: --json: {exc}", file=sys.stderr)
             return 2
     report = verify.verify_all(
-        sieve_limit=args.sieve_limit, s1_max=args.s1_max, alpha_max=args.alpha_max
+        only=only,
+        sieve_limit=args.sieve_limit,
+        s1_max=args.s1_max,
+        alpha_max=args.alpha_max,
+        grid_s1_max=args.grid_s1_max,
+        driver_max=args.driver_max,
     )
     for check in report.checks:
         print(f"[{check.status.upper():4}] {check.name}")
@@ -141,69 +155,6 @@ def _cmd_localize(args) -> int:
     return 0
 
 
-def _cmd_search(args) -> int:
-    try:
-        report = pipeline.search(args.s1_max, args.alpha_max)
-    except ValueError as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return 2
-    _print_json(report.to_json_dict())
-    return report.exit_code()
-
-
-def _cmd_thresholds(args) -> int:
-    # s1 = 3 with driver 3 is the smallest grid holding a system on both routes.
-    for flag, value in (("--s1-max", args.s1_max), ("--driver-max", args.driver_max)):
-        if value < 3:
-            print(f"invalid input: {flag} must be at least 3", file=sys.stderr)
-            return 2
-    report = pipeline.Report()
-    for route in ("alpha", "beta"):
-        verify.check_threshold_grid(report, route, args.s1_max, args.driver_max)
-    _print_json({c.name: {"status": c.status, **c.details} for c in report.checks})
-    return report.exit_code()
-
-
-def _cmd_identities(args) -> int:
-    worst = 0
-    for label, obs in obstructions.catalog().items():
-        identity_ok = obstructions.verify_identity(obs)
-        cert = obstructions.certify_no_square(obs)
-        status = "ok" if identity_ok and cert.proved else ("gap" if identity_ok else "FAIL")
-        print(
-            f"case {label.value}: f = g^2 - h {'holds' if identity_ok else 'FAILS'}; "
-            f"no-square certificate {cert.status.value} (t >= {obs.t_min})"
-        )
-        if not identity_ok:
-            worst = max(worst, 1)
-        elif not cert.proved:
-            worst = max(worst, 2)
-    return worst
-
-
-def _cmd_sieve(args) -> int:
-    obs = obstructions.catalog()[CaseLabel(args.case)]
-    if args.limit < 0:
-        print("invalid input: limit must be nonnegative", file=sys.stderr)
-        return 2
-    found = obstructions.sieve(obs, args.limit)
-    survivors = [t for t in found if t >= obs.t_min]
-    if args.raw:
-        for t in found:
-            print(t)
-    else:
-        _print_json(
-            {
-                "case": args.case,
-                "limit": args.limit,
-                "found": found,
-                "expected": sorted(t for t in obs.known_square_args if t <= args.limit),
-                "survivorsAtOrAboveTMin": survivors,
-            }
-        )
-    return 1 if survivors else 0
-
-
 def _cmd_geometry(args) -> int:
     try:
         g = (build_projective if args.type == "pg" else build_affine)(args.n, args.q)
@@ -234,10 +185,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify-all", help="run every check and report")
+    p = sub.add_parser("verify-all", help="run every check, or those named, and report")
+    p.add_argument("--only", metavar="NAME[,NAME]", help="run only these checks")
     p.add_argument("--sieve-limit", type=int, default=10**6)
     p.add_argument("--s1-max", type=int, default=100)
     p.add_argument("--alpha-max", type=int, default=10**4)
+    p.add_argument("--grid-s1-max", type=int, default=50, help="threshold grids' s1 bound")
+    p.add_argument("--driver-max", type=int, default=2500, help="threshold grids' driver bound")
     p.add_argument("--json", metavar="PATH", help="write the JSON report here")
     p.set_defaults(func=_cmd_verify_all)
 
@@ -253,25 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=int, required=True)
     p.add_argument("--alpha-prime", type=int, default=0)
     p.set_defaults(func=_cmd_localize)
-
-    p = sub.add_parser("search", help="classify-or-eliminate every parameter system of a grid")
-    p.add_argument("--s1-max", type=int, required=True)
-    p.add_argument("--alpha-max", type=int, required=True)
-    p.set_defaults(func=_cmd_search)
-
-    p = sub.add_parser("thresholds", help="growth-threshold sweeps of both routes")
-    p.add_argument("--s1-max", type=int, default=50)
-    p.add_argument("--driver-max", type=int, default=2500)
-    p.set_defaults(func=_cmd_thresholds)
-
-    p = sub.add_parser("identities", help="square decompositions and certificates")
-    p.set_defaults(func=_cmd_identities)
-
-    p = sub.add_parser("sieve", help="brute-force square sieve for one case")
-    p.add_argument("--case", choices=sorted(c.value for c in CASE_MIN_ARG), required=True)
-    p.add_argument("--limit", type=int, required=True)
-    p.add_argument("--raw", action="store_true", help="stream found arguments, one per line")
-    p.set_defaults(func=_cmd_sieve)
 
     p = sub.add_parser("geometry", help="build a classical geometry and print its profile")
     p.add_argument("--type", choices=["pg", "ag"], required=True)

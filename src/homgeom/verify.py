@@ -1,6 +1,7 @@
 """The full verification run: every machine-checkable claim, one report row each.
 
-This is the CLI's verify-all backend.  Each check is independent, runs in
+This is the CLI's verify-all backend.  CHECKS is the one list of checks, and
+verify-all --only runs any subset of it.  Each check is independent, runs in
 exact arithmetic, and lands in the report as pass, fail, or (for an
 impossibility certificate that could not be completed) gap.  A gap is
 reported honestly rather than patched over: the sieve evidence still stands,
@@ -10,6 +11,8 @@ but the run's exit status signals that a certificate is missing.
 from __future__ import annotations
 
 import time
+from collections.abc import Collection
+from functools import partial
 
 from .exact_arith import UniPoly
 from .parameters import Condition, FlatProfile, condition_alpha
@@ -96,13 +99,13 @@ def _check_certificates(report: Report, cat: Catalog) -> None:
     )
 
 
-def _check_sieve(report: Report, cat: Catalog, limit: int) -> None:
+def _check_sieve(report: Report, cat: Catalog, sieve_limit: int) -> None:
     results = {}
     ok = True
     for label, obs in cat.items():
-        found = sieve(obs, limit)
+        found = sieve(obs, sieve_limit)
         in_range = [t for t in found if t >= obs.t_min]
-        expected = sorted(t for t in obs.known_square_args if t <= limit)
+        expected = sorted(t for t in obs.known_square_args if t <= sieve_limit)
         ok = ok and found == expected and not in_range
         results[label.value] = {
             "found": found,
@@ -112,24 +115,22 @@ def _check_sieve(report: Report, cat: Catalog, limit: int) -> None:
     report.add(
         "square-sieve",
         "pass" if ok else "fail",
-        details={"limit": limit, "cases": results},
+        details={"limit": sieve_limit, "cases": results},
     )
 
 
-def check_threshold_grid(
-    report: Report, route: str, s1_max: int = 50, driver_max: int = 2500
-) -> None:
+def _check_threshold_grid(report: Report, route: str, grid_s1_max: int, driver_max: int) -> None:
     """Sweep one route ("alpha" or "beta") and add its growth-threshold check."""
     if route == "alpha":
-        sweep, bound = alpha_route_sweep(s1_max, driver_max), ALPHA_ROUTE_MAX_R + 1
+        sweep, bound = alpha_route_sweep(grid_s1_max, driver_max), ALPHA_ROUTE_MAX_R + 1
     else:
-        sweep, bound = beta_route_sweep(s1_max, driver_max), BETA_ROUTE_MAX_R + 1
+        sweep, bound = beta_route_sweep(grid_s1_max, driver_max), BETA_ROUTE_MAX_R + 1
     ok = sweep.max_first_r <= bound and sweep.internal_steps_ok
     report.add(
         f"growth-threshold-{route}-route",
         "pass" if ok else "fail",
         details={
-            "grid": {"s1Max": s1_max, f"{route}Max": driver_max},
+            "grid": {"s1Max": grid_s1_max, f"{route}Max": driver_max},
             "systemsChecked": sweep.systems_checked,
             "maxFirstRExceeding": sweep.max_first_r,
             "bound": bound,
@@ -201,8 +202,7 @@ def _check_dimension_threshold(report: Report) -> None:
 
 
 def _check_search(report: Report, s1_max: int, alpha_max: int) -> None:
-    sub = search(s1_max, alpha_max)
-    report.checks.extend(sub.checks)
+    report.checks.extend(search(s1_max, alpha_max).checks)
 
 
 def _check_ground_truth(report: Report) -> None:
@@ -255,32 +255,47 @@ def _check_ground_truth(report: Report) -> None:
     report.add("classical-ground-truth", "pass" if ok else "fail", details=details)
 
 
+# Every report check in report order: its name, the function that adds it, and
+# the verify_all keywords passed to that function ("cat" is the catalog).
+_GRID = ("grid_s1_max", "driver_max")
+CHECKS = (
+    ("square-decompositions", _check_decompositions, ("cat",)),
+    ("no-square-certificates", _check_certificates, ("cat",)),
+    ("square-sieve", _check_sieve, ("cat", "sieve_limit")),
+    ("growth-threshold-alpha-route", partial(_check_threshold_grid, route="alpha"), _GRID),
+    ("growth-threshold-beta-route", partial(_check_threshold_grid, route="beta"), _GRID),
+    ("spectral-identities", _check_spectral_identities, ()),
+    ("condition-chain-automaton", _check_automaton, ()),
+    ("dimension-threshold", _check_dimension_threshold, ()),
+    ("parameter-search", _check_search, ("s1_max", "alpha_max")),
+    ("classical-ground-truth", _check_ground_truth, ()),
+)
+
+
+def select_checks(only: Collection[str] | None = None) -> tuple:
+    """The rows of CHECKS named in only, in table order; every row for None."""
+    names = [name for name, _, _ in CHECKS]
+    unknown = [name for name in only or () if name not in names]
+    if unknown:
+        raise ValueError(f"no check is named {unknown[0]!r}; the checks are: {', '.join(names)}")
+    return tuple(row for row in CHECKS if only is None or row[0] in only)
+
+
 def verify_all(
     *,
+    only: Collection[str] | None = None,
     sieve_limit: int = 10**6,
     s1_max: int = 100,
     alpha_max: int = 10**4,
+    grid_s1_max: int = 50,
+    driver_max: int = 2500,
 ) -> Report:
-    """Run every check and return the combined report.
-
-    Each check function adds one check, which carries that function's wall
-    time as elapsed_seconds.
-    """
+    """Run the checks named in only (all for None); each check carries its own wall time."""
+    inputs = dict(cat=catalog(), sieve_limit=sieve_limit, s1_max=s1_max, alpha_max=alpha_max,
+                  grid_s1_max=grid_s1_max, driver_max=driver_max)
     report = Report()
-    cat = catalog()
-    for check, *args in (
-        (_check_decompositions, cat),
-        (_check_certificates, cat),
-        (_check_sieve, cat, sieve_limit),
-        (check_threshold_grid, "alpha"),
-        (check_threshold_grid, "beta"),
-        (_check_spectral_identities,),
-        (_check_automaton,),
-        (_check_dimension_threshold,),
-        (_check_search, s1_max, alpha_max),
-        (_check_ground_truth,),
-    ):
+    for _, check, reads in select_checks(only):
         start = time.perf_counter()
-        check(report, *args)
+        check(report, **{key: inputs[key] for key in reads})
         report.checks[-1].elapsed_seconds = time.perf_counter() - start
     return report

@@ -2,7 +2,6 @@
 
 import json
 import os
-import re
 import subprocess
 import sys
 import textwrap
@@ -13,8 +12,10 @@ import pytest
 import homgeom.cli
 import homgeom.verify
 from homgeom.cli import build_parser, main
+from homgeom.localization import CaseLabel
 from homgeom.obstructions import catalog, sieve
-from homgeom.pipeline import Report, required_dimension
+from homgeom.pipeline import Report, required_dimension, search
+from homgeom.verify import CHECKS
 
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
 SUBCOMMANDS = sorted(
@@ -28,54 +29,69 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_only(capsys, tmp_path, names, *flags):
+    """verify-all --only names with flags; the exit code and the report's checks by name."""
+    path = tmp_path / "report.json"
+    code, _, _ = run(capsys, "verify-all", "--only", names, *flags, "--json", str(path))
+    checks = json.loads(path.read_text())["checks"]
+    return code, {c["name"]: {"status": c["status"], **c["details"]} for c in checks}
+
+
 class TestIdentities:
-    def test_all_ok(self, capsys):
-        code, out, _ = run(capsys, "identities")
+    NAMES = "square-decompositions,no-square-certificates"
+
+    def test_all_ok(self, capsys, tmp_path):
+        code, checks = run_only(capsys, tmp_path, self.NAMES)
         assert code == 0
-        assert out.count("holds") == 5
-        assert "proved-impossible" in out
+        decompositions = checks["square-decompositions"]
+        assert len(decompositions["casesChecked"]) == 5
+        assert decompositions["failed"] == []
+        certificates = checks["no-square-certificates"]["certificates"]
+        assert {c["status"] for c in certificates.values()} == {"proved-impossible"}
+
+    def test_wrong_factor_pair_exits_one(self, capsys, tmp_path, monkeypatch):
+        # Every f = g^2 - h still holds, but one pinned (A, 4h) pair no longer
+        # matches what factor_equation derives.
+        a_poly, four_h = homgeom.verify.EXPECTED_FACTOR_PAIRS[CaseLabel.C]
+        monkeypatch.setitem(
+            homgeom.verify.EXPECTED_FACTOR_PAIRS, CaseLabel.C, (a_poly + 1, four_h)
+        )
+        code, checks = run_only(capsys, tmp_path, self.NAMES)
+        assert code == 1
+        decompositions = checks["square-decompositions"]
+        assert decompositions["status"] == "fail"
+        assert decompositions["failed"] == []
+        assert decompositions["factorPairsReproduced"] is False
+        assert checks["no-square-certificates"]["status"] == "pass"
 
 
 class TestSieve:
-    def test_raw_stream(self, capsys):
-        code, out, _ = run(capsys, "sieve", "--case", "c", "--limit", "100", "--raw")
+    def test_json_summary(self, capsys, tmp_path):
+        code, checks = run_only(capsys, tmp_path, "square-sieve", "--sieve-limit", "50")
         assert code == 0
-        assert out.split() == ["0", "1", "2"]
-
-    def test_json_summary(self, capsys):
-        code, out, _ = run(capsys, "sieve", "--case", "f", "--limit", "50")
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["found"] == ["1"]
-        assert payload["survivorsAtOrAboveTMin"] == []
+        cases = checks["square-sieve"]["cases"]
+        # One entry per catalog case, found, expected and survivors each.
+        assert list(cases) == [label.value for label in catalog()]
+        assert cases["f"]["found"] == ["1"]
+        assert all(case["survivorsAtOrAboveTMin"] == [] for case in cases.values())
 
     @pytest.mark.parametrize("limit, expected", [("0", ["0"]), ("1", ["0", "1"])])
-    def test_expected_stops_at_limit(self, capsys, limit, expected):
+    def test_expected_stops_at_limit(self, capsys, tmp_path, limit, expected):
         # Case c's known squares are 0, 1 and 2; only those <= limit are expected.
-        code, out, _ = run(capsys, "sieve", "--case", "c", "--limit", limit)
+        code, checks = run_only(capsys, tmp_path, "square-sieve", "--sieve-limit", limit)
         assert code == 0
-        payload = json.loads(out)
-        assert payload["found"] == payload["expected"] == expected
+        case_c = checks["square-sieve"]["cases"]["c"]
+        assert case_c["found"] == case_c["expected"] == expected
 
-    def test_case_choices_are_the_catalog_cases(self, capsys):
-        for label in catalog():
-            code, out, _ = run(capsys, "sieve", "--case", label.value, "--limit", "10")
-            assert code == 0
-            assert json.loads(out)["case"] == label.value
-        with pytest.raises(SystemExit):
-            run(capsys, "sieve", "--help")
-        choices = re.search(r"--case \{(.*?)\}", capsys.readouterr().out).group(1)
-        assert choices.split(",") == sorted(label.value for label in catalog())
-
-    def test_imported_case_rejected(self, capsys):
-        # Case a is an imported fact with no obstruction to sieve.
-        with pytest.raises(SystemExit) as exc:
-            run(capsys, "sieve", "--case", "a", "--limit", "10")
-        assert exc.value.code == 2
-        assert "invalid choice: 'a'" in capsys.readouterr().err
+    def test_imported_case_rejected(self, capsys, tmp_path):
+        # Case a is an imported fact with no obstruction to sieve; the check
+        # leaves it out.
+        code, checks = run_only(capsys, tmp_path, "square-sieve", "--sieve-limit", "10")
+        assert code == 0
+        assert "a" not in checks["square-sieve"]["cases"]
 
     def test_negative_limit(self, capsys):
-        code, _, err = run(capsys, "sieve", "--case", "c", "--limit", "-1")
+        code, _, err = run(capsys, "verify-all", "--only", "square-sieve", "--sieve-limit", "-1")
         assert code == 2
         assert "invalid" in err
 
@@ -200,41 +216,49 @@ class TestGeometry:
 
 
 class TestSearch:
-    def test_small_search(self, capsys):
-        code, out, _ = run(capsys, "search", "--s1-max", "6", "--alpha-max", "80")
+    def test_small_search(self, capsys, tmp_path):
+        code, checks = run_only(
+            capsys, tmp_path, "parameter-search", "--s1-max", "6", "--alpha-max", "80"
+        )
         assert code == 0
-        payload = json.loads(out)
-        assert payload["overallStatus"] == "pass"
-        # Only verify-all times its checks; search output stays deterministic.
-        assert "elapsedSeconds" not in payload["checks"][0]
+        assert list(checks) == ["parameter-search"]
+        # The row is the search's own check, with the time verify-all adds.
+        (expected,) = search(6, 80).to_json_dict()["checks"]
+        assert checks["parameter-search"] == {"status": "pass", **expected["details"]}
 
     def test_invalid_range(self, capsys):
-        code, _, err = run(capsys, "search", "--s1-max", "2", "--alpha-max", "10")
+        code, _, err = run(
+            capsys, "verify-all", "--only", "parameter-search",
+            "--s1-max", "2", "--alpha-max", "10",
+        )
         assert code == 2
 
     def test_negative_alpha_max(self, capsys):
-        code, out, err = run(capsys, "search", "--s1-max", "10", "--alpha-max", "-1")
+        code, out, err = run(
+            capsys, "verify-all", "--only", "parameter-search",
+            "--s1-max", "10", "--alpha-max", "-1",
+        )
         assert code == 2
         assert err.startswith("invalid input: ")
         assert out == ""
 
-    def test_large_grid(self, capsys):
+    def test_large_grid(self, capsys, tmp_path):
         # Counting per s1 keeps this grid of about 2 * 10^12 systems cheap.
-        code, out, _ = run(
-            capsys, "search", "--s1-max", "1000", "--alpha-max", "1000000000"
+        code, checks = run_only(
+            capsys, tmp_path, "parameter-search", "--s1-max", "1000", "--alpha-max", "1000000000"
         )
         assert code == 0
-        payload = json.loads(out)
-        assert payload["overallStatus"] == "pass"
-        details = payload["checks"][0]["details"]
+        details = checks["parameter-search"]
+        assert details["status"] == "pass"
         assert details["systemsChecked"] == str(998 * (10**9 + 1) * 2)
 
 
 class TestThresholds:
-    def test_default_grid(self, capsys):
-        code, out, _ = run(capsys, "thresholds")
+    NAMES = "growth-threshold-alpha-route,growth-threshold-beta-route"
+
+    def test_default_grid(self, capsys, tmp_path):
+        code, payload = run_only(capsys, tmp_path, self.NAMES)
         assert code == 0
-        payload = json.loads(out)
         alpha = payload["growth-threshold-alpha-route"]
         beta = payload["growth-threshold-beta-route"]
         assert alpha["grid"] == {"s1Max": "50", "alphaMax": "2500"}
@@ -249,42 +273,35 @@ class TestThresholds:
         assert (beta["worst"]["s1"], beta["worst"]["driver"]) == ("21", "21")
         assert alpha["status"] == beta["status"] == "pass"
 
-    def test_same_checks_as_verify_all(self, capsys):
-        # At the defaults the command prints verify-all's two threshold checks.
-        code, out, _ = run(capsys, "thresholds")
+    def test_smallest_grid(self, capsys, tmp_path):
+        code, payload = run_only(
+            capsys, tmp_path, self.NAMES, "--grid-s1-max", "3", "--driver-max", "3"
+        )
         assert code == 0
-        report = homgeom.verify.verify_all(sieve_limit=10, s1_max=4, alpha_max=10)
-        checks = report.to_json_dict()["checks"]
-        assert json.loads(out) == {
-            c["name"]: {"status": c["status"], **c["details"]}
-            for c in checks
-            if c["name"].startswith("growth-threshold-")
-        }
-
-    def test_smallest_grid(self, capsys):
-        code, out, _ = run(capsys, "thresholds", "--s1-max", "3", "--driver-max", "3")
-        assert code == 0
-        payload = json.loads(out)
         assert [route["systemsChecked"] for route in payload.values()] == ["1", "1"]
 
     @pytest.mark.parametrize(
-        "flag, value", [("--s1-max", "2"), ("--driver-max", "2"), ("--driver-max", "-5")]
+        "flag, value",
+        [("--grid-s1-max", "2"), ("--driver-max", "2"), ("--driver-max", "-5")],
     )
     def test_bad_size(self, capsys, flag, value):
-        code, out, err = run(capsys, "thresholds", flag, value)
+        code, out, err = run(capsys, "verify-all", "--only", self.NAMES, flag, value)
         assert code == 2
         assert err.startswith(f"invalid input: {flag} must be at least 3")
         assert out == ""
 
-    def test_exceeded_bound_exits_one(self, capsys, monkeypatch):
+    def test_exceeded_bound_exits_one(self, capsys, tmp_path, monkeypatch):
         # With the alpha-route cap at 16, the sweep's 18 exceeds the bound 17.
         monkeypatch.setattr(homgeom.verify, "ALPHA_ROUTE_MAX_R", 16)
-        code, out, _ = run(capsys, "thresholds")
+        code, payload = run_only(capsys, tmp_path, self.NAMES)
         assert code == 1
-        payload = json.loads(out)
         assert payload["growth-threshold-alpha-route"]["status"] == "fail"
         assert payload["growth-threshold-alpha-route"]["bound"] == "17"
         assert payload["growth-threshold-beta-route"]["status"] == "pass"
+        # The exit code comes from the selected rows only.
+        code, payload = run_only(capsys, tmp_path, "growth-threshold-beta-route")
+        assert code == 0
+        assert list(payload) == ["growth-threshold-beta-route"]
 
 
 class TestVerifyAll:
@@ -310,8 +327,9 @@ class TestVerifyAll:
         assert "overall: pass" in out
         payload = json.loads(path.read_text())
         assert payload["overallStatus"] == "pass"
-        names = {c["name"] for c in payload["checks"]}
-        assert {
+        # A full run adds one check per row of the table, in table order.
+        names = [c["name"] for c in payload["checks"]]
+        assert names == [name for name, _, _ in CHECKS] == [
             "square-decompositions",
             "no-square-certificates",
             "square-sieve",
@@ -322,7 +340,7 @@ class TestVerifyAll:
             "dimension-threshold",
             "parameter-search",
             "classical-ground-truth",
-        } <= names
+        ]
         # Big integers ride as decimal strings.
         sieve_details = next(
             c for c in payload["checks"] if c["name"] == "square-sieve"
@@ -336,11 +354,12 @@ class TestVerifyAll:
             assert "elapsedSeconds" not in check["details"]
 
     @staticmethod
-    def sieve_check(capsys, tmp_path, limit):
+    def sieve_check(capsys, tmp_path, limit, *flags):
         path = tmp_path / "report.json"
         code, _, _ = run(
             capsys,
             "verify-all",
+            *flags,
             "--sieve-limit", limit,
             "--s1-max", "6",
             "--alpha-max", "100",
@@ -362,14 +381,16 @@ class TestVerifyAll:
 
     @pytest.mark.parametrize("limit, left", [("1", ["1"]), ("2000", ["1", "2"])])
     def test_dropped_known_square_fails(self, capsys, tmp_path, monkeypatch, limit, left):
-        # A sieve that loses the known square t = 0 no longer matches.
+        # A sieve that loses the known square t = 0 no longer matches, even
+        # when nothing at or above t_min survives; alone or in a full run.
         monkeypatch.setattr(
             homgeom.verify, "sieve", lambda obs, lim: [t for t in sieve(obs, lim) if t != 0]
         )
-        code, check = self.sieve_check(capsys, tmp_path, limit)
-        assert code == 1
-        assert check["status"] == "fail"
-        assert check["details"]["cases"]["c"]["found"] == left
+        for only in ((), ("--only", "square-sieve")):
+            code, check = self.sieve_check(capsys, tmp_path, limit, *only)
+            assert code == 1
+            assert check["status"] == "fail"
+            assert check["details"]["cases"]["c"]["found"] == left
 
     @pytest.mark.parametrize("target", ["missing/report.json", "."])
     def test_unwritable_json_rejected_before_any_check(
@@ -410,6 +431,78 @@ class TestVerifyAll:
         assert code == 2
         assert err.startswith(f"invalid input: {flag}")
         assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--only", "no-such-check"), "--only: no check is named 'no-such-check'"),
+            (("--only", ""), "--only: no check is named ''"),
+            (("--only", "square-sieve,,parameter-search"), "--only: no check is named ''"),
+            (("--only", "square-sieve,"), "--only: no check is named ''"),
+            (("--grid-s1-max", "2"), "--grid-s1-max must be at least 3"),
+            (("--driver-max", "0"), "--driver-max must be at least 3"),
+        ],
+    )
+    def test_bad_selection_or_grid_rejected_before_any_check(
+        self, capsys, tmp_path, monkeypatch, argv, message
+    ):
+        monkeypatch.setattr(homgeom.verify, "verify_all", lambda **_: pytest.fail("checks ran"))
+        path = tmp_path / "report.json"
+        code, out, err = run(capsys, "verify-all", *argv, "--json", str(path))
+        assert code == 2
+        assert err.startswith(f"invalid input: {message}")
+        assert out == ""
+        assert not path.exists()
+        if argv[0] == "--only":
+            # The message lists every check name.
+            assert all(name in err for name, _, _ in CHECKS)
+
+    def test_only_rows_equal_full_run_rows(self):
+        sizes = dict(sieve_limit=100, s1_max=5, alpha_max=50, grid_s1_max=6, driver_max=40)
+
+        def rows(report):
+            return [
+                {k: v for k, v in c.items() if k != "elapsedSeconds"}
+                for c in report.to_json_dict()["checks"]
+            ]
+
+        full = rows(homgeom.verify.verify_all(**sizes))
+        for (name, _, _), expected in zip(CHECKS, full, strict=True):
+            assert rows(homgeom.verify.verify_all(only=[name], **sizes)) == [expected]
+        # Several names run in table order, whatever order they are given in.
+        pair = homgeom.verify.verify_all(only=["parameter-search", "square-sieve"], **sizes)
+        assert [c.name for c in pair.checks] == ["square-sieve", "parameter-search"]
+
+
+class TestReadme:
+    """README's CLI block names the commands and verify-all flags the parser has."""
+
+    @staticmethod
+    def cli_lines():
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        return [line.split() for line in block.splitlines() if line.startswith("homgeom ")]
+
+    def test_commands_match_the_parser(self):
+        assert sorted(words[1] for words in self.cli_lines()) == SUBCOMMANDS
+
+    def test_verify_all_line_names_every_flag(self):
+        (line,) = [words for words in self.cli_lines() if words[1] == "verify-all"]
+        verify_all = next(
+            a.choices for a in build_parser()._actions if isinstance(a.choices, dict)
+        )["verify-all"]
+        flags = {
+            option
+            for action in verify_all._actions
+            for option in action.option_strings
+            if option not in ("-h", "--help")
+        }
+        named = {word.strip("[]") for word in line if word.startswith("[--")}
+        assert named == flags
+
+    def test_every_check_is_named(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        assert [name for name, _, _ in CHECKS if f"`{name}`" not in readme] == []
 
 
 def fresh_interpreter(*args: str) -> subprocess.CompletedProcess:

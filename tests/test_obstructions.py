@@ -1,5 +1,6 @@
 """Tests for the square-obstruction catalog and its certificates."""
 
+import json
 import math
 import os
 import subprocess
@@ -114,7 +115,7 @@ class TestFactorEquation:
         assert a_poly == UniPoly([-1, 5, -5, -2, 8, -6, 2])
         assert four_h == UniPoly([-3, -10, 19, -14, 5])
 
-    def test_mutated_catalog_rejected(self, monkeypatch, capsys):
+    def test_mutated_catalog_rejected(self, monkeypatch, capsys, tmp_path):
         # Case e with h + 1: verify_identity, the one place that checks
         # f = g^2 - h, rejects it; the run reports that instead of raising.
         def mutated_catalog():
@@ -135,10 +136,20 @@ class TestFactorEquation:
         assert certificates.status == "gap"
         assert certificates.details["gaps"] == ["e"]
         assert certificates.details["certificates"]["e"]["status"] == "inconclusive"
-        assert main(["identities"]) == 1
+        path = tmp_path / "report.json"
+        argv = ["verify-all", "--only", "square-decompositions,no-square-certificates"]
+        assert main([*argv, "--json", str(path)]) == 1
         out = capsys.readouterr().out
-        assert "case e: f = g^2 - h FAILS; no-square certificate inconclusive" in out
-        assert out.count("holds") == 4
+        assert "[FAIL] square-decompositions" in out
+        assert "[GAP ] no-square-certificates" in out
+        cli = {c["name"]: c["details"] for c in json.loads(path.read_text())["checks"]}
+        # Case e fails and has no certificate; the other four hold and are proved.
+        assert cli["square-decompositions"]["failed"] == ["e"]
+        assert cli["square-decompositions"]["factorPairsReproduced"] is False
+        certificates = cli["no-square-certificates"]["certificates"]
+        statuses = {label: c["status"] for label, c in certificates.items()}
+        assert statuses.pop("e") == "inconclusive"
+        assert set(statuses.values()) == {"proved-impossible"} and len(statuses) == 4
 
     def test_algebraic_consequence(self):
         # If a^2 = f(t), then (A(t) - 2a)(A(t) + 2a) = 4h(t); equivalently
