@@ -1,7 +1,39 @@
 """Exact-arithmetic feasibility checker for finite homogeneous geometry parameters.
 
-The package root holds only the version; import from the modules, for
-example ``from homgeom.pipeline import eliminate``.
+The package root holds the version and ``_jsonable``, the one JSON
+stringifier, which every command needs and which imports nothing beyond
+``enum``; import everything else from the modules, for example
+``from homgeom.pipeline import eliminate``.
 """
 
+from enum import Enum
+
 __version__ = "0.1.0"
+
+
+def _jsonable(obj):
+    """JSON-friendly form with every integer as a decimal string.
+
+    Consumers of the report must not lose precision on the big integers, so
+    ints are serialized as strings throughout, and a Fraction as
+    "numerator/denominator".  Fractions are told apart by their attributes
+    rather than by type, so that serializing needs no ``fractions`` import.
+    """
+    if isinstance(obj, bool) or obj is None or isinstance(obj, str):
+        return obj
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return obj
+    if hasattr(obj, "denominator"):
+        return f"{obj.numerator}/{obj.denominator}"
+    if isinstance(obj, Enum):
+        return obj.value
+    if isinstance(obj, dict):
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, set, frozenset)):
+        items = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
+        return [_jsonable(v) for v in items]
+    if hasattr(obj, "to_record"):
+        return _jsonable(obj.to_record())
+    raise TypeError(f"cannot serialize {type(obj)!r}")

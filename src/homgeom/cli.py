@@ -12,17 +12,7 @@ import json
 import sys
 import types
 
-from .exact_arith import _jsonable
-from .parameters import (
-    Condition,
-    ModelScopeError,
-    ParamSystem,
-    classify_condition,
-    condition_alphas,
-    require_hypothesis_line_size,
-    s2_from,
-)
-from .localization import point_localize
+from . import _jsonable
 from .geometries import (
     UnsupportedFieldError,
     alpha_from_profile,
@@ -52,11 +42,16 @@ def _lazy(name: str) -> types.ModuleType:
     return module
 
 
-# No command calls bounds or obstructions directly; registering them too puts
+# Only geometries loads with the CLI, so `geometry` starts without the other
+# modules and the dataclasses and fractions they import.  No command calls
+# exact_arith, bounds or obstructions directly; registering them too puts
 # every module of the package in sys.modules once the CLI is imported, where
 # tools that wrap functions by module name (perfbench/tracer.py) find them.
+_lazy("exact_arith")
 _lazy("bounds")
 _lazy("obstructions")
+parameters = _lazy("parameters")
+localization = _lazy("localization")
 pipeline = _lazy("pipeline")
 verify = _lazy("verify")
 
@@ -113,9 +108,9 @@ def _cmd_verify_all(args) -> int:
 def _cmd_check_params(args) -> int:
     try:
         dim = pipeline.required_dimension() if args.dim is None else args.dim
-        ps = ParamSystem(args.s1, args.alpha, args.alpha_prime, dim)
+        ps = parameters.ParamSystem(args.s1, args.alpha, args.alpha_prime, dim)
         verdict = pipeline.eliminate(ps)
-    except ModelScopeError as exc:
+    except parameters.ModelScopeError as exc:
         _print_json({"verdict": pipeline.Verdict.OUT_OF_MODELED_SCOPE.value, "error": str(exc)})
         return 2
     except ValueError as exc:
@@ -127,27 +122,29 @@ def _cmd_check_params(args) -> int:
 
 def _cmd_localize(args) -> int:
     try:
-        ps = ParamSystem(args.s1, args.alpha, args.alpha_prime, dim=pipeline.required_dimension())
-        require_hypothesis_line_size(ps.s1, "s1")
-    except (ModelScopeError, ValueError) as exc:
+        ps = parameters.ParamSystem(
+            args.s1, args.alpha, args.alpha_prime, dim=pipeline.required_dimension()
+        )
+        parameters.require_hypothesis_line_size(ps.s1, "s1")
+    except (parameters.ModelScopeError, ValueError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
-    s1_hat = point_localize(ps.s1, ps.alpha)
+    s1_hat = localization.point_localize(ps.s1, ps.alpha)
     # Condition 1 is absent from forced when s1_hat is not a square.
-    forced = condition_alphas(s1_hat)
+    forced = parameters.condition_alphas(s1_hat)
     hypotheses = {
         cond.value: (
-            {"alphaHat": forced[cond], "s2Hat": s2_from(s1_hat, forced[cond])}
+            {"alphaHat": forced[cond], "s2Hat": parameters.s2_from(s1_hat, forced[cond])}
             if cond in forced
             else None
         )
-        for cond in Condition
+        for cond in parameters.Condition
         if cond.family
     }
     _print_json(
         {
             "input": ps.to_record(),
-            "classification": sorted(c.value for c in classify_condition(ps)),
+            "classification": sorted(c.value for c in parameters.classify_condition(ps)),
             "s1Hat": s1_hat,
             "localizedUnder": hypotheses,
         }

@@ -6,8 +6,6 @@ arbitrary-precision ``int``, rationals are ``fractions.Fraction`` (always in
 lowest terms, so equality is structural), and polynomials are dense
 coefficient tuples in which an integral coefficient is an ``int`` and only a
 non-integral one, which only a division makes, is a ``Fraction``.
-``_jsonable`` writes these numbers into JSON output, every int as a decimal
-string.
 """
 
 from __future__ import annotations
@@ -293,29 +291,3 @@ def eventually_positive(p: UniPoly, t_min: int) -> PositivityCertificate:
         if c < 0:
             return PositivityCertificate(Positivity.INCONCLUSIVE, t_min, shifted, i)
     return PositivityCertificate(Positivity.PROVED_POSITIVE, t_min, shifted)
-
-
-def _jsonable(obj):
-    """JSON-friendly form with every integer as a decimal string.
-
-    Consumers of the report must not lose precision on the big integers, so
-    ints are serialized as strings throughout.
-    """
-    if isinstance(obj, bool) or obj is None or isinstance(obj, str):
-        return obj
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return obj
-    if isinstance(obj, Fraction):
-        return f"{obj.numerator}/{obj.denominator}"
-    if isinstance(obj, Enum):
-        return obj.value
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        items = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
-        return [_jsonable(v) for v in items]
-    if hasattr(obj, "to_record"):
-        return _jsonable(obj.to_record())
-    raise TypeError(f"cannot serialize {type(obj)!r}")

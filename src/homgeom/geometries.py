@@ -11,10 +11,8 @@ real geometries.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import product
-
-from .parameters import FlatProfile
+from typing import NamedTuple
 
 # The lattice walk scans the points once per flat, so the desk-scale limit
 # bounds flats x points.  PG(3,7) (1.5 * 10^6) and PG(2,31) (2.0 * 10^6) walk
@@ -61,8 +59,7 @@ class PrimeField:
         return pow(a, -1, self.p)
 
 
-@dataclass(frozen=True)
-class GeometryKind:
+class GeometryKind(NamedTuple):
     family: str  # "projective" or "affine"
     n: int
     p: int
@@ -70,6 +67,35 @@ class GeometryKind:
     def __str__(self) -> str:
         tag = "PG" if self.family == "projective" else "AG"
         return f"{tag}({self.n},{self.p})"
+
+
+class FlatProfile(NamedTuple("FlatProfile", [("sizes", tuple[int, ...])])):
+    """Flat sizes s_0 ... s_n of a geometry; strictly increasing with s_0 = 1."""
+
+    __slots__ = ()
+
+    def __new__(cls, sizes):
+        if not sizes:
+            raise ValueError("a flat profile needs at least s_0")
+        if sizes[0] != 1:
+            raise ValueError(f"s_0 must be 1, got {sizes[0]}")
+        for a, b in zip(sizes, sizes[1:]):
+            if b <= a:
+                raise ValueError(f"flat sizes must strictly increase, got {sizes}")
+        return super().__new__(cls, tuple(int(s) for s in sizes))
+
+    @property
+    def top_dim(self) -> int:
+        return len(self.sizes) - 1
+
+    def s(self, i: int) -> int:
+        return self.sizes[i]
+
+    def truncate(self, rank: int) -> "FlatProfile":
+        """Drop all flats above the given rank (prefix truncation)."""
+        if rank < 0:
+            raise ValueError("rank must be nonnegative")
+        return FlatProfile(self.sizes[: rank + 1])
 
 
 class Geometry:

@@ -98,36 +98,6 @@ class ParamSystem:
         )
 
 
-@dataclass(frozen=True)
-class FlatProfile:
-    """Flat sizes s_0 ... s_n of a geometry; strictly increasing with s_0 = 1."""
-
-    sizes: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.sizes:
-            raise ValueError("a flat profile needs at least s_0")
-        if self.sizes[0] != 1:
-            raise ValueError(f"s_0 must be 1, got {self.sizes[0]}")
-        for a, b in zip(self.sizes, self.sizes[1:]):
-            if b <= a:
-                raise ValueError(f"flat sizes must strictly increase, got {self.sizes}")
-        object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
-
-    @property
-    def top_dim(self) -> int:
-        return len(self.sizes) - 1
-
-    def s(self, i: int) -> int:
-        return self.sizes[i]
-
-    def truncate(self, rank: int) -> "FlatProfile":
-        """Drop all flats above the given rank (prefix truncation)."""
-        if rank < 0:
-            raise ValueError("rank must be nonnegative")
-        return FlatProfile(self.sizes[: rank + 1])
-
-
 def s2_from(s1: int, alpha: int) -> int:
     """Plane size forced by (s1, alpha): s1 + (s1-1)*alpha + (s1-1)^2."""
     return s1 + (s1 - 1) * alpha + (s1 - 1) ** 2

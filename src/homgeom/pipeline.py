@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
 
-from . import __version__
-from .exact_arith import _jsonable, exact_sqrt
+from . import __version__, _jsonable
+from .exact_arith import exact_sqrt
 from .parameters import (
     Condition,
     ParamSystem,

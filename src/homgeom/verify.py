@@ -15,7 +15,7 @@ from collections.abc import Collection
 from functools import partial
 
 from .exact_arith import UniPoly
-from .parameters import Condition, FlatProfile, condition_alpha
+from .parameters import Condition, condition_alpha
 from .bounds import (
     alpha_cap_terms,
     alpha_route_sweep,
@@ -34,6 +34,7 @@ from .obstructions import (
     verify_identity,
 )
 from .geometries import (
+    FlatProfile,
     alpha_from_profile,
     build_affine,
     build_projective,

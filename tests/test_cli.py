@@ -162,6 +162,46 @@ class TestLocalize:
         )
 
 
+# The exact bytes of two `geometry --localize` runs: every int a decimal
+# string, indent 2.
+GEOMETRY_OUTPUT = {
+    ("pg", "2", "3"): """\
+{
+  "kind": "PG(2,3)",
+  "points": "13",
+  "profile": [
+    "1",
+    "4",
+    "13"
+  ],
+  "alpha": "0",
+  "localizedProfile": [
+    "1",
+    "4"
+  ]
+}
+""",
+    ("ag", "3", "2"): """\
+{
+  "kind": "AG(3,2)",
+  "points": "8",
+  "profile": [
+    "1",
+    "2",
+    "4",
+    "8"
+  ],
+  "alpha": "1",
+  "localizedProfile": [
+    "1",
+    "3",
+    "7"
+  ]
+}
+""",
+}
+
+
 class TestGeometry:
     def test_projective(self, capsys):
         code, out, _ = run(capsys, "geometry", "--type", "pg", "--n", "3", "--q", "2")
@@ -178,6 +218,12 @@ class TestGeometry:
         payload = json.loads(out)
         assert payload["profile"] == ["1", "3", "9", "27"]
         assert payload["localizedProfile"] == ["1", "4", "13"]
+
+    @pytest.mark.parametrize("instance", sorted(GEOMETRY_OUTPUT), ids="-".join)
+    def test_exact_output(self, capsys, instance):
+        kind, n, q = instance
+        code, out, err = run(capsys, "geometry", "--type", kind, "--n", n, "--q", q, "--localize")
+        assert (code, out, err) == (0, GEOMETRY_OUTPUT[instance], "")
 
     def test_non_prime_rejected(self, capsys):
         code, _, err = run(capsys, "geometry", "--type", "pg", "--n", "2", "--q", "4")
@@ -518,22 +564,31 @@ class TestModuleLoading:
 
     def test_geometry_runs_no_verify_pipeline_obstructions_or_bounds(self):
         # A lazily registered module that was never touched is still a
-        # LazyLoader module object, not a plain module.
+        # LazyLoader module object, not a plain module.  The heavy standard
+        # modules are compared before and after, so an interpreter whose
+        # site already loaded one of them still passes.
         script = textwrap.dedent(
             """
             import json, sys, types
+            before = set(sys.modules)
             import homgeom.cli
             code = homgeom.cli.main(["geometry", "--type", "ag", "--n", "2", "--q", "3", "--localize"])
-            executed = [
+            executed = sorted(
                 name
-                for name in ("verify", "pipeline", "obstructions", "bounds")
-                if type(sys.modules.get("homgeom." + name)) is types.ModuleType
-            ]
-            print(json.dumps({"code": code, "executed": executed}))
+                for name, module in sys.modules.items()
+                if name.split(".")[0] == "homgeom" and type(module) is types.ModuleType
+            )
+            heavy = {"dataclasses", "inspect", "fractions", "decimal"}
+            added = sorted(heavy & (set(sys.modules) - before))
+            print(json.dumps({"code": code, "executed": executed, "added": added}))
             """
         )
         *geometry, last = fresh_interpreter("-c", script).stdout.splitlines()
-        assert json.loads(last) == {"code": 0, "executed": []}
+        assert json.loads(last) == {
+            "code": 0,
+            "executed": ["homgeom", "homgeom.cli", "homgeom.geometries"],
+            "added": [],
+        }
         assert json.loads("\n".join(geometry))["profile"] == ["1", "3", "9"]
 
     def test_cli_import_registers_every_traced_module(self):

@@ -2,11 +2,13 @@
 
 import random
 import re
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from homgeom.geometries import (
+    FlatProfile,
     Geometry,
     GeometryKind,
     HomogeneityError,
@@ -23,7 +25,7 @@ from homgeom.geometries import (
     level_counts,
     localize_at_point,
 )
-from homgeom.parameters import Condition, FlatProfile, ParamSystem, classify_condition
+from homgeom.parameters import Condition, ParamSystem, classify_condition
 
 INSTANCES = [
     build_projective(2, 2),
@@ -160,6 +162,37 @@ class TestConstruction:
 
 
 class TestFlatProfile:
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            FlatProfile((2, 3))
+        with pytest.raises(ValueError):
+            FlatProfile((1, 3, 3))
+        with pytest.raises(ValueError):
+            FlatProfile(())
+
+    def test_sizes_normalized_to_int(self):
+        sizes = FlatProfile([Fraction(1), Fraction(3), Fraction(9)]).sizes
+        assert sizes == (1, 3, 9)
+        assert [type(s) for s in sizes] == [int, int, int]
+
+    def test_truncate(self):
+        profile = FlatProfile((1, 3, 7, 15))
+        assert profile.truncate(2) == FlatProfile((1, 3, 7))
+        assert profile.truncate(3) == profile
+
+    def test_top_dim(self):
+        assert FlatProfile((1, 3, 9, 27)).top_dim == 3
+
+    def test_value_semantics(self):
+        profile = FlatProfile((1, 3, 9))
+        assert profile == FlatProfile([1, 3, 9])
+        assert profile != FlatProfile((1, 3, 7))
+        assert {profile, FlatProfile((1, 3, 9))} == {profile}
+        with pytest.raises(AttributeError):
+            profile.sizes = (1, 4, 13)
+        with pytest.raises(AttributeError):
+            profile.extra = 0
+
     def test_projective_profiles(self):
         assert flat_profile(build_projective(3, 2)).sizes == (1, 3, 7, 15)
         assert flat_profile(build_projective(2, 3)).sizes == (1, 4, 13)
@@ -411,6 +444,17 @@ class TestKind:
     def test_str(self):
         assert str(GeometryKind("projective", 3, 2)) == "PG(3,2)"
         assert str(GeometryKind("affine", 3, 3)) == "AG(3,3)"
+        assert str(GeometryKind("affine", 2, 3)) == "AG(2,3)"
+
+    def test_value_semantics(self):
+        kind = GeometryKind("affine", 2, 3)
+        assert kind == GeometryKind("affine", 2, 3)
+        assert kind != GeometryKind("projective", 2, 3)
+        assert {kind, GeometryKind("affine", 2, 3)} == {kind}
+        with pytest.raises(AttributeError):
+            kind.p = 5
+        with pytest.raises(AttributeError):
+            kind.extra = 0
 
     def test_geometry_carries_kind(self):
         g = build_projective(3, 2)

@@ -152,8 +152,9 @@ class TestObstructionValues:
             import homgeom.geometries as geo
             import homgeom.localization as loc
             from homgeom.exact_arith import UniPoly
+            from homgeom.geometries import FlatProfile
             from homgeom.localization import CaseLabel
-            from homgeom.parameters import Condition, FlatProfile
+            from homgeom.parameters import Condition
             from homgeom.pipeline import _Walk
 
             fired = 0

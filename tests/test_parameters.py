@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 from homgeom.bounds import first_r_exceeding
+from homgeom.geometries import FlatProfile
 from homgeom.parameters import (
     Condition,
-    FlatProfile,
     ModelScopeError,
     ParamSystem,
     classify_condition,
@@ -187,20 +187,3 @@ class TestClassify:
                 expected[Condition.COND1_MINUS] = s1 * (root - 1) ** 2
             assert condition_alphas(s1) == expected, s1
 
-
-class TestFlatProfile:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            FlatProfile((2, 3))
-        with pytest.raises(ValueError):
-            FlatProfile((1, 3, 3))
-        with pytest.raises(ValueError):
-            FlatProfile(())
-
-    def test_truncate(self):
-        profile = FlatProfile((1, 3, 7, 15))
-        assert profile.truncate(2) == FlatProfile((1, 3, 7))
-        assert profile.truncate(3) == profile
-
-    def test_top_dim(self):
-        assert FlatProfile((1, 3, 9, 27)).top_dim == 3

@@ -4,11 +4,12 @@ import itertools
 import json
 import math
 import re
+from fractions import Fraction
 
 import pytest
 
 import homgeom.pipeline as pipeline
-from homgeom.exact_arith import _jsonable
+from homgeom import _jsonable
 from homgeom.localization import CASE_MIN_ARG, FORBIDDEN_PAIRS, CaseLabel
 from homgeom.obstructions import catalog
 from homgeom.parameters import Condition, ParamSystem, condition_alphas, square_divisor
@@ -386,6 +387,9 @@ class TestReport:
 
     def test_bools_survive(self):
         assert _jsonable({"ok": True}) == {"ok": True}
+
+    def test_fractions_as_ratios(self):
+        assert _jsonable([Fraction(-7, 3), Fraction(4, 2)]) == ["-7/3", "2/1"]
 
     def test_exit_codes(self):
         report = Report()
