@@ -18,6 +18,8 @@ def _jsonable(obj):
     ints are serialized as strings throughout, and a Fraction as
     "numerator/denominator".  Fractions are told apart by their attributes
     rather than by type, so that serializing needs no ``fractions`` import.
+    A record with ``to_record`` is tested before the tuple branch, since the
+    package's records are named tuples.
     """
     if isinstance(obj, bool) or obj is None or isinstance(obj, str):
         return obj
@@ -31,9 +33,9 @@ def _jsonable(obj):
         return obj.value
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
+    if hasattr(obj, "to_record"):
+        return _jsonable(obj.to_record())
     if isinstance(obj, (list, tuple, set, frozenset)):
         items = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
         return [_jsonable(v) for v in items]
-    if hasattr(obj, "to_record"):
-        return _jsonable(obj.to_record())
     raise TypeError(f"cannot serialize {type(obj)!r}")

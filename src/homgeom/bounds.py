@@ -18,8 +18,8 @@ identities, once as exact polynomial identities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exact_arith import UniPoly
 from .parameters import s2_from, square_divisor
@@ -110,8 +110,7 @@ def first_r_exceeding(s1: int, s2: int, threshold: Fraction | int) -> int:
     return r
 
 
-@dataclass(frozen=True)
-class ThresholdReport:
+class ThresholdReport(NamedTuple):
     """Cap and the first excluded dimension for one parameter system."""
 
     s1: int
@@ -130,8 +129,7 @@ class ThresholdReport:
         }
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     """Worst case observed over a parameter grid."""
 
     bound_name: str

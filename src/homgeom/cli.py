@@ -13,14 +13,6 @@ import sys
 import types
 
 from . import _jsonable
-from .geometries import (
-    UnsupportedFieldError,
-    alpha_from_profile,
-    build_affine,
-    build_projective,
-    flat_profile,
-    localize_at_point,
-)
 
 
 def _lazy(name: str) -> types.ModuleType:
@@ -42,14 +34,17 @@ def _lazy(name: str) -> types.ModuleType:
     return module
 
 
-# Only geometries loads with the CLI, so `geometry` starts without the other
-# modules and the dataclasses and fractions they import.  No command calls
-# exact_arith, bounds or obstructions directly; registering them too puts
-# every module of the package in sys.modules once the CLI is imported, where
-# tools that wrap functions by module name (perfbench/tracer.py) find them.
+# Every module loads lazily, so a command executes only the modules it runs:
+# `geometry` runs geometries alone, without fractions and the arithmetic
+# layer, and `localize` and `check-params` never run geometries.  No command
+# calls exact_arith, bounds or obstructions directly; registering them too
+# puts every module of the package in sys.modules once the CLI is imported,
+# where tools that wrap functions by module name (perfbench/tracer.py) find
+# them.
 _lazy("exact_arith")
 _lazy("bounds")
 _lazy("obstructions")
+geometries = _lazy("geometries")
 parameters = _lazy("parameters")
 localization = _lazy("localization")
 pipeline = _lazy("pipeline")
@@ -138,8 +133,7 @@ def _cmd_localize(args) -> int:
             if cond in forced
             else None
         )
-        for cond in parameters.Condition
-        if cond.family
+        for cond in parameters.EXCEPTIONAL
     }
     _print_json(
         {
@@ -153,20 +147,21 @@ def _cmd_localize(args) -> int:
 
 
 def _cmd_geometry(args) -> int:
+    build = geometries.build_projective if args.type == "pg" else geometries.build_affine
     try:
-        g = (build_projective if args.type == "pg" else build_affine)(args.n, args.q)
-    except (UnsupportedFieldError, ValueError) as exc:
+        g = build(args.n, args.q)
+    except (geometries.UnsupportedFieldError, ValueError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
-    profile = flat_profile(g)
+    profile = geometries.flat_profile(g)
     payload = {
         "kind": str(g.kind),
         "points": len(g.points),
         "profile": list(profile.sizes),
-        "alpha": alpha_from_profile(profile),
+        "alpha": geometries.alpha_from_profile(profile),
     }
     if args.localize:
-        localized = localize_at_point(g, g.points[0], profile)
+        localized = geometries.localize_at_point(g, g.points[0], profile)
         payload["localizedProfile"] = list(localized.sizes)
     _print_json(payload)
     return 0

@@ -11,10 +11,9 @@ non-integral one, which only a division makes, is a ``Fraction``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 Scalar = Union[int, Fraction]
 
@@ -217,13 +216,6 @@ class UniPoly:
             acc = acc * t + c
         return acc
 
-    def evaluate_int(self, t: int) -> int:
-        """Evaluate at an integer; raises if the value is not an integer."""
-        v = self.evaluate(t)
-        if v.denominator != 1:
-            raise ValueError(f"value {v} at t={t} is not an integer")
-        return v.numerator
-
     def shift(self, c: int) -> "UniPoly":
         """Composition p(x + c), exact in the coefficients.
 
@@ -256,8 +248,7 @@ class Positivity(Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class PositivityCertificate:
+class PositivityCertificate(NamedTuple):
     """Outcome of the shifted-coefficient positivity test.
 
     ``PROVED_POSITIVE`` is sound but not complete: it certifies p(t) > 0 for

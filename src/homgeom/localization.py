@@ -22,18 +22,19 @@ known square arguments included.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .exact_arith import UniPoly, is_perfect_square
-from .parameters import Condition, condition_alpha, s2_from
+from .parameters import EXCEPTIONAL, Condition, condition_alpha, s2_from
 
 
 class CaseLabel(Enum):
     """The cases that settle the impossible condition pairs.
 
     Which pair each settles is recorded in `FORBIDDEN_PAIRS`; case B splits
-    by the sign of the outer condition 1.
+    by the sign of the outer condition 1.  Members hash by identity, as
+    `Condition`'s do.
     """
 
     A = "a"
@@ -43,6 +44,8 @@ class CaseLabel(Enum):
     D = "d"
     E = "e"
     F = "f"
+
+    __hash__ = object.__hash__
 
     @property
     def provenance(self) -> str:
@@ -130,7 +133,7 @@ def obstruction_value(case: CaseLabel, arg: int | UniPoly) -> int | UniPoly:
         raise ValueError(f"case {case.value} obstruction needs argument >= 2, got {arg}")
     outer, target = next(pair for pair, c in FORBIDDEN_PAIRS.items() if c is case)
     # Every computable case localizes into family 2 or 3, one condition each.
-    inner = next(c for c in Condition if c.family == target)
+    inner = next(c for c in EXCEPTIONAL if c.family == target)
     s1 = arg * arg if outer.family == 1 else arg
     s1_hat = point_localize(s1, condition_alpha(outer, s1))
     s2_hat = s2_from(s1_hat, condition_alpha(inner, s1_hat))
@@ -148,11 +151,10 @@ def known_square_args(case: CaseLabel) -> tuple[int, ...]:
     square, with t_min = CASE_MIN_ARG[case]; the case's no-square
     certificate covers every t >= t_min."""
     f = obstruction_value(case, UniPoly.x())
-    return tuple(t for t in range(CASE_MIN_ARG[case]) if is_perfect_square(f.evaluate_int(t)))
+    return tuple(t for t in range(CASE_MIN_ARG[case]) if is_perfect_square(f.evaluate(t)))
 
 
-@dataclass(frozen=True)
-class CaseInstanceVerdict:
+class CaseInstanceVerdict(NamedTuple):
     """Outcome of testing one case instance against its square obstruction."""
 
     case: CaseLabel

@@ -19,8 +19,8 @@ survivors exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .exact_arith import (
     PositivityCertificate,
@@ -31,8 +31,7 @@ from .exact_arith import (
 from .localization import CASE_MIN_ARG, CaseLabel, known_square_args, obstruction_value
 
 
-@dataclass(frozen=True)
-class SquareObstruction:
+class SquareObstruction(NamedTuple):
     """One impossibility instance: f = g^2 - h plus the range it covers.
 
     f has integer coefficients; in the five cases 2g and 4h are integral.
@@ -83,8 +82,7 @@ class Impossibility(Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class NoSquareCertificate:
+class NoSquareCertificate(NamedTuple):
     """Result of the gap argument for one obstruction.
 
     PROVED_IMPOSSIBLE means: for every integer t >= t_min, f(t) is not a

@@ -9,8 +9,8 @@ exceptional parameter families a system belongs to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .exact_arith import UniPoly, exact_sqrt, is_perfect_square
 
@@ -30,6 +30,10 @@ class Condition(Enum):
     ClassicalCompatible marks the projective-like (alpha = 0) and
     affine-like (alpha = 1, alpha' = 0) shapes, and is advisory only; the
     advisory tags have family 0 and alpha_prime None.
+
+    Members hash by identity: each is a singleton compared by identity, and
+    the hot loops hash them in sets and dicts, where Enum's own hash runs in
+    Python.
     """
 
     COND1_PLUS = ("Cond1Plus", 1, 0)
@@ -46,9 +50,19 @@ class Condition(Enum):
         member.alpha_prime = alpha_prime
         return member
 
+    __hash__ = object.__hash__
 
-@dataclass(frozen=True)
-class ParamSystem:
+
+# The four exceptional conditions in definition order, built once: iterating
+# the enum itself runs a Python-level generator on every pass.
+EXCEPTIONAL: tuple[Condition, ...] = tuple(c for c in Condition if c.family)
+
+
+class ParamSystem(
+    NamedTuple(
+        "ParamSystem", [("s1", int), ("alpha", int), ("alpha_prime", int), ("dim", int)]
+    )
+):
     """The numerical invariants (s1, alpha, alpha', dim) of a putative geometry.
 
     alpha is a nonnegative integer (it counts incidences) and alpha' is
@@ -56,22 +70,20 @@ class ParamSystem:
     silently passed through the arithmetic.
     """
 
-    s1: int
-    alpha: int
-    alpha_prime: int = 0
-    dim: int = 3
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.s1 < 2:
-            raise ValueError(f"s1 must be at least 2, got {self.s1}")
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be nonnegative, got {self.alpha}")
-        if self.alpha_prime not in (0, 1):
+    def __new__(cls, s1: int, alpha: int, alpha_prime: int = 0, dim: int = 3):
+        if s1 < 2:
+            raise ValueError(f"s1 must be at least 2, got {s1}")
+        if alpha < 0:
+            raise ValueError(f"alpha must be nonnegative, got {alpha}")
+        if alpha_prime not in (0, 1):
             raise ModelScopeError(
-                f"alpha_prime={self.alpha_prime} is outside the modeled range {{0, 1}}"
+                f"alpha_prime={alpha_prime} is outside the modeled range {{0, 1}}"
             )
-        if self.dim < 3:
-            raise ValueError(f"dim must be at least 3, got {self.dim}")
+        if dim < 3:
+            raise ValueError(f"dim must be at least 3, got {dim}")
+        return super().__new__(cls, s1, alpha, alpha_prime, dim)
 
     @property
     def beta(self) -> int:
@@ -156,8 +168,8 @@ def condition_alphas(s1: int) -> dict[Condition, int]:
     (condition 1 only when s1 is a perfect square)."""
     return {
         cond: condition_alpha(cond, s1)
-        for cond in Condition
-        if cond.family and (cond.family != 1 or is_perfect_square(s1))
+        for cond in EXCEPTIONAL
+        if cond.family != 1 or is_perfect_square(s1)
     }
 
 

@@ -15,13 +15,14 @@ localizations at a point, a line and a plane.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
+from typing import NamedTuple
 
 from . import __version__, _jsonable
 from .exact_arith import exact_sqrt
 from .parameters import (
+    EXCEPTIONAL,
     Condition,
     ParamSystem,
     classify_condition,
@@ -43,7 +44,7 @@ from .localization import (
 # -- the automaton -----------------------------------------------------------
 
 # The exceptional condition families, the automaton's nodes.
-FAMILIES: tuple[int, ...] = tuple(sorted({c.family for c in Condition if c.family}))
+FAMILIES: tuple[int, ...] = tuple(sorted({c.family for c in EXCEPTIONAL}))
 
 STANDARD_FORBIDDEN: frozenset[tuple[int, int]] = frozenset(
     (outer.family, target) for outer, target in FORBIDDEN_PAIRS
@@ -113,8 +114,7 @@ class Verdict(Enum):
     OUT_OF_MODELED_SCOPE = "OutOfModeledScope"
 
 
-@dataclass(frozen=True)
-class EliminationVerdict:
+class EliminationVerdict(NamedTuple):
     """Outcome for one parameter system, with the full rule trace."""
 
     subject: ParamSystem
@@ -248,7 +248,7 @@ def eliminate(
         if not integrality_alpha1(ps.s1, beta):
             trace.append(f"integrality failure: s1={ps.s1} does not divide beta={beta}")
             return EliminationVerdict(ps, Verdict.ELIMINATED, tuple(trace))
-    start_conditions = [c for c in Condition if c.family and c in tags]
+    start_conditions = [c for c in EXCEPTIONAL if c in tags]
     if not start_conditions:
         trace.append(
             "condition trichotomy: alpha matches no exceptional family; "
@@ -275,24 +275,36 @@ def eliminate(
 # -- report plumbing ----------------------------------------------------------
 
 
-@dataclass
 class ReportCheck:
-    name: str
-    status: str  # "pass", "fail" or "gap"
-    details: dict = field(default_factory=dict)
-    witness: object = None
-    elapsed_seconds: float | None = None  # set by verify_all, the check's own time
+    """One report row; verify_all sets elapsed_seconds, the check's own time."""
+
+    def __init__(
+        self,
+        name: str,
+        status: str,  # "pass", "fail" or "gap"
+        details: dict | None = None,
+        witness: object = None,
+        elapsed_seconds: float | None = None,
+    ):
+        self.name = name
+        self.status = status
+        self.details = {} if details is None else details
+        self.witness = witness
+        self.elapsed_seconds = elapsed_seconds
 
 
-@dataclass
 class Report:
-    version: str = __version__
-    timestamp: str = ""
-    checks: list[ReportCheck] = field(default_factory=list)
+    """The checks of one run, stamped with the version and a UTC timestamp."""
 
-    def __post_init__(self):
-        if not self.timestamp:
-            self.timestamp = datetime.now(timezone.utc).isoformat()
+    def __init__(
+        self,
+        version: str = __version__,
+        timestamp: str = "",
+        checks: list[ReportCheck] | None = None,
+    ):
+        self.version = version
+        self.timestamp = timestamp or datetime.now(timezone.utc).isoformat()
+        self.checks = [] if checks is None else checks
 
     def add(self, name: str, status: str, details: dict | None = None, witness=None) -> None:
         self.checks.append(ReportCheck(name, status, details or {}, witness))

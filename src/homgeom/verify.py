@@ -291,11 +291,17 @@ def verify_all(
     grid_s1_max: int = 50,
     driver_max: int = 2500,
 ) -> Report:
-    """Run the checks named in only (all for None); each check carries its own wall time."""
-    inputs = dict(cat=catalog(), sieve_limit=sieve_limit, s1_max=s1_max, alpha_max=alpha_max,
+    """Run the checks named in only (all for None); each check carries its own wall time.
+
+    The catalog is derived once, and only when a selected check reads it.
+    """
+    rows = select_checks(only)
+    inputs = dict(sieve_limit=sieve_limit, s1_max=s1_max, alpha_max=alpha_max,
                   grid_s1_max=grid_s1_max, driver_max=driver_max)
+    if any("cat" in reads for _, _, reads in rows):
+        inputs["cat"] = catalog()
     report = Report()
-    for _, check, reads in select_checks(only):
+    for _, check, reads in rows:
         start = time.perf_counter()
         check(report, **{key: inputs[key] for key in reads})
         report.checks[-1].elapsed_seconds = time.perf_counter() - start

@@ -519,6 +519,20 @@ class TestVerifyAll:
         pair = homgeom.verify.verify_all(only=["parameter-search", "square-sieve"], **sizes)
         assert [c.name for c in pair.checks] == ["square-sieve", "parameter-search"]
 
+    @pytest.mark.parametrize("only, calls", [(["dimension-threshold"], 0), (None, 1)])
+    def test_catalog_derived_only_when_read(self, monkeypatch, only, calls):
+        derived = []
+
+        def counted_catalog():
+            derived.append(1)
+            return catalog()
+
+        monkeypatch.setattr(homgeom.verify, "catalog", counted_catalog)
+        sizes = dict(sieve_limit=100, s1_max=5, alpha_max=50, grid_s1_max=6, driver_max=40)
+        report = homgeom.verify.verify_all(only=only, **sizes)
+        assert report.overall_status == "pass"
+        assert len(derived) == calls
+
 
 class TestReadme:
     """README's CLI block names the commands and verify-all flags the parser has."""
@@ -590,6 +604,39 @@ class TestModuleLoading:
             "added": [],
         }
         assert json.loads("\n".join(geometry))["profile"] == ["1", "3", "9"]
+
+    def test_verify_all_imports_no_dataclasses_or_inspect(self):
+        # dataclasses pulls in inspect, and inspect dis, ast and tokenize.
+        script = textwrap.dedent(
+            """
+            import json, sys
+            before = set(sys.modules)
+            import homgeom.cli
+            code = homgeom.cli.main(
+                ["verify-all", "--sieve-limit", "100", "--s1-max", "5", "--alpha-max", "50",
+                 "--grid-s1-max", "6", "--driver-max", "40"]
+            )
+            heavy = {"dataclasses", "inspect", "dis", "ast", "tokenize"}
+            added = sorted(heavy & (set(sys.modules) - before))
+            print(json.dumps({"code": code, "added": added}))
+            """
+        )
+        last = fresh_interpreter("-c", script).stdout.splitlines()[-1]
+        assert json.loads(last) == {"code": 0, "added": []}
+
+    def test_localize_never_runs_geometries(self):
+        script = textwrap.dedent(
+            """
+            import json, sys, types
+            import homgeom.cli
+            code = homgeom.cli.main(["localize", "--s1", "4", "--alpha", "36"])
+            module = sys.modules["homgeom.geometries"]
+            print(json.dumps({"code": code, "executed": type(module) is types.ModuleType}))
+            """
+        )
+        *localized, last = fresh_interpreter("-c", script).stdout.splitlines()
+        assert json.loads(last) == {"code": 0, "executed": False}
+        assert json.loads("\n".join(localized))["s1Hat"] == "40"
 
     def test_cli_import_registers_every_traced_module(self):
         # perfbench/tracer.py looks its targets up in sys.modules right after

@@ -203,11 +203,11 @@ class TestObstructionValues:
         for case in (CaseLabel.C, CaseLabel.E, CaseLabel.F):
             f = cat[case].f
             for s1 in range(3, 1001):
-                assert obstruction_value(case, s1) == f.evaluate_int(s1)
+                assert obstruction_value(case, s1) == f.evaluate(s1)
         for case in (CaseLabel.B_PLUS, CaseLabel.B_MINUS):
             f = cat[case].f
             for t in range(2, 1001):
-                assert obstruction_value(case, t) == f.evaluate_int(t)
+                assert obstruction_value(case, t) == f.evaluate(t)
 
 
 class TestClosedFormPolynomials:

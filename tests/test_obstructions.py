@@ -6,7 +6,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -80,12 +79,12 @@ class TestVerifyIdentity:
 
     def test_mutated_h_detected(self):
         obs = catalog()[CaseLabel.C]
-        mutated = replace(obs, h=obs.h + 1)
+        mutated = obs._replace(h=obs.h + 1)
         assert not verify_identity(mutated)
 
     def test_mutated_g_detected(self):
         obs = catalog()[CaseLabel.E]
-        mutated = replace(obs, g=obs.g + UniPoly([0, 1]))
+        mutated = obs._replace(g=obs.g + UniPoly([0, 1]))
         assert not verify_identity(mutated)
 
 
@@ -120,7 +119,7 @@ class TestFactorEquation:
         # f = g^2 - h, rejects it; the run reports that instead of raising.
         def mutated_catalog():
             cat = catalog()
-            cat[CaseLabel.E] = replace(cat[CaseLabel.E], h=cat[CaseLabel.E].h + 1)
+            cat[CaseLabel.E] = cat[CaseLabel.E]._replace(h=cat[CaseLabel.E].h + 1)
             return cat
 
         monkeypatch.setattr(obstructions, "catalog", mutated_catalog)
@@ -183,15 +182,14 @@ class TestCertificates:
             a_poly, four_h = factor_equation(obs)
             for t in range(obs.t_min, obs.t_min + 1000):
                 assert not is_perfect_square(
-                    a_poly.evaluate_int(t) ** 2 - four_h.evaluate_int(t)
+                    a_poly.evaluate(t) ** 2 - four_h.evaluate(t)
                 )
 
     def test_broken_obstruction_is_inconclusive_not_proved(self):
         # x^2 - 4 = x^2 - (x^2 - ... ) style fabrication: g = x, h = 4 gives
         # f = x^2 - 4, and 4h = 16 is NOT below 2A - 1 = 2*2x - 1 at x = 2,
         # sitting exactly on a square at t = 2.
-        obs = replace(
-            catalog()[CaseLabel.C],
+        obs = catalog()[CaseLabel.C]._replace(
             f=UniPoly([-4, 0, 1]),
             g=UniPoly([0, 1]),
             h=UniPoly([4]),

@@ -10,7 +10,12 @@ import pytest
 
 import homgeom.pipeline as pipeline
 from homgeom import _jsonable
-from homgeom.localization import CASE_MIN_ARG, FORBIDDEN_PAIRS, CaseLabel
+from homgeom.localization import (
+    CASE_MIN_ARG,
+    FORBIDDEN_PAIRS,
+    CaseLabel,
+    eliminate_case_instance,
+)
 from homgeom.obstructions import catalog
 from homgeom.parameters import Condition, ParamSystem, condition_alphas, square_divisor
 from homgeom.pipeline import (
@@ -366,7 +371,7 @@ class TestSearch:
                 b_case = ci.case in (CaseLabel.B_PLUS, CaseLabel.B_MINUS)
                 assert (ci.argument**2 if b_case else ci.argument) in sizes, ci
                 f = cat[ci.case].f
-                assert ci.to_record()["obstructionValue"] == str(f.evaluate_int(ci.argument))
+                assert ci.to_record()["obstructionValue"] == str(f.evaluate(ci.argument))
         assert seen == set(cat)
 
     def test_enumeration_count(self):
@@ -390,6 +395,21 @@ class TestReport:
 
     def test_fractions_as_ratios(self):
         assert _jsonable([Fraction(-7, 3), Fraction(4, 2)]) == ["-7/3", "2/1"]
+
+    def test_named_tuple_records_serialize_as_records(self):
+        # The records are named tuples; to_record wins over the tuple branch.
+        ps = ParamSystem(3, 6, 0, DIM)
+        instance = eliminate_case_instance(CaseLabel.C, 3)
+        assert _jsonable([ps, instance]) == [
+            {"s1": "3", "alpha": "6", "alphaPrime": "0", "dim": str(DIM)},
+            {
+                "case": "c",
+                "argument": "3",
+                "obstructionValue": str(instance.value),
+                "verdict": "Eliminated",
+                "provenance": "internal",
+            },
+        ]
 
     def test_exit_codes(self):
         report = Report()
