@@ -15,11 +15,9 @@ def _jsonable(obj):
     """JSON-friendly form with every integer as a decimal string.
 
     Consumers of the report must not lose precision on the big integers, so
-    ints are serialized as strings throughout, and a Fraction as
-    "numerator/denominator".  Fractions are told apart by their attributes
-    rather than by type, so that serializing needs no ``fractions`` import.
-    A record with ``to_record`` is tested before the tuple branch, since the
-    package's records are named tuples.
+    ints are serialized as strings throughout.  A record with ``to_record``
+    is tested before the tuple branch, since the package's records are named
+    tuples.
     """
     if isinstance(obj, bool) or obj is None or isinstance(obj, str):
         return obj
@@ -27,8 +25,6 @@ def _jsonable(obj):
         return str(obj)
     if isinstance(obj, float):
         return obj
-    if hasattr(obj, "denominator"):
-        return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, Enum):
         return obj.value
     if isinstance(obj, dict):

@@ -1,7 +1,8 @@
 """Spectral quantities and the flat-size thresholds they impose.
 
 For each regime (alpha' = 0 driven by alpha, alpha' = 1 driven by
-beta = alpha - 1) there is an exact rational cap on how large a flat can be.
+beta = alpha - 1) there is an exact cap num/den on how large a flat can be,
+held as the integer pair (num, den).
 Combining a cap with the inter-flat growth lower bound pins the largest
 dimension r at which a flat can still satisfy it, which is where the
 dimension thresholds 20 and 23 of the final argument come from.
@@ -18,7 +19,7 @@ identities, once as exact polynomial identities.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 from typing import NamedTuple
 
 from .exact_arith import UniPoly
@@ -91,16 +92,18 @@ def growth_margin(s1: int, s2: int, num: int, den: int, r: int) -> int:
     return den * (s2 - s1) ** (r - 1) - num * (s1 - 1) ** (r - 2)
 
 
-def first_r_exceeding(s1: int, s2: int, threshold: Fraction | int) -> int:
-    """Smallest r >= 3 whose growth lower bound exceeds the threshold.
+def first_r_exceeding(s1: int, s2: int, num: int, den: int = 1) -> int:
+    """Smallest r >= 3 whose growth lower bound exceeds the threshold num/den.
 
     Any flat dimension r whose size obeys the threshold then satisfies
-    r < the returned value.  The search asks growth_margin at each r.
+    r < the returned value.  The search asks growth_margin at each r, whose
+    sign does not change when num and den are scaled by the same positive
+    factor, so the pair need not be reduced.
     """
     if not s2 > s1 >= 2:
         raise ValueError(f"need s2 > s1 >= 2, got s1={s1}, s2={s2}")
-    thr = Fraction(threshold)
-    num, den = thr.numerator, thr.denominator
+    if den <= 0:
+        raise ValueError(f"the threshold's denominator must be positive, got {den}")
     # The bound grows with r iff s2 - s1 > s1 - 1; otherwise r = 3 is its peak.
     if s2 - s1 <= s1 - 1 and growth_margin(s1, s2, num, den, 3) <= 0:
         raise ValueError("growth bound never exceeds the threshold for these parameters")
@@ -111,11 +114,13 @@ def first_r_exceeding(s1: int, s2: int, threshold: Fraction | int) -> int:
 
 
 class ThresholdReport(NamedTuple):
-    """Cap and the first excluded dimension for one parameter system."""
+    """Cap num/den, in lowest terms, and the first excluded dimension for
+    one parameter system."""
 
     s1: int
     driver: int  # alpha on the alpha route, beta on the beta route
-    threshold: Fraction
+    cap_num: int
+    cap_den: int
     first_r_exceeding: int
     bound_name: str  # "alpha-route" or "beta-route"
 
@@ -123,7 +128,7 @@ class ThresholdReport(NamedTuple):
         return {
             "s1": self.s1,
             "driver": self.driver,
-            "threshold": f"{self.threshold.numerator}/{self.threshold.denominator}",
+            "threshold": f"{self.cap_num}/{self.cap_den}",
             "firstRExceeding": self.first_r_exceeding,
             "boundName": self.bound_name,
         }
@@ -168,10 +173,11 @@ def alpha_route_sweep(s1_max: int = 50, alpha_max: int = 2500) -> SweepResult:
                 steps_ok = False
             num, den = alpha_cap_terms(s1, alpha, phi)
             if max_r < 3 or growth_margin(s1, s2, num, den, max_r) <= 0:
-                r = first_r_exceeding(s1, s2, thr := Fraction(num, den))
+                r = first_r_exceeding(s1, s2, num, den)
                 if r > max_r:
                     max_r = r
-                    worst = ThresholdReport(s1, alpha, thr, r, "alpha-route")
+                    g = math.gcd(num, den)
+                    worst = ThresholdReport(s1, alpha, num // g, den // g, r, "alpha-route")
     return SweepResult("alpha-route", checked, max_r, worst, steps_ok)
 
 
@@ -190,10 +196,11 @@ def beta_route_sweep(s1_max: int = 50, beta_max: int = 2500) -> SweepResult:
                 steps_ok = False
             num, den = beta_cap_terms(s1, beta)
             if max_r < 3 or growth_margin(s1, s2, num, den, max_r) <= 0:
-                r = first_r_exceeding(s1, s2, thr := Fraction(num, den))
+                r = first_r_exceeding(s1, s2, num, den)
                 if r > max_r:
                     max_r = r
-                    worst = ThresholdReport(s1, beta, thr, r, "beta-route")
+                    g = math.gcd(num, den)
+                    worst = ThresholdReport(s1, beta, num // g, den // g, r, "beta-route")
     return SweepResult("beta-route", checked, max_r, worst, steps_ok)
 
 

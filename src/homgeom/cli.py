@@ -35,8 +35,9 @@ def _lazy(name: str) -> types.ModuleType:
 
 
 # Every module loads lazily, so a command executes only the modules it runs:
-# `geometry` runs geometries alone, without fractions and the arithmetic
-# layer, and `localize` and `check-params` never run geometries.  No command
+# `geometry` runs geometries alone, without the arithmetic layer, `localize`
+# runs neither geometries nor pipeline, and `check-params` never runs
+# geometries.  No command
 # calls exact_arith, bounds or obstructions directly; registering them too
 # puts every module of the package in sys.modules once the CLI is imported,
 # where tools that wrap functions by module name (perfbench/tracer.py) find
@@ -102,7 +103,7 @@ def _cmd_verify_all(args) -> int:
 
 def _cmd_check_params(args) -> int:
     try:
-        dim = pipeline.required_dimension() if args.dim is None else args.dim
+        dim = parameters.required_dimension() if args.dim is None else args.dim
         ps = parameters.ParamSystem(args.s1, args.alpha, args.alpha_prime, dim)
         verdict = pipeline.eliminate(ps)
     except parameters.ModelScopeError as exc:
@@ -118,7 +119,7 @@ def _cmd_check_params(args) -> int:
 def _cmd_localize(args) -> int:
     try:
         ps = parameters.ParamSystem(
-            args.s1, args.alpha, args.alpha_prime, dim=pipeline.required_dimension()
+            args.s1, args.alpha, args.alpha_prime, dim=parameters.required_dimension()
         )
         parameters.require_hypothesis_line_size(ps.s1, "s1")
     except (parameters.ModelScopeError, ValueError) as exc:

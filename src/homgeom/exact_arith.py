@@ -1,21 +1,16 @@
-"""Exact integer, rational and univariate polynomial arithmetic.
+"""Exact integer and integer-polynomial arithmetic.
 
 Everything downstream (growth bounds, square obstructions, sieves) runs on
-this substrate.  There is no floating point anywhere: integers are Python's
-arbitrary-precision ``int``, rationals are ``fractions.Fraction`` (always in
-lowest terms, so equality is structural), and polynomials are dense
-coefficient tuples in which an integral coefficient is an ``int`` and only a
-non-integral one, which only a division makes, is a ``Fraction``.
+this substrate.  There is no floating point and no rational number anywhere:
+integers are Python's arbitrary-precision ``int``, and polynomials are dense
+tuples of ``int`` coefficients.  The two divisions, ``divmod`` and
+``sqrt_part``, return integral results or raise.
 """
 
 from __future__ import annotations
 
 import math
-from enum import Enum
-from fractions import Fraction
-from typing import Iterable, NamedTuple, Union
-
-Scalar = Union[int, Fraction]
+from typing import Iterable, NamedTuple
 
 NEG_INF = float("-inf")
 
@@ -41,28 +36,22 @@ def exact_sqrt(n: "int | UniPoly") -> "int | UniPoly":
     return r
 
 
-def _exact(c: Scalar) -> Scalar:
-    """c as an int when it is integral, else as a Fraction."""
-    if type(c) is int:
-        return c
-    c = c if isinstance(c, Fraction) else Fraction(c)
-    return c.numerator if c.denominator == 1 else c
-
-
 class UniPoly:
-    """Univariate polynomial with exact rational coefficients.
+    """Univariate polynomial with integer coefficients.
 
     Coefficients are stored densely in ascending order of degree with
     trailing zeros trimmed; the zero polynomial has an empty coefficient
-    tuple and degree -inf.  An integral coefficient is stored as an int,
-    any other as a Fraction, so integral polynomials run on int arithmetic.
-    Instances are immutable and hashable, and all ring operations are exact.
+    tuple and degree -inf.  A coefficient that is not an int raises
+    TypeError.  Instances are immutable and hashable, and all ring
+    operations are exact.
     """
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [_exact(c) for c in coeffs]
+    def __init__(self, coeffs: Iterable[int] = ()):
+        cs = list(coeffs)
+        if not all(type(c) is int for c in cs):
+            raise TypeError(f"UniPoly coefficients must be int, got {cs!r}")
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -73,7 +62,7 @@ class UniPoly:
     # -- construction helpers ------------------------------------------------
 
     @classmethod
-    def constant(cls, c: Scalar) -> "UniPoly":
+    def constant(cls, c: int) -> "UniPoly":
         return cls([c])
 
     @classmethod
@@ -89,23 +78,14 @@ class UniPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coefficient(self, power: int) -> Scalar:
+    def coefficient(self, power: int) -> int:
         if 0 <= power < len(self.coeffs):
             return self.coeffs[power]
         return 0
 
-    def has_integer_coefficients(self) -> bool:
-        return all(type(c) is int for c in self.coeffs)
-
-    def integer_coefficients(self) -> tuple[int, ...]:
-        """Ascending coefficients as plain ints; raises if any is fractional."""
-        if not self.has_integer_coefficients():
-            raise ValueError(f"polynomial has non-integer coefficients: {self}")
-        return self.coeffs
-
     # -- ring operations -----------------------------------------------------
 
-    def __add__(self, other: "UniPoly | Scalar") -> "UniPoly":
+    def __add__(self, other: "UniPoly | int") -> "UniPoly":
         other = self._coerce(other)
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
@@ -120,13 +100,13 @@ class UniPoly:
     def __neg__(self) -> "UniPoly":
         return UniPoly([-c for c in self.coeffs])
 
-    def __sub__(self, other: "UniPoly | Scalar") -> "UniPoly":
+    def __sub__(self, other: "UniPoly | int") -> "UniPoly":
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other: Scalar) -> "UniPoly":
+    def __rsub__(self, other: int) -> "UniPoly":
         return self._coerce(other) - self
 
-    def __mul__(self, other: "UniPoly | Scalar") -> "UniPoly":
+    def __mul__(self, other: "UniPoly | int") -> "UniPoly":
         other = self._coerce(other)
         if self.is_zero() or other.is_zero():
             return UniPoly()
@@ -155,8 +135,12 @@ class UniPoly:
     def square(self) -> "UniPoly":
         return self * self
 
-    def __divmod__(self, other: "UniPoly | Scalar") -> "tuple[UniPoly, UniPoly]":
-        """Exact long division: (q, r) with self == q*other + r, deg r < deg other."""
+    def __divmod__(self, other: "UniPoly | int") -> "tuple[UniPoly, UniPoly]":
+        """Exact long division: (q, r) with self == q*other + r, deg r < deg other.
+
+        Raises ValueError when the quotient would need a non-integral
+        coefficient (a monic divisor never does).
+        """
         other = self._coerce(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
@@ -165,8 +149,10 @@ class UniPoly:
         rem = list(self.coeffs)
         quot = [0] * max(len(rem) - d, 0)
         for k in reversed(range(len(quot))):
-            # Fraction division: / on two ints would give a float.
-            quot[k] = c = _exact(Fraction(rem[k + d], lead))
+            c, r = divmod(rem[k + d], lead)
+            if r:
+                raise ValueError(f"{self} has no integral quotient by {other}")
+            quot[k] = c
             for i, b in enumerate(other.coeffs):
                 rem[k + i] -= c * b
         return UniPoly(quot), UniPoly(rem[:d])
@@ -174,23 +160,26 @@ class UniPoly:
     def sqrt_part(self) -> "UniPoly":
         """The polynomial part of sqrt(p): the unique g with deg(p - g^2) < deg g.
 
-        Needs even degree >= 2 and a positive rational square as leading
-        coefficient.  This is the completing-the-square step of Runge's method.
+        Needs even degree >= 2 and a positive square as leading coefficient,
+        and raises ValueError unless g has integer coefficients.  This is the
+        completing-the-square step of Runge's method.
         """
         n, odd = divmod(len(self.coeffs) - 1, 2)
         lead = self.coefficient(len(self.coeffs) - 1)
-        root = Fraction(math.isqrt(max(lead.numerator, 0)), math.isqrt(lead.denominator))
+        root = math.isqrt(max(lead, 0))
         if n < 1 or odd or root * root != lead:
             raise ValueError(f"{self} has no polynomial square-root part")
         # Adding c*x^k to g changes the x^(n+k) coefficient of g^2 by 2*root*c
         # and leaves every higher one alone, so each c is fixed in turn.
         g = [0] * n + [root]
         for k in reversed(range(n)):
-            g[k] = Fraction((self - UniPoly(g).square()).coefficient(n + k), 2 * root)
+            g[k], r = divmod((self - UniPoly(g).square()).coefficient(n + k), 2 * root)
+            if r:
+                raise ValueError(f"{self} has no integral square-root part")
         return UniPoly(g)
 
     @staticmethod
-    def _coerce(value: "UniPoly | Scalar") -> "UniPoly":
+    def _coerce(value: "UniPoly | int") -> "UniPoly":
         if isinstance(value, UniPoly):
             return value
         return UniPoly.constant(value)
@@ -198,7 +187,7 @@ class UniPoly:
     # -- equality ------------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = UniPoly.constant(other)
         if not isinstance(other, UniPoly):
             return NotImplemented
@@ -209,7 +198,7 @@ class UniPoly:
 
     # -- evaluation and composition -------------------------------------------
 
-    def evaluate(self, t: Scalar) -> Scalar:
+    def evaluate(self, t: int) -> int:
         """Exact Horner evaluation."""
         acc = 0
         for c in reversed(self.coeffs):
@@ -243,27 +232,18 @@ class UniPoly:
         return "UniPoly(" + " + ".join(terms) + ")"
 
 
-class Positivity(Enum):
-    PROVED_POSITIVE = "proved-positive"
-    INCONCLUSIVE = "inconclusive"
-
-
 class PositivityCertificate(NamedTuple):
     """Outcome of the shifted-coefficient positivity test.
 
-    ``PROVED_POSITIVE`` is sound but not complete: it certifies p(t) > 0 for
-    every t >= t_min (real or integer), and ``INCONCLUSIVE`` carries no
-    information either way.
+    ``proved`` is sound but not complete: True certifies p(t) > 0 for every
+    t >= t_min (real or integer), and False carries no information either
+    way.
     """
 
-    status: Positivity
+    proved: bool
     t_min: int
     shifted: UniPoly
     failing_power: "int | None" = None
-
-    @property
-    def proved(self) -> bool:
-        return self.status is Positivity.PROVED_POSITIVE
 
 
 def eventually_positive(p: UniPoly, t_min: int) -> PositivityCertificate:
@@ -277,8 +257,8 @@ def eventually_positive(p: UniPoly, t_min: int) -> PositivityCertificate:
     """
     shifted = p.shift(t_min)
     if shifted.is_zero() or shifted.coefficient(0) <= 0:
-        return PositivityCertificate(Positivity.INCONCLUSIVE, t_min, shifted, 0)
+        return PositivityCertificate(False, t_min, shifted, 0)
     for i, c in enumerate(shifted.coeffs):
         if c < 0:
-            return PositivityCertificate(Positivity.INCONCLUSIVE, t_min, shifted, i)
-    return PositivityCertificate(Positivity.PROVED_POSITIVE, t_min, shifted)
+            return PositivityCertificate(False, t_min, shifted, i)
+    return PositivityCertificate(True, t_min, shifted)

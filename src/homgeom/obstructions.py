@@ -1,25 +1,25 @@
 """The square-obstruction catalog and its impossibility machinery.
 
 Each computable case carries a polynomial f together with a completed-square
-decomposition f = g^2 - h.  Nothing in the catalog is entered by hand: f is
-the localization transform run over polynomials, g is the polynomial part of
-sqrt(f) and h = g^2 - f.  If f(t) were the square a^2, then with A = 2g
-the factorization (A(t) - 2a)(A(t) + 2a) = 4h(t) would follow, and a gap
-argument on the size of 4h(t) relative to A(t) rules that out for every
-t >= t_min.  The gap argument is certified once per case by the
-shifted-coefficient positivity test; a brute-force sieve over an initial
-segment of the integers double-checks the same claim independently.  The
-sieve discards arguments with periodic residue masks (f(t) mod m must be a
-square residue mod m), held as bit patterns with one bit per argument,
-combined by the Chinese remainder theorem into ten patterns and intersected
-by shift-and-AND one fixed-size block at a time, and confirms the few
-survivors exactly.
+decomposition 4f = A^2 - H over the integers.  Nothing in the catalog is
+entered by hand: f is the localization transform run over polynomials, A is
+the polynomial part of sqrt(4f) and H = A^2 - 4f.  (With g = A/2 and
+h = H/4 this is f = g^2 - h; g and h have half-integer and quarter-integer
+coefficients, A and H integer ones.)  If f(t) were the square a^2, the
+factorization (A(t) - 2a)(A(t) + 2a) = H(t) would follow, and a gap argument
+on the size of H(t) relative to A(t) rules that out for every t >= t_min.
+The gap argument is certified once per case by the shifted-coefficient
+positivity test; a brute-force sieve over an initial segment of the integers
+double-checks the same claim independently.  The sieve discards arguments
+with periodic residue masks (f(t) mod m must be a square residue mod m),
+held as bit patterns with one bit per argument, combined by the Chinese
+remainder theorem into ten patterns and intersected by shift-and-AND one
+fixed-size block at a time, and confirms the few survivors exactly.
 """
 
 from __future__ import annotations
 
 import math
-from enum import Enum
 from typing import NamedTuple
 
 from .exact_arith import (
@@ -32,106 +32,92 @@ from .localization import CASE_MIN_ARG, CaseLabel, known_square_args, obstructio
 
 
 class SquareObstruction(NamedTuple):
-    """One impossibility instance: f = g^2 - h plus the range it covers.
+    """One impossibility instance: 4f = A^2 - H plus the range it covers.
 
-    f has integer coefficients; in the five cases 2g and 4h are integral.
-    known_square_args lists every t in [0, t_min) where f takes a square
-    value; the certificate covers the t >= t_min.
+    f, A (twice the polynomial part of sqrt(f)) and H (four times the
+    remainder) all have integer coefficients.  known_square_args lists every
+    t in [0, t_min) where f takes a square value; the certificate covers the
+    t >= t_min.
     """
 
     label: CaseLabel
     f: UniPoly
-    g: UniPoly
-    h: UniPoly
+    A: UniPoly
+    H: UniPoly
     t_min: int
     known_square_args: frozenset[int]
 
 
 def _derive(label: CaseLabel) -> SquareObstruction:
     f = obstruction_value(label, UniPoly.x())
-    g = f.sqrt_part()
+    a_poly = (4 * f).sqrt_part()
     known = frozenset(known_square_args(label))
-    return SquareObstruction(label, f, g, g.square() - f, CASE_MIN_ARG[label], known)
+    return SquareObstruction(
+        label, f, a_poly, a_poly.square() - 4 * f, CASE_MIN_ARG[label], known
+    )
 
 
 def catalog() -> dict[CaseLabel, SquareObstruction]:
     """The five obstructions, keyed by case label, derived on each call.
 
     f comes from localization.obstruction_value at the indeterminate x (one
-    path for every case), g is f.sqrt_part() and
-    h = g^2 - f.  t_min is the localization module's CASE_MIN_ARG, and the
-    known square arguments come from its known_square_args.
+    path for every case), A is (4f).sqrt_part() and H = A^2 - 4f.  t_min is
+    the localization module's CASE_MIN_ARG, and the known square arguments
+    come from its known_square_args.
     """
     return {label: _derive(label) for label in CASE_MIN_ARG}
 
 
 def verify_identity(obs: SquareObstruction) -> bool:
-    """Coefficient-exact check of f = g^2 - h."""
-    return obs.f == obs.g * obs.g - obs.h
-
-
-def factor_equation(obs: SquareObstruction) -> tuple[UniPoly, UniPoly]:
-    """The pair (A, 4h) with A = 2g, so that a^2 = f(t) forces
-    (A(t) - 2a)(A(t) + 2a) = 4h(t) whenever f = g^2 - h holds
-    (A^2 - 4f = 4h is that decomposition multiplied by 4)."""
-    return 2 * obs.g, 4 * obs.h
-
-
-class Impossibility(Enum):
-    PROVED_IMPOSSIBLE = "proved-impossible"
-    INCONCLUSIVE = "inconclusive"
+    """Coefficient-exact check of 4f = A^2 - H."""
+    return 4 * obs.f == obs.A * obs.A - obs.H
 
 
 class NoSquareCertificate(NamedTuple):
     """Result of the gap argument for one obstruction.
 
-    PROVED_IMPOSSIBLE means: for every integer t >= t_min, f(t) is not a
-    perfect square.  It is granted only when f = g^2 - h holds and all three
-    positivity checks succeed; anything less is INCONCLUSIVE, never a
+    proved means: for every integer t >= t_min, f(t) is not a perfect
+    square.  It is granted only when 4f = A^2 - H holds and all three
+    positivity checks succeed; anything less is inconclusive, never a
     fabricated proof.
     """
 
     label: CaseLabel
-    status: Impossibility
+    proved: bool
     t_min: int
-    upper_gap: PositivityCertificate  # (2A - 1) - 4h > 0
-    lower_gap: PositivityCertificate  # 4h + (2A + 1) > 0
-    nonzero_side: str | None  # which of 4h / -4h was certified positive
+    upper_gap: PositivityCertificate  # (2A - 1) - H > 0
+    lower_gap: PositivityCertificate  # H + (2A + 1) > 0
+    nonzero_side: str | None  # which of H / -H was certified positive
     nonzero: PositivityCertificate | None
-
-    @property
-    def proved(self) -> bool:
-        return self.status is Impossibility.PROVED_IMPOSSIBLE
 
 
 def certify_no_square(obs: SquareObstruction) -> NoSquareCertificate:
     """Certify that f(t) is never a square for integer t >= t_min.
 
-    Soundness of the criterion: suppose m^2 = 4f(t) = A(t)^2 - 4h(t) with
-    4h(t) != 0.  If 4h(t) > 0 then A(t)^2 > m^2, so |A(t)| >= |m| + 1 and
-    4h(t) = A^2 - m^2 >= 2|A(t)| - 1 >= 2A(t) - 1.  If 4h(t) < 0 then
-    |m| >= |A(t)| + 1 and -4h(t) >= 2|A(t)| + 1 >= ... > -(2A(t) + 1) is
-    violated.  Certifying 4h strictly between -(2A + 1) and 2A - 1, and
+    Soundness of the criterion: suppose m^2 = 4f(t) = A(t)^2 - H(t) with
+    H(t) != 0.  If H(t) > 0 then A(t)^2 > m^2, so |A(t)| >= |m| + 1 and
+    H(t) = A^2 - m^2 >= 2|A(t)| - 1 >= 2A(t) - 1.  If H(t) < 0 then
+    |m| >= |A(t)| + 1 and -H(t) >= 2|A(t)| + 1 >= ... > -(2A(t) + 1) is
+    violated.  Certifying H strictly between -(2A + 1) and 2A - 1, and
     nonzero, therefore excludes every integer solution at once.  The
-    argument rests on f = g^2 - h, so a decomposition that verify_identity
+    argument rests on 4f = A^2 - H, so a decomposition that verify_identity
     rejects is never proved.
     """
-    a_poly, four_h = factor_equation(obs)
-    upper = eventually_positive(2 * a_poly - 1 - four_h, obs.t_min)
-    lower = eventually_positive(four_h + 2 * a_poly + 1, obs.t_min)
+    upper = eventually_positive(2 * obs.A - 1 - obs.H, obs.t_min)
+    lower = eventually_positive(obs.H + 2 * obs.A + 1, obs.t_min)
     side = None
     nonzero = None
-    pos = eventually_positive(four_h, obs.t_min)
+    pos = eventually_positive(obs.H, obs.t_min)
     if pos.proved:
         side, nonzero = "positive", pos
     else:
-        neg = eventually_positive(-four_h, obs.t_min)
+        neg = eventually_positive(-obs.H, obs.t_min)
         if neg.proved:
             side, nonzero = "negative", neg
     proved = verify_identity(obs) and upper.proved and lower.proved and nonzero is not None
     return NoSquareCertificate(
         label=obs.label,
-        status=Impossibility.PROVED_IMPOSSIBLE if proved else Impossibility.INCONCLUSIVE,
+        proved=proved,
         t_min=obs.t_min,
         upper_gap=upper,
         lower_gap=lower,
@@ -180,8 +166,6 @@ _MASK_GROUPS = _group_moduli(_MASK_MODULI, _GROUP_PERIOD_CAP)
 
 def sieve_naive(obs: SquareObstruction, limit: int) -> list[int]:
     """Reference sieve: full-precision evaluation and square test at every t."""
-    # The square test needs integer values f(t); this raises otherwise.
-    obs.f.integer_coefficients()
     return [t for t in range(limit + 1) if (v := obs.f.evaluate(t)) >= 0 and is_perfect_square(v)]
 
 
@@ -218,8 +202,6 @@ def sieve(obs: SquareObstruction, limit: int) -> list[int]:
     if limit < 0:
         raise ValueError("sieve limit must be nonnegative")
     f = obs.f
-    # The residue masks need integer values f(r); this raises otherwise.
-    f.integer_coefficients()
     # f(r) at every residue r of every modulus.
     values = [f.evaluate(r) for r in range(max(_MASK_MODULI))]
     # Each pattern is tiled to one block plus one period, so the block

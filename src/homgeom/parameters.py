@@ -3,8 +3,9 @@
 A geometry enters the analysis only through a handful of integers: the line
 size s1, the incidence invariants alpha and alpha', and the dimension.  This
 module derives the plane size s2, states the divisibility constraints those
-invariants must satisfy, and classifies which (if any) of the three
-exceptional parameter families a system belongs to.
+invariants must satisfy, fixes the dimension from which the chain argument
+applies, and classifies which (if any) of the three exceptional parameter
+families a system belongs to.
 """
 
 from __future__ import annotations
@@ -108,6 +109,39 @@ class ParamSystem(
             alpha_prime=int(record["alphaPrime"]),
             dim=int(record["dim"]),
         )
+
+
+# -- dimension thresholds -----------------------------------------------------
+
+# The chain a counterexample needs: point inside line inside plane.
+LOCALIZATION_CHAIN_DEPTH = 3
+
+# Largest flat dimension compatible with each route's size cap.
+ALPHA_ROUTE_MAX_R = 19
+BETA_ROUTE_MAX_R = 16
+
+
+def exceptional_min_dim(
+    alpha_route_max_r: int = ALPHA_ROUTE_MAX_R, beta_route_max_r: int = BETA_ROUTE_MAX_R
+) -> int:
+    """Dimension from which the condition trichotomy is in force.
+
+    One above the largest flat dimension either size cap tolerates.
+    """
+    return max(alpha_route_max_r, beta_route_max_r) + 1
+
+
+def required_dimension(
+    alpha_route_max_r: int = ALPHA_ROUTE_MAX_R,
+    beta_route_max_r: int = BETA_ROUTE_MAX_R,
+    chain_depth: int = LOCALIZATION_CHAIN_DEPTH,
+) -> int:
+    """Dimension needed for the full chain argument.
+
+    The trichotomy must hold in the geometry and in all chain_depth nested
+    localizations, each localization dropping the dimension by one.
+    """
+    return exceptional_min_dim(alpha_route_max_r, beta_route_max_r) + chain_depth
 
 
 def s2_from(s1: int, alpha: int) -> int:

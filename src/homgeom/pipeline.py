@@ -23,6 +23,7 @@ from . import __version__, _jsonable
 from .exact_arith import exact_sqrt
 from .parameters import (
     EXCEPTIONAL,
+    LOCALIZATION_CHAIN_DEPTH,
     Condition,
     ParamSystem,
     classify_condition,
@@ -30,6 +31,7 @@ from .parameters import (
     integrality_alpha0,
     integrality_alpha1,
     require_hypothesis_line_size,
+    required_dimension,
     square_divisor,
 )
 from .localization import (
@@ -49,13 +51,6 @@ FAMILIES: tuple[int, ...] = tuple(sorted({c.family for c in EXCEPTIONAL}))
 STANDARD_FORBIDDEN: frozenset[tuple[int, int]] = frozenset(
     (outer.family, target) for outer, target in FORBIDDEN_PAIRS
 )
-
-# The chain a counterexample needs: point inside line inside plane.
-LOCALIZATION_CHAIN_DEPTH = 3
-
-# Largest flat dimension compatible with each route's size cap.
-ALPHA_ROUTE_MAX_R = 19
-BETA_ROUTE_MAX_R = 16
 
 
 def longest_condition_chain(forbidden: frozenset[tuple[int, int]]) -> "int | float":
@@ -79,29 +74,6 @@ def longest_condition_chain(forbidden: frozenset[tuple[int, int]]) -> "int | flo
         return best
 
     return max(longest_from(n, frozenset({n})) for n in FAMILIES)
-
-
-def exceptional_min_dim(
-    alpha_route_max_r: int = ALPHA_ROUTE_MAX_R, beta_route_max_r: int = BETA_ROUTE_MAX_R
-) -> int:
-    """Dimension from which the condition trichotomy is in force.
-
-    One above the largest flat dimension either size cap tolerates.
-    """
-    return max(alpha_route_max_r, beta_route_max_r) + 1
-
-
-def required_dimension(
-    alpha_route_max_r: int = ALPHA_ROUTE_MAX_R,
-    beta_route_max_r: int = BETA_ROUTE_MAX_R,
-    chain_depth: int = LOCALIZATION_CHAIN_DEPTH,
-) -> int:
-    """Dimension needed for the full chain argument.
-
-    The trichotomy must hold in the geometry and in all chain_depth nested
-    localizations, each localization dropping the dimension by one.
-    """
-    return exceptional_min_dim(alpha_route_max_r, beta_route_max_r) + chain_depth
 
 
 # -- verdicts ----------------------------------------------------------------
@@ -284,30 +256,24 @@ class ReportCheck:
         status: str,  # "pass", "fail" or "gap"
         details: dict | None = None,
         witness: object = None,
-        elapsed_seconds: float | None = None,
     ):
         self.name = name
         self.status = status
         self.details = {} if details is None else details
         self.witness = witness
-        self.elapsed_seconds = elapsed_seconds
+        self.elapsed_seconds: float | None = None
 
 
 class Report:
     """The checks of one run, stamped with the version and a UTC timestamp."""
 
-    def __init__(
-        self,
-        version: str = __version__,
-        timestamp: str = "",
-        checks: list[ReportCheck] | None = None,
-    ):
-        self.version = version
-        self.timestamp = timestamp or datetime.now(timezone.utc).isoformat()
-        self.checks = [] if checks is None else checks
+    def __init__(self):
+        self.version = __version__
+        self.timestamp = datetime.now(timezone.utc).isoformat()
+        self.checks: list[ReportCheck] = []
 
     def add(self, name: str, status: str, details: dict | None = None, witness=None) -> None:
-        self.checks.append(ReportCheck(name, status, details or {}, witness))
+        self.checks.append(ReportCheck(name, status, details, witness))
 
     @property
     def overall_status(self) -> str:

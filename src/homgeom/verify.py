@@ -15,7 +15,15 @@ from collections.abc import Collection
 from functools import partial
 
 from .exact_arith import UniPoly
-from .parameters import Condition, condition_alpha
+from .parameters import (
+    ALPHA_ROUTE_MAX_R,
+    BETA_ROUTE_MAX_R,
+    LOCALIZATION_CHAIN_DEPTH,
+    Condition,
+    condition_alpha,
+    exceptional_min_dim,
+    required_dimension,
+)
 from .bounds import (
     alpha_cap_terms,
     alpha_route_sweep,
@@ -29,7 +37,6 @@ from .obstructions import (
     SquareObstruction,
     catalog,
     certify_no_square,
-    factor_equation,
     sieve,
     verify_identity,
 )
@@ -42,20 +49,10 @@ from .geometries import (
     flat_profile,
     localize_at_point,
 )
-from .pipeline import (
-    ALPHA_ROUTE_MAX_R,
-    BETA_ROUTE_MAX_R,
-    LOCALIZATION_CHAIN_DEPTH,
-    STANDARD_FORBIDDEN,
-    Report,
-    exceptional_min_dim,
-    longest_condition_chain,
-    required_dimension,
-    search,
-)
+from .pipeline import STANDARD_FORBIDDEN, Report, longest_condition_chain, search
 
-# The displayed factor pairs (A, 4h) for the three sextic cases, pinned as
-# regression anchors for factor_equation.
+# The displayed factor pairs (A, H) for the three sextic cases, pinned as
+# regression anchors for the derived catalog.
 EXPECTED_FACTOR_PAIRS = {
     CaseLabel.C: (UniPoly([0, -1, 0, 2]), UniPoly([-4, 0, 1])),
     CaseLabel.E: (UniPoly([-1, 1, 2, 2]), UniPoly([1, 6, 5])),
@@ -69,7 +66,7 @@ Catalog = dict[CaseLabel, SquareObstruction]
 def _check_decompositions(report: Report, cat: Catalog) -> None:
     bad = [obs.label.value for obs in cat.values() if not verify_identity(obs)]
     factor_ok = all(
-        factor_equation(cat[label]) == expected
+        (cat[label].A, cat[label].H) == expected
         for label, expected in EXPECTED_FACTOR_PAIRS.items()
     )
     ok = not bad and factor_ok
@@ -87,7 +84,7 @@ def _check_certificates(report: Report, cat: Catalog) -> None:
     for label, obs in cat.items():
         cert = certify_no_square(obs)
         results[label.value] = {
-            "status": cert.status.value,
+            "status": "proved-impossible" if cert.proved else "inconclusive",
             "tMin": cert.t_min,
             "nonzeroSide": cert.nonzero_side,
         }

@@ -5,8 +5,6 @@ are asserted where the criterion carries one.
 """
 
 import time
-from fractions import Fraction
-
 
 from homgeom.exact_arith import UniPoly
 from homgeom.bounds import (
@@ -17,7 +15,7 @@ from homgeom.bounds import (
     spectral_identities,
 )
 from homgeom.localization import CaseLabel
-from homgeom.obstructions import catalog, certify_no_square, factor_equation, sieve, verify_identity
+from homgeom.obstructions import catalog, certify_no_square, sieve, verify_identity
 from homgeom.geometries import (
     alpha_from_profile,
     build_affine,
@@ -26,13 +24,8 @@ from homgeom.geometries import (
     flat_profile,
     localize_at_point,
 )
-from homgeom.pipeline import (
-    STANDARD_FORBIDDEN,
-    exceptional_min_dim,
-    longest_condition_chain,
-    required_dimension,
-    search,
-)
+from homgeom.parameters import exceptional_min_dim, required_dimension
+from homgeom.pipeline import STANDARD_FORBIDDEN, longest_condition_chain, search
 
 COMPUTABLE_CASES = (CaseLabel.C, CaseLabel.E, CaseLabel.F, CaseLabel.B_PLUS, CaseLabel.B_MINUS)
 
@@ -62,15 +55,15 @@ def test_criterion_1_identity_suite():
         assert len(cat) == 5
         for obs in cat.values():
             assert verify_identity(obs), obs.label
-        assert factor_equation(cat[CaseLabel.C]) == (
+        assert (cat[CaseLabel.C].A, cat[CaseLabel.C].H) == (
             UniPoly([0, -1, 0, 2]),
             UniPoly([-4, 0, 1]),
         )
-        assert factor_equation(cat[CaseLabel.E]) == (
+        assert (cat[CaseLabel.E].A, cat[CaseLabel.E].H) == (
             UniPoly([-1, 1, 2, 2]),
             UniPoly([1, 6, 5]),
         )
-        assert factor_equation(cat[CaseLabel.F]) == (
+        assert (cat[CaseLabel.F].A, cat[CaseLabel.F].H) == (
             UniPoly([-1, 2, 2, 2]),
             UniPoly([9, 8, 4]),
         )
@@ -126,7 +119,8 @@ def test_criterion_5_spectral_identities():
         assert identities and all(identities.values()), identities
         for s1 in range(3, 100):
             alpha = s1 * (s1 - 1)
-            assert Fraction(*alpha_cap_terms(s1, alpha, phi_of(s1, alpha))) == 1
+            num, den = alpha_cap_terms(s1, alpha, phi_of(s1, alpha))
+            assert num == den
 
 
 def test_criterion_6_automaton():

@@ -164,7 +164,8 @@ class TestBetaRouteCap:
 
 class TestFirstRExceeding:
     def test_examples(self):
-        assert first_r_exceeding(4, s2_from(4, 2), alpha_cap(4, 2)) == 14
+        assert first_r_exceeding(4, s2_from(4, 2), 61266150332, 32) == 14
+        assert first_r_exceeding(4, s2_from(4, 2), *alpha_cap_terms(4, 2, phi_of(4, 2))) == 14
         assert first_r_exceeding(3, 19, 1) == 3
         assert first_r_exceeding(3, s2_from(3, 4), 429981696) == 12
 
@@ -181,7 +182,7 @@ class TestFirstRExceeding:
             return Fraction((s2 - s1) ** (r - 1), (s1 - 1) ** (r - 2))
 
         threshold = Fraction(12345678, 7)
-        r = first_r_exceeding(3, 15, threshold)
+        r = first_r_exceeding(3, 15, 12345678, 7)
         assert growth_bound(3, 15, r) > threshold
         assert all(growth_bound(3, 15, k) <= threshold for k in range(3, r))
 
@@ -191,6 +192,9 @@ class TestFirstRExceeding:
         with pytest.raises(ValueError):
             # gap 1 never grows past a large threshold
             first_r_exceeding(3, 4, 10**6)
+        for den in (0, -7):
+            with pytest.raises(ValueError):
+                first_r_exceeding(3, 15, 12345678, den)
 
 
 class TestSweeps:
@@ -220,30 +224,34 @@ class TestSweeps:
                 if (alpha * alpha) % s1 or alpha * alpha < s1:
                     continue
                 checked += 1
-                r = first_r_exceeding(s1, s2_from(s1, alpha), alpha_cap(s1, alpha))
+                cap = alpha_cap(s1, alpha)
+                r = first_r_exceeding(s1, s2_from(s1, alpha), cap.numerator, cap.denominator)
                 if r > max_r:
                     max_r, worst = r, (s1, alpha)
         result = alpha_route_sweep()
         assert result.systems_checked == checked == 12306
         assert (result.worst.s1, result.worst.driver) == worst
         assert result.max_first_r == max_r
-        assert result.worst.threshold == alpha_cap(*worst)
+        cap = alpha_cap(*worst)
+        assert (result.worst.cap_num, result.worst.cap_den) == (cap.numerator, cap.denominator)
 
     def test_beta_sweep_default_grid_matches_public_cap(self):
-        # The sweep compares unreduced integer pairs; the reduced Fraction of
-        # the same terms must give the same first r for every system.
+        # The sweep compares unreduced integer pairs; the same cap in lowest
+        # terms must give the same first r for every system.
         checked, max_r, worst = 0, 0, None
         for s1 in range(3, 51):
             for beta in range(s1, 2501, s1):
                 checked += 1
-                r = first_r_exceeding(s1, s2_from(s1, beta + 1), beta_cap(s1, beta))
+                cap = beta_cap(s1, beta)
+                r = first_r_exceeding(s1, s2_from(s1, beta + 1), cap.numerator, cap.denominator)
                 if r > max_r:
                     max_r, worst = r, (s1, beta)
         result = beta_route_sweep()
         assert result.systems_checked == checked
         assert (result.worst.s1, result.worst.driver) == worst
         assert result.max_first_r == max_r
-        assert result.worst.threshold == beta_cap(*worst)
+        cap = beta_cap(*worst)
+        assert (result.worst.cap_num, result.worst.cap_den) == (cap.numerator, cap.denominator)
 
     def test_beta_sweep_internal_inequality(self):
         # s2 - s1 >= s1^2 + beta holds throughout the admissible grid.
@@ -274,11 +282,12 @@ def oracle_sweep(route: str, s1_max: int, driver_max: int) -> tuple[SweepResult,
                 steps_ok &= phi_of(s1, alpha) ** 2 < (alpha + u) ** 4 and s2 - s1 >= alpha + u
             else:
                 steps_ok &= s2 - s1 >= s1 * s1 + driver
-            r = first_r_exceeding(s1, s2, cap(s1, driver))
+            c = cap(s1, driver)
+            r = first_r_exceeding(s1, s2, c.numerator, c.denominator)
             full_loops += r > max_r
             if r > max_r:
                 max_r = r
-                worst = ThresholdReport(s1, driver, cap(s1, driver), r, f"{route}-route")
+                worst = ThresholdReport(s1, driver, c.numerator, c.denominator, r, f"{route}-route")
     return SweepResult(f"{route}-route", checked, max_r, worst, steps_ok), full_loops
 
 
@@ -308,7 +317,7 @@ class TestSweepOracle:
                 for thr in (1, 7, 10**3, 10**9 + 7, 10**20, Fraction(12345678, 7)):
                     thr = Fraction(thr)
                     grows = s2 - s1 > s1 - 1
-                    first = first_r_exceeding(s1, s2, thr) if grows else None
+                    first = first_r_exceeding(s1, s2, thr.numerator, thr.denominator) if grows else None
                     for r in range(3, 30):
                         positive = growth_margin(s1, s2, thr.numerator, thr.denominator, r) > 0
                         bound = Fraction((s2 - s1) ** (r - 1), (s1 - 1) ** (r - 2))

@@ -14,7 +14,8 @@ import homgeom.verify
 from homgeom.cli import build_parser, main
 from homgeom.localization import CaseLabel
 from homgeom.obstructions import catalog, sieve
-from homgeom.pipeline import Report, required_dimension, search
+from homgeom.parameters import required_dimension
+from homgeom.pipeline import Report, search
 from homgeom.verify import CHECKS
 
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
@@ -50,8 +51,8 @@ class TestIdentities:
         assert {c["status"] for c in certificates.values()} == {"proved-impossible"}
 
     def test_wrong_factor_pair_exits_one(self, capsys, tmp_path, monkeypatch):
-        # Every f = g^2 - h still holds, but one pinned (A, 4h) pair no longer
-        # matches what factor_equation derives.
+        # Every 4f = A^2 - H still holds, but one pinned (A, H) pair no longer
+        # matches the derived catalog.
         a_poly, four_h = homgeom.verify.EXPECTED_FACTOR_PAIRS[CaseLabel.C]
         monkeypatch.setitem(
             homgeom.verify.EXPECTED_FACTOR_PAIRS, CaseLabel.C, (a_poly + 1, four_h)
@@ -606,7 +607,8 @@ class TestModuleLoading:
         assert json.loads("\n".join(geometry))["profile"] == ["1", "3", "9"]
 
     def test_verify_all_imports_no_dataclasses_or_inspect(self):
-        # dataclasses pulls in inspect, and inspect dis, ast and tokenize.
+        # dataclasses pulls in inspect, and inspect dis, ast and tokenize;
+        # fractions pulls in decimal and numbers.
         script = textwrap.dedent(
             """
             import json, sys
@@ -616,7 +618,8 @@ class TestModuleLoading:
                 ["verify-all", "--sieve-limit", "100", "--s1-max", "5", "--alpha-max", "50",
                  "--grid-s1-max", "6", "--driver-max", "40"]
             )
-            heavy = {"dataclasses", "inspect", "dis", "ast", "tokenize"}
+            heavy = {"dataclasses", "inspect", "dis", "ast", "tokenize",
+                     "fractions", "decimal", "numbers"}
             added = sorted(heavy & (set(sys.modules) - before))
             print(json.dumps({"code": code, "added": added}))
             """
@@ -630,12 +633,16 @@ class TestModuleLoading:
             import json, sys, types
             import homgeom.cli
             code = homgeom.cli.main(["localize", "--s1", "4", "--alpha", "36"])
-            module = sys.modules["homgeom.geometries"]
-            print(json.dumps({"code": code, "executed": type(module) is types.ModuleType}))
+            executed = sorted(
+                name
+                for name in ("homgeom.geometries", "homgeom.pipeline")
+                if type(sys.modules[name]) is types.ModuleType
+            )
+            print(json.dumps({"code": code, "executed": executed}))
             """
         )
         *localized, last = fresh_interpreter("-c", script).stdout.splitlines()
-        assert json.loads(last) == {"code": 0, "executed": False}
+        assert json.loads(last) == {"code": 0, "executed": []}
         assert json.loads("\n".join(localized))["s1Hat"] == "40"
 
     def test_cli_import_registers_every_traced_module(self):

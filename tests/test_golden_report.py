@@ -12,7 +12,8 @@ import json
 from pathlib import Path
 
 from homgeom.parameters import ParamSystem
-from homgeom.pipeline import eliminate, required_dimension
+from homgeom.parameters import required_dimension
+from homgeom.pipeline import eliminate
 from homgeom.verify import verify_all
 
 FIXTURE = Path(__file__).parent / "fixtures" / "golden_report.json"

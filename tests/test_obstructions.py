@@ -6,7 +6,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -24,15 +23,10 @@ from homgeom.obstructions import (
     SquareObstruction,
     catalog,
     certify_no_square,
-    factor_equation,
     sieve,
     sieve_naive,
     verify_identity,
 )
-
-HALF = Fraction(1, 2)
-QUARTER = Fraction(1, 4)
-
 
 class TestCatalog:
     def test_exactly_five(self):
@@ -48,7 +42,7 @@ class TestCatalog:
     def test_case_c_contents(self):
         obs = catalog()[CaseLabel.C]
         assert obs.f.evaluate(3) == 649
-        assert obs.g == UniPoly([0, -HALF, 0, 1])  # x^3 - x/2
+        assert obs.A == UniPoly([0, -1, 0, 2])  # 2x^3 - x, twice x^3 - x/2
         assert obs.t_min == 3
 
     def test_t_mins(self):
@@ -62,14 +56,19 @@ class TestCatalog:
         b_plus, b_minus = cat[CaseLabel.B_PLUS], cat[CaseLabel.B_MINUS]
         for t in range(-100, 101):
             assert b_minus.f.evaluate(t) == b_plus.f.evaluate(-t)
-            assert b_minus.g.evaluate(t) == b_plus.g.evaluate(-t)
-            assert b_minus.h.evaluate(t) == b_plus.h.evaluate(-t)
+            assert b_minus.A.evaluate(t) == b_plus.A.evaluate(-t)
+            assert b_minus.H.evaluate(t) == b_plus.H.evaluate(-t)
 
     def test_half_integer_structure(self):
+        # A = 2g and H = 4h: f's own square-root part g has a half-integer
+        # coefficient in every case, so the catalog stores A and H, which
+        # have integer coefficients.
         for obs in catalog().values():
-            assert obs.f.has_integer_coefficients()
-            assert (2 * obs.g).has_integer_coefficients()
-            assert (4 * obs.h).has_integer_coefficients()
+            for p in (obs.f, obs.A, obs.H):
+                assert {type(c) for c in p.coeffs} == {int}, obs.label
+            assert any(c % 2 for c in obs.A.coeffs), obs.label
+            with pytest.raises(ValueError):
+                obs.f.sqrt_part()
 
 
 class TestVerifyIdentity:
@@ -78,48 +77,52 @@ class TestVerifyIdentity:
             assert verify_identity(obs), obs.label
 
     def test_mutated_h_detected(self):
+        # H = 4h; one coefficient of H moved by one breaks 4f = A^2 - H.
         obs = catalog()[CaseLabel.C]
-        mutated = obs._replace(h=obs.h + 1)
+        mutated = obs._replace(H=obs.H + 1)
         assert not verify_identity(mutated)
 
     def test_mutated_g_detected(self):
+        # A = 2g; one coefficient of A moved by one breaks 4f = A^2 - H.
         obs = catalog()[CaseLabel.E]
-        mutated = obs._replace(g=obs.g + UniPoly([0, 1]))
+        mutated = obs._replace(A=obs.A + UniPoly([0, 1]))
         assert not verify_identity(mutated)
 
 
 class TestFactorEquation:
+    """The stored pairs (A, H): a^2 = f(t) forces (A(t) - 2a)(A(t) + 2a) = H(t)."""
+
     def test_case_c_pair(self):
-        a_poly, four_h = factor_equation(catalog()[CaseLabel.C])
-        assert a_poly == UniPoly([0, -1, 0, 2])  # 2x^3 - x
-        assert four_h == UniPoly([-4, 0, 1])  # x^2 - 4
+        obs = catalog()[CaseLabel.C]
+        assert obs.A == UniPoly([0, -1, 0, 2])  # 2x^3 - x
+        assert obs.H == UniPoly([-4, 0, 1])  # x^2 - 4
 
     def test_case_e_pair(self):
-        a_poly, four_h = factor_equation(catalog()[CaseLabel.E])
-        assert a_poly == UniPoly([-1, 1, 2, 2])
-        assert four_h == UniPoly([1, 6, 5])
+        obs = catalog()[CaseLabel.E]
+        assert obs.A == UniPoly([-1, 1, 2, 2])
+        assert obs.H == UniPoly([1, 6, 5])
 
     def test_case_f_pair(self):
-        a_poly, four_h = factor_equation(catalog()[CaseLabel.F])
-        assert a_poly == UniPoly([-1, 2, 2, 2])
-        assert four_h == UniPoly([9, 8, 4])
+        obs = catalog()[CaseLabel.F]
+        assert obs.A == UniPoly([-1, 2, 2, 2])
+        assert obs.H == UniPoly([9, 8, 4])
 
     def test_case_b_plus_pair(self):
-        a_poly, four_h = factor_equation(catalog()[CaseLabel.B_PLUS])
-        assert a_poly == UniPoly([-1, -5, -5, 2, 8, 6, 2])
-        assert four_h == UniPoly([-3, 10, 19, 14, 5])
+        obs = catalog()[CaseLabel.B_PLUS]
+        assert obs.A == UniPoly([-1, -5, -5, 2, 8, 6, 2])
+        assert obs.H == UniPoly([-3, 10, 19, 14, 5])
 
     def test_case_b_minus_pair(self):
-        a_poly, four_h = factor_equation(catalog()[CaseLabel.B_MINUS])
-        assert a_poly == UniPoly([-1, 5, -5, -2, 8, -6, 2])
-        assert four_h == UniPoly([-3, -10, 19, -14, 5])
+        obs = catalog()[CaseLabel.B_MINUS]
+        assert obs.A == UniPoly([-1, 5, -5, -2, 8, -6, 2])
+        assert obs.H == UniPoly([-3, -10, 19, -14, 5])
 
     def test_mutated_catalog_rejected(self, monkeypatch, capsys, tmp_path):
-        # Case e with h + 1: verify_identity, the one place that checks
-        # f = g^2 - h, rejects it; the run reports that instead of raising.
+        # Case e with H + 1: verify_identity, the one place that checks
+        # 4f = A^2 - H, rejects it; the run reports that instead of raising.
         def mutated_catalog():
             cat = catalog()
-            cat[CaseLabel.E] = cat[CaseLabel.E]._replace(h=cat[CaseLabel.E].h + 1)
+            cat[CaseLabel.E] = cat[CaseLabel.E]._replace(H=cat[CaseLabel.E].H + 1)
             return cat
 
         monkeypatch.setattr(obstructions, "catalog", mutated_catalog)
@@ -151,14 +154,11 @@ class TestFactorEquation:
         assert set(statuses.values()) == {"proved-impossible"} and len(statuses) == 4
 
     def test_algebraic_consequence(self):
-        # If a^2 = f(t), then (A(t) - 2a)(A(t) + 2a) = 4h(t); equivalently
-        # A^2 - 4f = 4h, checked pointwise here as well as symbolically.
+        # If a^2 = f(t), then (A(t) - 2a)(A(t) + 2a) = H(t); equivalently
+        # A^2 - 4f = H, checked pointwise here as well as symbolically.
         for obs in catalog().values():
-            a_poly, four_h = factor_equation(obs)
             for t in range(-20, 21):
-                assert (
-                    a_poly.evaluate(t) ** 2 - 4 * obs.f.evaluate(t) == four_h.evaluate(t)
-                )
+                assert obs.A.evaluate(t) ** 2 - 4 * obs.f.evaluate(t) == obs.H.evaluate(t)
 
 
 class TestCertificates:
@@ -168,31 +168,28 @@ class TestCertificates:
             assert cert.proved, label
 
     def test_positive_side_active_everywhere(self):
-        # 4h stays positive from t_min on for every case, including the
+        # H stays positive from t_min on for every case, including the
         # sign-flipped one.
         for obs in catalog().values():
             assert certify_no_square(obs).nonzero_side == "positive"
 
     def test_gap_soundness_spot_check(self):
-        # A certificate excludes any integer m with m^2 = A(t)^2 - 4h(t);
+        # A certificate excludes any integer m with m^2 = A(t)^2 - H(t);
         # equivalently 4f(t) is never a perfect square past t_min.
         for obs in catalog().values():
             cert = certify_no_square(obs)
             assert cert.proved
-            a_poly, four_h = factor_equation(obs)
             for t in range(obs.t_min, obs.t_min + 1000):
-                assert not is_perfect_square(
-                    a_poly.evaluate(t) ** 2 - four_h.evaluate(t)
-                )
+                assert not is_perfect_square(obs.A.evaluate(t) ** 2 - obs.H.evaluate(t))
 
     def test_broken_obstruction_is_inconclusive_not_proved(self):
-        # x^2 - 4 = x^2 - (x^2 - ... ) style fabrication: g = x, h = 4 gives
-        # f = x^2 - 4, and 4h = 16 is NOT below 2A - 1 = 2*2x - 1 at x = 2,
-        # sitting exactly on a square at t = 2.
+        # A fabricated decomposition: A = 2x, H = 16 gives f = x^2 - 4, and
+        # H = 16 is NOT below 2A - 1 = 4x - 1 at x = 2, sitting exactly on a
+        # square at t = 2.
         obs = catalog()[CaseLabel.C]._replace(
             f=UniPoly([-4, 0, 1]),
-            g=UniPoly([0, 1]),
-            h=UniPoly([4]),
+            A=UniPoly([0, 2]),
+            H=UniPoly([16]),
             t_min=2,
         )
         assert verify_identity(obs)
@@ -273,7 +270,7 @@ class TestSieve:
         # square residue would lose some t here; past one and two blocks,
         # every bit of a full block survives and is read off.
         g = UniPoly([1, 1])
-        obs = SquareObstruction(CaseLabel.C, g.square(), g, UniPoly([0]), 0, frozenset())
+        obs = SquareObstruction(CaseLabel.C, g.square(), 2 * g, UniPoly(), 0, frozenset())
         for limit in (500, _BLOCK + 1, 2 * _BLOCK + 1):
             assert sieve(obs, limit) == list(range(limit + 1)), limit
 

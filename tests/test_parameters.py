@@ -1,7 +1,6 @@
 """Tests for the parameter model."""
 
 import math
-from fractions import Fraction
 
 import pytest
 
@@ -87,8 +86,10 @@ class TestGrowthLowerBound:
 
     def test_exact_rational(self):
         # (3, 8): bound 25/2 at r = 3; the comparison is exact at the boundary.
-        assert first_r_exceeding(3, 8, Fraction(25, 2)) == 4
-        assert first_r_exceeding(3, 8, Fraction(25, 2) - Fraction(1, 10**30)) == 3
+        assert first_r_exceeding(3, 8, 25, 2) == 4
+        assert first_r_exceeding(3, 8, 25 * 10**30 - 2, 2 * 10**30) == 3  # 25/2 - 10^-30
+        # The pair need not be in lowest terms.
+        assert first_r_exceeding(3, 8, 25 * 6, 2 * 6) == 4
 
     def test_classical_profiles_satisfy_bound(self):
         for q in PRIMES:

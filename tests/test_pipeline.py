@@ -17,16 +17,21 @@ from homgeom.localization import (
     eliminate_case_instance,
 )
 from homgeom.obstructions import catalog
-from homgeom.parameters import Condition, ParamSystem, condition_alphas, square_divisor
+from homgeom.parameters import (
+    Condition,
+    ParamSystem,
+    condition_alphas,
+    exceptional_min_dim,
+    required_dimension,
+    square_divisor,
+)
 from homgeom.pipeline import (
     FAMILIES,
     STANDARD_FORBIDDEN,
     Report,
     Verdict,
     eliminate,
-    exceptional_min_dim,
     longest_condition_chain,
-    required_dimension,
     search,
 )
 from homgeom.verify import _check_automaton
@@ -393,8 +398,11 @@ class TestReport:
     def test_bools_survive(self):
         assert _jsonable({"ok": True}) == {"ok": True}
 
-    def test_fractions_as_ratios(self):
-        assert _jsonable([Fraction(-7, 3), Fraction(4, 2)]) == ["-7/3", "2/1"]
+    def test_fractions_are_not_serialized(self):
+        # No value in the package is a rational; one that got into a report
+        # would raise rather than print as "n/d".
+        with pytest.raises(TypeError):
+            _jsonable([Fraction(-7, 3)])
 
     def test_named_tuple_records_serialize_as_records(self):
         # The records are named tuples; to_record wins over the tuple branch.
