@@ -41,13 +41,12 @@ def theta_of(s1: int, alpha: int) -> int:
     return s1 - s1 * s1 + 2 * alpha * s1 - alpha
 
 
-def psi_of(s1: int, alpha: int) -> int:
-    """psi = -theta - s1*(s1-1)*D, the value forced by the product identity."""
-    return _psi(s1, theta_of(s1, alpha), discriminant_shift(s1, alpha))
+def psi_of(s1: int, theta: int, d: int) -> int:
+    """psi = -theta - s1*(s1-1)*D, the value forced by the product identity.
 
-
-def _psi(s1: int, theta: int, d: int) -> int:
-    """psi_of's formula, for a caller that already holds theta and D."""
+    Both callers already hold theta = theta_of(s1, alpha) and
+    D = discriminant_shift(s1, alpha), so they pass them in.
+    """
     return -theta - s1 * (s1 - 1) * d
 
 
@@ -62,7 +61,7 @@ def alpha_cap_terms(s1: int, alpha: int, phi: int) -> tuple[int, int]:
     if isinstance(alpha, int) and alpha <= 0:
         raise ValueError("the alpha-route cap needs alpha >= 1")
     theta = theta_of(s1, alpha)
-    core = theta * phi - 4 * alpha * s1 * _psi(s1, theta, discriminant_shift(s1, alpha))
+    core = theta * phi - 4 * alpha * s1 * psi_of(s1, theta, discriminant_shift(s1, alpha))
     return phi * phi * core * core - phi, 4 * alpha * s1
 
 
@@ -144,7 +143,7 @@ class SweepResult(NamedTuple):
     internal_steps_ok: bool
 
 
-def alpha_route_sweep(s1_max: int = 50, alpha_max: int = 2500) -> SweepResult:
+def alpha_route_sweep(s1_max: int, alpha_max: int) -> SweepResult:
     """Sweep the alpha' = 0 grid: every admissible alpha (s1 | alpha^2, alpha^2 >= s1).
 
     Alongside the headline first_r_exceeding values this re-checks the two
@@ -181,7 +180,7 @@ def alpha_route_sweep(s1_max: int = 50, alpha_max: int = 2500) -> SweepResult:
     return SweepResult("alpha-route", checked, max_r, worst, steps_ok)
 
 
-def beta_route_sweep(s1_max: int = 50, beta_max: int = 2500) -> SweepResult:
+def beta_route_sweep(s1_max: int, beta_max: int) -> SweepResult:
     """Sweep the alpha' = 1 grid: beta over multiples of s1 (s1 | beta, beta >= s1)."""
     checked = 0
     max_r = 0
@@ -218,7 +217,8 @@ def spectral_identities() -> dict[str, bool]:
     s1 = alpha**9
     u = s1 * (s1 - 1)
     d = discriminant_shift(s1, alpha)
-    theta, phi, psi = theta_of(s1, alpha), phi_of(s1, alpha), psi_of(s1, alpha)
+    theta, phi = theta_of(s1, alpha), phi_of(s1, alpha)
+    psi = psi_of(s1, theta, d)
     bracket = theta * d + 4 * alpha * s1 * s1 * (s1 - 1)
     return {
         "phi": phi == d * d - 4 * alpha * s1,

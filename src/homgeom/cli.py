@@ -56,20 +56,30 @@ def _print_json(payload) -> None:
     print(json.dumps(_jsonable(payload), indent=2))
 
 
+# verify-all's size flags: the least value each takes and its help.  A flag
+# that is not given is not passed on, so verify_all's signature holds the
+# one copy of the default sizes.  s1 = 3 with driver 3 is the smallest
+# threshold grid holding a system on both routes.
+_SIZE_FLAGS = (
+    ("--sieve-limit", 0, None),
+    ("--s1-max", 3, None),
+    ("--alpha-max", 0, None),
+    ("--grid-s1-max", 3, "threshold grids' s1 bound"),
+    ("--driver-max", 3, "threshold grids' driver bound"),
+)
+
+
 def _cmd_verify_all(args) -> int:
     # Checked up front so that a bad size, check name or --json path fails
-    # before any check runs.  s1 = 3 with driver 3 is the smallest threshold
-    # grid holding a system on both routes.
-    for flag, value, least in (
-        ("--sieve-limit", args.sieve_limit, 0),
-        ("--s1-max", args.s1_max, 3),
-        ("--alpha-max", args.alpha_max, 0),
-        ("--grid-s1-max", args.grid_s1_max, 3),
-        ("--driver-max", args.driver_max, 3),
-    ):
-        if value < least:
-            print(f"invalid input: {flag} must be at least {least}", file=sys.stderr)
-            return 2
+    # before any check runs.
+    sizes = {}
+    for flag, least, _ in _SIZE_FLAGS:
+        key = flag[2:].replace("-", "_")
+        if key in vars(args):
+            sizes[key] = getattr(args, key)
+            if sizes[key] < least:
+                print(f"invalid input: {flag} must be at least {least}", file=sys.stderr)
+                return 2
     only = None if args.only is None else args.only.split(",")
     try:
         verify.select_checks(only)
@@ -83,14 +93,7 @@ def _cmd_verify_all(args) -> int:
         except OSError as exc:
             print(f"invalid input: --json: {exc}", file=sys.stderr)
             return 2
-    report = verify.verify_all(
-        only=only,
-        sieve_limit=args.sieve_limit,
-        s1_max=args.s1_max,
-        alpha_max=args.alpha_max,
-        grid_s1_max=args.grid_s1_max,
-        driver_max=args.driver_max,
-    )
+    report = verify.verify_all(only=only, **sizes)
     for check in report.checks:
         print(f"[{check.status.upper():4}] {check.name}")
     print(f"overall: {report.overall_status}")
@@ -180,11 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-all", help="run every check, or those named, and report")
     p.add_argument("--only", metavar="NAME[,NAME]", help="run only these checks")
-    p.add_argument("--sieve-limit", type=int, default=10**6)
-    p.add_argument("--s1-max", type=int, default=100)
-    p.add_argument("--alpha-max", type=int, default=10**4)
-    p.add_argument("--grid-s1-max", type=int, default=50, help="threshold grids' s1 bound")
-    p.add_argument("--driver-max", type=int, default=2500, help="threshold grids' driver bound")
+    for flag, _, help_text in _SIZE_FLAGS:
+        p.add_argument(flag, type=int, default=argparse.SUPPRESS, help=help_text)
     p.add_argument("--json", metavar="PATH", help="write the JSON report here")
     p.set_defaults(func=_cmd_verify_all)
 

@@ -67,7 +67,7 @@ class CaseRangeError(ValueError):
     def __init__(self, case: "CaseLabel", argument: int):
         self.case = case
         self.argument = argument
-        self.known_square_args = known_square_args(case)
+        self.known_square_args = known_square_args(case, obstruction_value(case, UniPoly.x()))
         super().__init__(
             f"case {case.value} argument {argument} is below the hypothesis range "
             f"(starts at {CASE_MIN_ARG[case]}); known square arguments: "
@@ -146,11 +146,11 @@ def obstruction_value(case: CaseLabel, arg: int | UniPoly) -> int | UniPoly:
     return quotient
 
 
-def known_square_args(case: CaseLabel) -> tuple[int, ...]:
-    """The t in [0, t_min) at which the case's obstruction value is a perfect
-    square, with t_min = CASE_MIN_ARG[case]; the case's no-square
-    certificate covers every t >= t_min."""
-    f = obstruction_value(case, UniPoly.x())
+def known_square_args(case: CaseLabel, f: UniPoly) -> tuple[int, ...]:
+    """The t in [0, t_min) at which the case's obstruction polynomial f is a
+    perfect square, with t_min = CASE_MIN_ARG[case]; the case's no-square
+    certificate covers every t >= t_min.  The caller passes f, which it
+    has already derived as obstruction_value(case, UniPoly.x())."""
     return tuple(t for t in range(CASE_MIN_ARG[case]) if is_perfect_square(f.evaluate(t)))
 
 

@@ -51,7 +51,7 @@ class SquareObstruction(NamedTuple):
 def _derive(label: CaseLabel) -> SquareObstruction:
     f = obstruction_value(label, UniPoly.x())
     a_poly = (4 * f).sqrt_part()
-    known = frozenset(known_square_args(label))
+    known = frozenset(known_square_args(label, f))
     return SquareObstruction(
         label, f, a_poly, a_poly.square() - 4 * f, CASE_MIN_ARG[label], known
     )
@@ -63,7 +63,7 @@ def catalog() -> dict[CaseLabel, SquareObstruction]:
     f comes from localization.obstruction_value at the indeterminate x (one
     path for every case), A is (4f).sqrt_part() and H = A^2 - 4f.  t_min is
     the localization module's CASE_MIN_ARG, and the known square arguments
-    come from its known_square_args.
+    come from its known_square_args, given the same f.
     """
     return {label: _derive(label) for label in CASE_MIN_ARG}
 

@@ -132,16 +132,15 @@ def exceptional_min_dim(
 
 
 def required_dimension(
-    alpha_route_max_r: int = ALPHA_ROUTE_MAX_R,
-    beta_route_max_r: int = BETA_ROUTE_MAX_R,
-    chain_depth: int = LOCALIZATION_CHAIN_DEPTH,
+    alpha_route_max_r: int = ALPHA_ROUTE_MAX_R, beta_route_max_r: int = BETA_ROUTE_MAX_R
 ) -> int:
     """Dimension needed for the full chain argument.
 
-    The trichotomy must hold in the geometry and in all chain_depth nested
-    localizations, each localization dropping the dimension by one.
+    The trichotomy must hold in the geometry and in all
+    LOCALIZATION_CHAIN_DEPTH nested localizations, each localization
+    dropping the dimension by one.
     """
-    return exceptional_min_dim(alpha_route_max_r, beta_route_max_r) + chain_depth
+    return exceptional_min_dim(alpha_route_max_r, beta_route_max_r) + LOCALIZATION_CHAIN_DEPTH
 
 
 def s2_from(s1: int, alpha: int) -> int:

@@ -247,21 +247,14 @@ def eliminate(
 # -- report plumbing ----------------------------------------------------------
 
 
-class ReportCheck:
-    """One report row; verify_all sets elapsed_seconds, the check's own time."""
+class ReportCheck(NamedTuple):
+    """One report row: a check's name, verdict, details and own wall time."""
 
-    def __init__(
-        self,
-        name: str,
-        status: str,  # "pass", "fail" or "gap"
-        details: dict | None = None,
-        witness: object = None,
-    ):
-        self.name = name
-        self.status = status
-        self.details = {} if details is None else details
-        self.witness = witness
-        self.elapsed_seconds: float | None = None
+    name: str
+    status: str  # "pass", "fail" or "gap"
+    details: dict
+    witness: object = None
+    elapsed_seconds: float | None = None
 
 
 class Report:
@@ -271,9 +264,6 @@ class Report:
         self.version = __version__
         self.timestamp = datetime.now(timezone.utc).isoformat()
         self.checks: list[ReportCheck] = []
-
-    def add(self, name: str, status: str, details: dict | None = None, witness=None) -> None:
-        self.checks.append(ReportCheck(name, status, details, witness))
 
     @property
     def overall_status(self) -> str:
@@ -316,7 +306,7 @@ def search(
     alpha_max: int,
     *,
     disabled_cases: frozenset[CaseLabel] = frozenset(),
-) -> Report:
+) -> tuple[str, dict, list[dict] | None]:
     """Classify-or-eliminate every parameter system of the grid, counting per s1.
 
     The grid is 3 <= s1 <= s1_max, 0 <= alpha <= alpha_max, alpha' in {0, 1}.
@@ -332,7 +322,8 @@ def search(
       (alpha, alpha') order;
     - no-condition: the other integral systems, which match no exceptional
       family; every remaining system fails integrality.
-    The cost does not depend on alpha_max.  Fails (with witnesses) if any
+    The cost does not depend on alpha_max.  Returns the search's report row
+    (status, details, witness).  Fails (with witnesses) if any
     system survives, which with the full case set never happens; fault
     injection via disabled_cases must produce survivors, proving the search
     exercises each case.
@@ -374,19 +365,13 @@ def search(
                 survivors.append(verdict.to_record())
             else:
                 counts["condition-eliminated"] += 1
-    report = Report()
-    report.add(
-        "parameter-search",
-        "fail" if survivors else "pass",
-        details={
-            "s1Max": s1_max,
-            "alphaMax": alpha_max,
-            "dim": dim,
-            "counts": counts,
-            "systemsChecked": (s1_max - 2) * (alpha_max + 1) * 2,
-            "disabledCases": sorted(c.value for c in disabled_cases),
-            "classicalWitnesses": classical_witnesses,
-        },
-        witness=survivors or None,
-    )
-    return report
+    details = {
+        "s1Max": s1_max,
+        "alphaMax": alpha_max,
+        "dim": dim,
+        "counts": counts,
+        "systemsChecked": (s1_max - 2) * (alpha_max + 1) * 2,
+        "disabledCases": sorted(c.value for c in disabled_cases),
+        "classicalWitnesses": classical_witnesses,
+    }
+    return ("fail" if survivors else "pass"), details, survivors or None

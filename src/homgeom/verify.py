@@ -49,7 +49,7 @@ from .geometries import (
     flat_profile,
     localize_at_point,
 )
-from .pipeline import STANDARD_FORBIDDEN, Report, longest_condition_chain, search
+from .pipeline import STANDARD_FORBIDDEN, Report, ReportCheck, longest_condition_chain, search
 
 # The displayed factor pairs (A, H) for the three sextic cases, pinned as
 # regression anchors for the derived catalog.
@@ -61,24 +61,24 @@ EXPECTED_FACTOR_PAIRS = {
 
 
 Catalog = dict[CaseLabel, SquareObstruction]
+# A check's report row: (status, details) or (status, details, witness).
+Row = tuple
 
 
-def _check_decompositions(report: Report, cat: Catalog) -> None:
+def _check_decompositions(cat: Catalog) -> Row:
     bad = [obs.label.value for obs in cat.values() if not verify_identity(obs)]
     factor_ok = all(
         (cat[label].A, cat[label].H) == expected
         for label, expected in EXPECTED_FACTOR_PAIRS.items()
     )
     ok = not bad and factor_ok
-    report.add(
-        "square-decompositions",
-        "pass" if ok else "fail",
-        details={"casesChecked": sorted(o.value for o in cat), "failed": bad,
-                 "factorPairsReproduced": factor_ok},
-    )
+    return ("pass" if ok else "fail"), {
+        "casesChecked": sorted(o.value for o in cat), "failed": bad,
+        "factorPairsReproduced": factor_ok,
+    }
 
 
-def _check_certificates(report: Report, cat: Catalog) -> None:
+def _check_certificates(cat: Catalog) -> Row:
     results = {}
     gaps = []
     for label, obs in cat.items():
@@ -90,14 +90,10 @@ def _check_certificates(report: Report, cat: Catalog) -> None:
         }
         if not cert.proved:
             gaps.append(label.value)
-    report.add(
-        "no-square-certificates",
-        "gap" if gaps else "pass",
-        details={"certificates": results, "gaps": gaps},
-    )
+    return ("gap" if gaps else "pass"), {"certificates": results, "gaps": gaps}
 
 
-def _check_sieve(report: Report, cat: Catalog, sieve_limit: int) -> None:
+def _check_sieve(cat: Catalog, sieve_limit: int) -> Row:
     results = {}
     ok = True
     for label, obs in cat.items():
@@ -110,35 +106,27 @@ def _check_sieve(report: Report, cat: Catalog, sieve_limit: int) -> None:
             "expected": expected,
             "survivorsAtOrAboveTMin": in_range,
         }
-    report.add(
-        "square-sieve",
-        "pass" if ok else "fail",
-        details={"limit": sieve_limit, "cases": results},
-    )
+    return ("pass" if ok else "fail"), {"limit": sieve_limit, "cases": results}
 
 
-def _check_threshold_grid(report: Report, route: str, grid_s1_max: int, driver_max: int) -> None:
-    """Sweep one route ("alpha" or "beta") and add its growth-threshold check."""
+def _check_threshold_grid(route: str, grid_s1_max: int, driver_max: int) -> Row:
+    """Sweep one route ("alpha" or "beta") against its growth threshold."""
     if route == "alpha":
         sweep, bound = alpha_route_sweep(grid_s1_max, driver_max), ALPHA_ROUTE_MAX_R + 1
     else:
         sweep, bound = beta_route_sweep(grid_s1_max, driver_max), BETA_ROUTE_MAX_R + 1
     ok = sweep.max_first_r <= bound and sweep.internal_steps_ok
-    report.add(
-        f"growth-threshold-{route}-route",
-        "pass" if ok else "fail",
-        details={
-            "grid": {"s1Max": grid_s1_max, f"{route}Max": driver_max},
-            "systemsChecked": sweep.systems_checked,
-            "maxFirstRExceeding": sweep.max_first_r,
-            "bound": bound,
-            "internalStepsOk": sweep.internal_steps_ok,
-            "worst": sweep.worst.to_record() if sweep.worst else None,
-        },
-    )
+    return ("pass" if ok else "fail"), {
+        "grid": {"s1Max": grid_s1_max, f"{route}Max": driver_max},
+        "systemsChecked": sweep.systems_checked,
+        "maxFirstRExceeding": sweep.max_first_r,
+        "bound": bound,
+        "internalStepsOk": sweep.internal_steps_ok,
+        "worst": sweep.worst.to_record() if sweep.worst else None,
+    }
 
 
-def _check_spectral_identities(report: Report) -> None:
+def _check_spectral_identities() -> Row:
     identities = spectral_identities()
     # Condition-2 parameters collapse the cap to exactly 1, as an identity in
     # s1: D = 0 gives core = 0, so the numerator -phi = 4*alpha*s1 is the
@@ -148,14 +136,12 @@ def _check_spectral_identities(report: Report) -> None:
     num, den = alpha_cap_terms(s1, alpha, phi_of(s1, alpha))
     cond2_cap_is_one = num == den
     ok = all(identities.values()) and cond2_cap_is_one
-    report.add(
-        "spectral-identities",
-        "pass" if ok else "fail",
-        details={"polynomialIdentities": identities, "cond2CapIsOne": cond2_cap_is_one},
-    )
+    return ("pass" if ok else "fail"), {
+        "polynomialIdentities": identities, "cond2CapIsOne": cond2_cap_is_one,
+    }
 
 
-def _check_automaton(report: Report) -> None:
+def _check_automaton() -> Row:
     longest = longest_condition_chain(STANDARD_FORBIDDEN)
     mutations = {}
     for pair in sorted(STANDARD_FORBIDDEN):
@@ -170,40 +156,34 @@ def _check_automaton(report: Report) -> None:
     letters = {
         (outer.family, target): case.value[0] for (outer, target), case in FORBIDDEN_PAIRS.items()
     }
-    report.add(
-        "condition-chain-automaton",
-        "pass" if ok else "fail",
-        details={
-            "longestAllowedChain": longest,
-            "requiredTransitions": LOCALIZATION_CHAIN_DEPTH,
-            "forbiddenEdges": {str(pair): letters[pair] for pair in sorted(letters)},
-            "singleEdgeRestorations": mutations,
-        },
-    )
+    return ("pass" if ok else "fail"), {
+        "longestAllowedChain": longest,
+        "requiredTransitions": LOCALIZATION_CHAIN_DEPTH,
+        "forbiddenEdges": {str(pair): letters[pair] for pair in sorted(letters)},
+        "singleEdgeRestorations": mutations,
+    }
 
 
-def _check_dimension_threshold(report: Report) -> None:
+def _check_dimension_threshold() -> Row:
     base = exceptional_min_dim()
     total = required_dimension()
     recomputed = required_dimension(alpha_route_max_r=16)
     ok = base == 20 and total == 23 and recomputed == 20
-    report.add(
-        "dimension-threshold",
-        "pass" if ok else "fail",
-        details={
-            "exceptionalMinDim": base,
-            "requiredDimension": total,
-            "localizationChainDepth": total - base,
-            "recomputedWithAlphaRoute16": recomputed,
-        },
-    )
+    return ("pass" if ok else "fail"), {
+        "exceptionalMinDim": base,
+        "requiredDimension": total,
+        "localizationChainDepth": total - base,
+        "recomputedWithAlphaRoute16": recomputed,
+    }
 
 
-def _check_search(report: Report, s1_max: int, alpha_max: int) -> None:
-    report.checks.extend(search(s1_max, alpha_max).checks)
+def _check_search(s1_max: int, alpha_max: int) -> Row:
+    # Looked up when the check runs, not bound into CHECKS, so that a tool
+    # that rebinds this module's `search` (perfbench/tracer.py) sees the call.
+    return search(s1_max, alpha_max)
 
 
-def _check_ground_truth(report: Report) -> None:
+def _check_ground_truth() -> Row:
     instances = [
         ("pg", build_projective, 2, 2),
         ("pg", build_projective, 3, 2),
@@ -250,11 +230,11 @@ def _check_ground_truth(report: Report) -> None:
             "growthBoundOk": growth_ok,
             "ok": entry_ok,
         }
-    report.add("classical-ground-truth", "pass" if ok else "fail", details=details)
+    return ("pass" if ok else "fail"), details
 
 
-# Every report check in report order: its name, the function that adds it, and
-# the verify_all keywords passed to that function ("cat" is the catalog).
+# Every report check in report order: its name, the function that returns its
+# row, and the verify_all keywords passed to that function ("cat" is the catalog).
 _GRID = ("grid_s1_max", "driver_max")
 CHECKS = (
     ("square-decompositions", _check_decompositions, ("cat",)),
@@ -288,18 +268,20 @@ def verify_all(
     grid_s1_max: int = 50,
     driver_max: int = 2500,
 ) -> Report:
-    """Run the checks named in only (all for None); each check carries its own wall time.
+    """Run the checks named in only (all for None); each row carries its check's wall time.
 
     The catalog is derived once, and only when a selected check reads it.
     """
-    rows = select_checks(only)
+    selected = select_checks(only)
     inputs = dict(sieve_limit=sieve_limit, s1_max=s1_max, alpha_max=alpha_max,
                   grid_s1_max=grid_s1_max, driver_max=driver_max)
-    if any("cat" in reads for _, _, reads in rows):
+    if any("cat" in reads for _, _, reads in selected):
         inputs["cat"] = catalog()
     report = Report()
-    for _, check, reads in rows:
+    for name, check, reads in selected:
         start = time.perf_counter()
-        check(report, **{key: inputs[key] for key in reads})
-        report.checks[-1].elapsed_seconds = time.perf_counter() - start
+        row = check(**{key: inputs[key] for key in reads})
+        report.checks.append(
+            ReportCheck(name, *row, elapsed_seconds=time.perf_counter() - start)
+        )
     return report

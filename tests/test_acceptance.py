@@ -135,12 +135,11 @@ def test_criterion_6_automaton():
 
 def test_criterion_7_search_and_fault_injection():
     with _Criterion(7, "search-and-fault-injection"):
-        report = search(100, 10**4)
-        assert report.overall_status == "pass"
-        assert report.checks[0].witness is None
+        status, details, witness = search(100, 10**4)
+        assert status == "pass"
+        assert witness is None
         witnesses = {
-            (w["s1"], w["alpha"], w["alphaPrime"])
-            for w in report.checks[0].details["classicalWitnesses"]
+            (w["s1"], w["alpha"], w["alphaPrime"]) for w in details["classicalWitnesses"]
         }
         primes = [q for q in range(2, 98) if all(q % d for d in range(2, q))]
         for q in primes:
@@ -150,9 +149,9 @@ def test_criterion_7_search_and_fault_injection():
                 assert (q, 1, 0) in witnesses, f"affine shape missing for q={q}"
         # Disabling any one case must surface at least one witnessed survivor.
         for case in ("a", "b+", "b-", "c", "d", "e", "f"):
-            injected = search(10, 200, disabled_cases=frozenset({CaseLabel(case)}))
-            assert injected.overall_status == "fail", case
-            assert injected.checks[0].witness, case
+            status, _, witness = search(10, 200, disabled_cases=frozenset({CaseLabel(case)}))
+            assert status == "fail", case
+            assert witness, case
 
 
 def test_criterion_8_geometry_ground_truth():

@@ -23,7 +23,6 @@ from homgeom.bounds import (
 )
 from homgeom.exact_arith import UniPoly
 from homgeom.parameters import s2_from
-from homgeom.pipeline import Report
 from homgeom.verify import _check_spectral_identities
 
 
@@ -35,6 +34,11 @@ def alpha_cap(s1: int, alpha: int) -> Fraction:
 def beta_cap(s1: int, beta: int) -> Fraction:
     """The beta-route cap, the Fraction of its terms."""
     return Fraction(*beta_cap_terms(s1, beta))
+
+
+def psi(s1: int, alpha: int) -> int:
+    """psi at (s1, alpha), with theta and D computed for it."""
+    return psi_of(s1, theta_of(s1, alpha), discriminant_shift(s1, alpha))
 
 
 def phi_oracle(s1: int, alpha: int) -> int:
@@ -55,21 +59,21 @@ class TestSpectralQuantities:
         assert theta_of(3, 1) == -1
 
     def test_psi_examples(self):
-        assert psi_of(3, 6) == -24
-        assert psi_of(4, 2) == 118
-        assert psi_of(3, 1) == 31
+        assert psi(3, 6) == -24
+        assert psi(4, 2) == 118
+        assert psi(3, 1) == 31
 
     def test_psi_acceptance_point(self):
         # The flagged consistency point: both sides of the product identity
         # evaluated independently at (3, 1).
         s1, alpha = 3, 1
         d = alpha - s1 * (s1 - 1)
-        lhs = theta_of(s1, alpha) * phi_of(s1, alpha) - 4 * alpha * s1 * psi_of(s1, alpha)
+        lhs = theta_of(s1, alpha) * phi_of(s1, alpha) - 4 * alpha * s1 * psi(s1, alpha)
         rhs = d * (theta_of(s1, alpha) * d + 4 * alpha * s1 * s1 * (s1 - 1))
         assert lhs == rhs == -385
 
     def test_spectral_triple_invariants(self):
-        assert (theta_of(4, 2), phi_of(4, 2), psi_of(4, 2)) == (2, 68, 118)
+        assert (theta_of(4, 2), phi_of(4, 2), psi(4, 2)) == (2, 68, 118)
         assert discriminant_shift(4, 2) == -10
 
     def test_phi_squared_below_fourth_power(self):
@@ -93,7 +97,7 @@ class TestSpectralIdentities:
             # true; the factored bracket catches it.
             ("theta_of", lambda s1, a: s1 - s1 * s1 + 2 * a * s1 + a, "bracket"),
             ("phi_of", lambda s1, a: a * a + s1 * s1 * (s1 - 1) ** 2 - 2 * a * s1 * (s1 - 1), "phi"),
-            ("psi_of", lambda s1, a: -theta_of(s1, a) - s1 * (s1 + 1) * discriminant_shift(s1, a), "product"),
+            ("psi_of", lambda s1, theta, d: -theta - s1 * (s1 + 1) * d, "product"),
             ("s2_from", lambda s1, a: s1 + s1 * a + (s1 - 1) ** 2, "planeSize"),
         ],
         ids=["discriminant_shift", "theta_of", "phi_of", "psi_of", "s2_from"],
@@ -101,11 +105,9 @@ class TestSpectralIdentities:
     def test_wrong_formula_fails_the_check(self, monkeypatch, name, fake, broken):
         monkeypatch.setattr(bounds, name, fake)
         assert spectral_identities()[broken] is False
-        report = Report()
-        _check_spectral_identities(report)
-        (check,) = report.checks
-        assert check.status == "fail"
-        assert check.details["polynomialIdentities"][broken] is False
+        status, details = _check_spectral_identities()
+        assert status == "fail"
+        assert details["polynomialIdentities"][broken] is False
 
     def test_wrong_cap_terms_fail_cond2_check(self, monkeypatch):
         def sign_slip(s1, alpha, phi):
@@ -114,11 +116,9 @@ class TestSpectralIdentities:
             return num + 2 * phi, den
 
         monkeypatch.setattr(verify, "alpha_cap_terms", sign_slip)
-        report = Report()
-        _check_spectral_identities(report)
-        (check,) = report.checks
-        assert check.status == "fail"
-        assert check.details["cond2CapIsOne"] is False
+        status, details = _check_spectral_identities()
+        assert status == "fail"
+        assert details["cond2CapIsOne"] is False
 
 
 class TestAlphaRouteCap:
@@ -228,7 +228,7 @@ class TestSweeps:
                 r = first_r_exceeding(s1, s2_from(s1, alpha), cap.numerator, cap.denominator)
                 if r > max_r:
                     max_r, worst = r, (s1, alpha)
-        result = alpha_route_sweep()
+        result = alpha_route_sweep(50, 2500)
         assert result.systems_checked == checked == 12306
         assert (result.worst.s1, result.worst.driver) == worst
         assert result.max_first_r == max_r
@@ -246,7 +246,7 @@ class TestSweeps:
                 r = first_r_exceeding(s1, s2_from(s1, beta + 1), cap.numerator, cap.denominator)
                 if r > max_r:
                     max_r, worst = r, (s1, beta)
-        result = beta_route_sweep()
+        result = beta_route_sweep(50, 2500)
         assert result.systems_checked == checked
         assert (result.worst.s1, result.worst.driver) == worst
         assert result.max_first_r == max_r

@@ -11,6 +11,7 @@ import pytest
 
 import homgeom.cli
 import homgeom.verify
+from homgeom import _jsonable
 from homgeom.cli import build_parser, main
 from homgeom.localization import CaseLabel
 from homgeom.obstructions import catalog, sieve
@@ -269,9 +270,10 @@ class TestSearch:
         )
         assert code == 0
         assert list(checks) == ["parameter-search"]
-        # The row is the search's own check, with the time verify-all adds.
-        (expected,) = search(6, 80).to_json_dict()["checks"]
-        assert checks["parameter-search"] == {"status": "pass", **expected["details"]}
+        # The row is the search's own row, with the time verify-all adds.
+        status, details, witness = search(6, 80)
+        assert witness is None
+        assert checks["parameter-search"] == {"status": "pass", **_jsonable(details)}
 
     def test_invalid_range(self, capsys):
         code, _, err = run(
@@ -533,6 +535,41 @@ class TestVerifyAll:
         report = homgeom.verify.verify_all(only=only, **sizes)
         assert report.overall_status == "pass"
         assert len(derived) == calls
+
+    def test_traced_functions_are_looked_up_when_a_check_runs(self, monkeypatch):
+        # perfbench/tracer.py wraps these functions by rebinding verify's
+        # module globals, so every check must read them at call time.
+        called = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                called.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        names = ("catalog", "certify_no_square", "sieve",
+                 "alpha_route_sweep", "beta_route_sweep", "search")
+        for name in names:
+            monkeypatch.setattr(
+                homgeom.verify, name, counting(name, getattr(homgeom.verify, name))
+            )
+        sizes = dict(sieve_limit=100, s1_max=5, alpha_max=50, grid_s1_max=6, driver_max=40)
+        assert homgeom.verify.verify_all(**sizes).overall_status == "pass"
+        assert sorted(set(called)) == sorted(names)
+
+    def test_only_given_sizes_are_passed_on(self, capsys, monkeypatch):
+        # verify_all's signature holds the default sizes; the CLI has none.
+        seen = []
+
+        def fake_verify_all(**kwargs):
+            seen.append(kwargs)
+            return Report()
+
+        monkeypatch.setattr(homgeom.verify, "verify_all", fake_verify_all)
+        code, _, _ = run(capsys, "verify-all", "--s1-max", "7", "--driver-max", "9")
+        assert code == 0
+        assert seen == [{"only": None, "s1_max": 7, "driver_max": 9}]
 
 
 class TestReadme:

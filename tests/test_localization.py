@@ -267,7 +267,7 @@ class TestEliminateCaseInstance:
     def test_known_survivor_lists_match_catalog(self):
         cat = catalog()
         for case in COMPUTABLE:
-            assert known_square_args(case) == KNOWN_SQUARE_ARGS[case]
+            assert known_square_args(case, cat[case].f) == KNOWN_SQUARE_ARGS[case]
             assert frozenset(KNOWN_SQUARE_ARGS[case]) == cat[case].known_square_args
             assert CASE_MIN_ARG[case] == cat[case].t_min
             assert all(t < CASE_MIN_ARG[case] for t in KNOWN_SQUARE_ARGS[case])

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import homgeom
+import homgeom.localization as localization
 import homgeom.obstructions as obstructions
 import homgeom.verify as verify
 from homgeom.cli import main
@@ -69,6 +70,22 @@ class TestCatalog:
             assert any(c % 2 for c in obs.A.coeffs), obs.label
             with pytest.raises(ValueError):
                 obs.f.sqrt_part()
+
+    def test_each_case_derived_once(self, monkeypatch):
+        # One obstruction_value call per case: the known square arguments
+        # are read off the f that the catalog already derived.
+        calls = []
+        original = localization.obstruction_value
+
+        def counted(case, arg):
+            calls.append(case)
+            return original(case, arg)
+
+        monkeypatch.setattr(obstructions, "obstruction_value", counted)
+        monkeypatch.setattr(localization, "obstruction_value", counted)
+        cat = catalog()
+        assert len(calls) == 5
+        assert set(calls) == set(cat)
 
 
 class TestVerifyIdentity:

@@ -29,6 +29,7 @@ from homgeom.pipeline import (
     FAMILIES,
     STANDARD_FORBIDDEN,
     Report,
+    ReportCheck,
     Verdict,
     eliminate,
     longest_condition_chain,
@@ -86,9 +87,8 @@ class TestTransitionGraph:
 
     def test_forbidden_case_map(self):
         # The automaton check names each forbidden pair's case, "b" for both signs.
-        report = Report()
-        _check_automaton(report)
-        assert report.checks[0].details["forbiddenEdges"] == {
+        _, details = _check_automaton()
+        assert details["forbiddenEdges"] == {
             "(1, 1)": "a",
             "(1, 2)": "b",
             "(2, 2)": "c",
@@ -263,18 +263,17 @@ class TestEliminate:
 
 class TestSearch:
     def test_small_run_clean(self):
-        report = search(10, 200)
-        assert report.overall_status == "pass"
-        details = report.checks[0].details
+        status, details, witness = search(10, 200)
+        assert status == "pass"
         assert details["counts"]["classical"] > 0
-        assert report.checks[0].witness is None
+        assert witness is None
 
     def test_hypothesis_error(self):
         with pytest.raises(ValueError):
             search(2, 100)
 
     def test_classical_witnesses_cover_small_primes(self):
-        details = search(10, 200).checks[0].details
+        _, details, _ = search(10, 200)
         witnesses = {
             (w["s1"], w["alpha"], w["alphaPrime"]) for w in details["classicalWitnesses"]
         }
@@ -285,9 +284,8 @@ class TestSearch:
 
     @pytest.mark.parametrize("case", ["a", "b+", "b-", "c", "d", "e", "f"])
     def test_fault_injection_produces_witnessed_survivor(self, case):
-        report = search(10, 200, disabled_cases=frozenset({CaseLabel(case)}))
-        assert report.overall_status == "fail"
-        witnesses = report.checks[0].witness
+        status, _, witnesses = search(10, 200, disabled_cases=frozenset({CaseLabel(case)}))
+        assert status == "fail"
         assert witnesses
         assert all(w["verdict"] == "SurvivesSquareTest" for w in witnesses)
 
@@ -303,22 +301,22 @@ class TestSearch:
         + [(9, 35), (9, 143), (40, 500)],
     )
     def test_counts_match_brute_force_oracle(self, s1_max, alpha_max):
-        check = search(s1_max, alpha_max).checks[0]
+        _, details, witness = search(s1_max, alpha_max)
         counts, classical, survivors = _oracle(s1_max, alpha_max)
         assert survivors is None
-        assert check.details["counts"] == counts
-        assert check.details["classicalWitnesses"] == classical
-        assert check.witness is None
+        assert details["counts"] == counts
+        assert details["classicalWitnesses"] == classical
+        assert witness is None
 
     @pytest.mark.parametrize("case", ["a", "b+", "b-", "c", "d", "e", "f"])
     def test_disabled_case_matches_brute_force_oracle(self, case):
         disabled = frozenset({CaseLabel(case)})
-        check = search(10, 200, disabled_cases=disabled).checks[0]
+        _, details, witness = search(10, 200, disabled_cases=disabled)
         counts, classical, survivors = _oracle(10, 200, disabled)
         assert survivors
-        assert check.details["counts"] == counts
-        assert check.details["classicalWitnesses"] == classical
-        assert check.witness == survivors
+        assert details["counts"] == counts
+        assert details["classicalWitnesses"] == classical
+        assert witness == survivors
 
     def test_square_divisor(self):
         # n | a^2 exactly when m(n) | a.
@@ -330,10 +328,9 @@ class TestSearch:
 
     @pytest.mark.parametrize("alpha_max", [10**5, 10**9])
     def test_large_grid(self, alpha_max):
-        check = search(1000, alpha_max).checks[0]
-        details = check.details
-        assert check.status == "pass"
-        assert check.witness is None
+        status, details, witness = search(1000, alpha_max)
+        assert status == "pass"
+        assert witness is None
         assert sum(details["counts"].values()) == details["systemsChecked"]
         # Condition alphas tallied from their defining equations.
         tally = 0
@@ -365,7 +362,7 @@ class TestSearch:
             return verdicts[-1]
 
         monkeypatch.setattr(pipeline, "eliminate", recording_eliminate)
-        counts = search(100, 10**4).checks[0].details["counts"]
+        counts = search(100, 10**4)[1]["counts"]
         assert len(verdicts) == counts["condition-eliminated"]
         cat = catalog()
         seen = set()
@@ -380,7 +377,7 @@ class TestSearch:
         assert seen == set(cat)
 
     def test_enumeration_count(self):
-        details = search(5, 50).checks[0].details
+        _, details, _ = search(5, 50)
         assert details["systemsChecked"] == 3 * 51 * 2
         assert sum(details["counts"].values()) == details["systemsChecked"]
 
@@ -388,12 +385,19 @@ class TestSearch:
 class TestReport:
     def test_integers_become_decimal_strings(self):
         report = Report()
-        report.add("demo", "pass", details={"big": 10**40, "nested": [1, {"k": 2}]})
+        report.checks.append(
+            ReportCheck("demo", "pass", {"big": 10**40, "nested": [1, {"k": 2}]})
+        )
         payload = report.to_json_dict()
         demo = payload["checks"][0]["details"]
         assert demo["big"] == str(10**40)
         assert demo["nested"] == ["1", {"k": "2"}]
         json.dumps(payload)  # must be serializable
+
+    def test_rows_are_immutable(self):
+        check = ReportCheck("a", "pass", {})
+        with pytest.raises(AttributeError):
+            check.elapsed_seconds = 1.0
 
     def test_bools_survive(self):
         assert _jsonable({"ok": True}) == {"ok": True}
@@ -421,11 +425,11 @@ class TestReport:
 
     def test_exit_codes(self):
         report = Report()
-        report.add("a", "pass")
+        report.checks.append(ReportCheck("a", "pass", {}))
         assert report.exit_code() == 0
-        report.add("b", "gap")
+        report.checks.append(ReportCheck("b", "gap", {}))
         assert report.exit_code() == 2
-        report.add("c", "fail")
+        report.checks.append(ReportCheck("c", "fail", {}))
         assert report.exit_code() == 1
 
     def test_verdict_record_schema(self):
