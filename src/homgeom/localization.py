@@ -177,18 +177,15 @@ class CaseInstanceVerdict(NamedTuple):
         }
 
 
-def eliminate_case_instance(
-    case: CaseLabel, arg: int, *, enforce_range: bool = True
-) -> CaseInstanceVerdict:
+def eliminate_case_instance(case: CaseLabel, arg: int) -> CaseInstanceVerdict:
     """Eliminate one case instance by showing its obstruction is not a square.
 
     Within the hypothesis range every instance must come back Eliminated; a
     survivor there contradicts the classification and callers treat it as a
-    hard failure.  Below the range (reachable only with enforce_range=False)
-    the known near-misses, for example case c at s1 = 2, come back as
-    SurvivesSquareTest.
+    hard failure.  An argument below the range raises CaseRangeError, which
+    lists the known near misses there, for example case c at s1 = 2.
     """
-    if enforce_range and case in CASE_MIN_ARG and arg < CASE_MIN_ARG[case]:
+    if case in CASE_MIN_ARG and arg < CASE_MIN_ARG[case]:
         raise CaseRangeError(case, arg)
     # obstruction_value raises ExternalCaseError for an imported case.
     value = obstruction_value(case, arg)

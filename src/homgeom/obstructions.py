@@ -164,11 +164,6 @@ def _group_moduli(moduli: tuple[int, ...], cap: int) -> tuple[tuple[int, ...], .
 _MASK_GROUPS = _group_moduli(_MASK_MODULI, _GROUP_PERIOD_CAP)
 
 
-def sieve_naive(obs: SquareObstruction, limit: int) -> list[int]:
-    """Reference sieve: full-precision evaluation and square test at every t."""
-    return [t for t in range(limit + 1) if (v := obs.f.evaluate(t)) >= 0 and is_perfect_square(v)]
-
-
 def _residue_bits(values: list[int], m: int) -> int:
     """Bit r (for r < m) is set exactly when values[r] = f(r) is a square
     residue mod m."""
@@ -197,7 +192,7 @@ def sieve(obs: SquareObstruction, limit: int) -> list[int]:
     period.  [0, limit] is intersected one block of _BLOCK bits at a time,
     one shift and AND per group, so memory does not grow with the limit.
     Each survivor is confirmed with exact arbitrary-precision evaluation, so
-    the masks only save work and the result is identical to sieve_naive.
+    the masks only save work and the result is identical to testing every t.
     """
     if limit < 0:
         raise ValueError("sieve limit must be nonnegative")

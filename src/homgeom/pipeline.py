@@ -105,83 +105,70 @@ class EliminationVerdict(NamedTuple):
         }
 
 
-class _Walk:
-    """Depth-first exploration of every hypothesized condition chain.
+# One step of the walk: (trace line, survivor chain or None, case instance or None).
+_Step = tuple[str, str | None, CaseInstanceVerdict | None]
 
-    A pair (condition, family) is forbidden exactly when FORBIDDEN_PAIRS has
-    a row for it, and the row names the case that must settle it.
+
+def _chain_text(chain: tuple[tuple[Condition, int], ...]) -> str:
+    return " -> ".join(f"{cond.value}(s1={s1})" for cond, s1 in chain)
+
+
+def _walk(
+    steps: list[_Step],
+    cond: Condition,
+    s1: int,
+    alpha: int,
+    depth: int,
+    chain: tuple[tuple[Condition, int], ...],
+    disabled: frozenset[CaseLabel],
+) -> None:
+    """Depth-first exploration of every hypothesized condition chain from cond.
+
+    Appends one (trace line, survivor chain or None, case instance or None)
+    to steps per step; chain holds the (condition, s1) links walked so far,
+    this one last.  A pair (condition, family) is forbidden exactly when
+    FORBIDDEN_PAIRS has a row for it, and the row names the case that must
+    settle it.  An allowed pair always localizes to a condition of its
+    family: the only allowed pair into family 1 is (Cond2, 1), and its
+    localized line size s1 + s1(s1 - 1) = s1^2 is a square.
     """
-
-    def __init__(self, disabled: frozenset[CaseLabel]):
-        self.disabled = disabled
-        self.trace: list[str] = []
-        self.survivors: list[str] = []
-        self.instances: list[CaseInstanceVerdict] = []
-
-    def run(self, cond: Condition, s1: int, alpha: int) -> None:
-        self.trace.append(f"condition {cond.value} holds at (s1={s1}, alpha={alpha})")
-        self._step(cond, s1, alpha, depth=0, chain=f"{cond.value}(s1={s1})")
-
-    def _step(self, cond: Condition, s1: int, alpha: int, depth: int, chain: str) -> None:
-        pad = "  " * (depth + 1)
-        if depth == LOCALIZATION_CHAIN_DEPTH:
-            self.trace.append(f"{pad}chain {chain} completed {depth} transitions: SURVIVOR")
-            self.survivors.append(chain)
-            return
-        fam = cond.family
-        for target in FAMILIES:
-            pair = (fam, target)
-            case = FORBIDDEN_PAIRS.get((cond, target))
-            if case is not None:
-                if case in self.disabled:
-                    self.trace.append(
-                        f"{pad}pair {pair} forbidden by case {case.value}, but that case "
-                        "is disabled: continuation cannot be eliminated; SURVIVOR"
-                    )
-                    self.survivors.append(f"{chain} -> blocked case {case.value} disabled")
-                    continue
-                if case not in CASE_MIN_ARG:
-                    self.trace.append(
-                        f"{pad}pair {pair} impossible by imported fact "
-                        f"(case {case.value}, external provenance); branch eliminated"
-                    )
-                    continue
-                # Cases with outer condition 1 take t = sqrt(s1) as argument.
-                arg = exact_sqrt(s1) if fam == 1 else s1
-                inst = eliminate_case_instance(case, arg)
-                self.instances.append(inst)
-                if inst.eliminated:
-                    self.trace.append(
-                        f"{pad}pair {pair} impossible: case {case.value} obstruction "
-                        f"{inst.value} at argument {arg} is not a perfect square; "
-                        "branch eliminated"
-                    )
-                else:
-                    self.trace.append(
-                        f"{pad}pair {pair}: case {case.value} obstruction {inst.value} "
-                        f"= {inst.root}^2 IS a perfect square; SURVIVOR"
-                    )
-                    self.survivors.append(f"{chain} -> case {case.value} survivor at {arg}")
-                continue
+    pad = "  " * (depth + 1)
+    if depth == LOCALIZATION_CHAIN_DEPTH:
+        text = _chain_text(chain)
+        steps.append((f"{pad}chain {text} completed {depth} transitions: SURVIVOR", text, None))
+        return
+    for target in FAMILIES:
+        head = f"{pad}pair {(cond.family, target)}"
+        case = FORBIDDEN_PAIRS.get((cond, target))
+        if case is None:
             # Allowed pair: localize and keep walking.
             s1_hat = point_localize(s1, alpha)
-            forced = condition_alphas(s1_hat)
-            children = [c for c in forced if c.family == target]
-            if not children:
-                self.trace.append(
-                    f"{pad}pair {pair} allowed, but condition 1 needs a square "
-                    f"line size and {s1_hat} is not a square; branch closed"
-                )
-                continue
-            for child in children:
-                alpha_hat = forced[child]
-                self.trace.append(
-                    f"{pad}pair {pair} allowed: localized system "
-                    f"(s1_hat={s1_hat}, alpha_hat={alpha_hat}) under {child.value}"
-                )
-                self._step(
-                    child, s1_hat, alpha_hat, depth + 1, f"{chain} -> {child.value}(s1={s1_hat})"
-                )
+            for child, alpha_hat in condition_alphas(s1_hat).items():
+                if child.family == target:
+                    steps.append((f"{head} allowed: localized system (s1_hat={s1_hat}, "
+                                  f"alpha_hat={alpha_hat}) under {child.value}", None, None))
+                    _walk(steps, child, s1_hat, alpha_hat, depth + 1,
+                          chain + ((child, s1_hat),), disabled)
+        elif case in disabled:
+            steps.append((f"{head} forbidden by case {case.value}, but that case is disabled: "
+                          "continuation cannot be eliminated; SURVIVOR",
+                          f"{_chain_text(chain)} -> blocked case {case.value} disabled", None))
+        elif case not in CASE_MIN_ARG:
+            steps.append((f"{head} impossible by imported fact (case {case.value}, "
+                          "external provenance); branch eliminated", None, None))
+        else:
+            # Cases with outer condition 1 take t = sqrt(s1) as argument.
+            arg = exact_sqrt(s1) if cond.family == 1 else s1
+            inst = eliminate_case_instance(case, arg)
+            if inst.eliminated:
+                steps.append((f"{head} impossible: case {case.value} obstruction {inst.value} "
+                              f"at argument {arg} is not a perfect square; branch eliminated",
+                              None, inst))
+            else:
+                steps.append((f"{head}: case {case.value} obstruction {inst.value} = "
+                              f"{inst.root}^2 IS a perfect square; SURVIVOR",
+                              f"{_chain_text(chain)} -> case {case.value} survivor at {arg}",
+                              inst))
 
 
 def eliminate(
@@ -208,39 +195,35 @@ def eliminate(
         return EliminationVerdict(
             ps, Verdict.CLASSICAL, (f"classical-compatible shape: {shape}",)
         )
-    trace: list[str] = []
     if ps.alpha_prime == 0:
         if not integrality_alpha0(ps.s1, ps.alpha):
-            trace.append(
-                f"integrality failure: s1={ps.s1} does not divide alpha^2={ps.alpha**2}"
-            )
-            return EliminationVerdict(ps, Verdict.ELIMINATED, tuple(trace))
-    else:
-        beta = ps.beta
-        if not integrality_alpha1(ps.s1, beta):
-            trace.append(f"integrality failure: s1={ps.s1} does not divide beta={beta}")
-            return EliminationVerdict(ps, Verdict.ELIMINATED, tuple(trace))
+            return EliminationVerdict(ps, Verdict.ELIMINATED, (
+                f"integrality failure: s1={ps.s1} does not divide alpha^2={ps.alpha**2}",
+            ))
+    elif not integrality_alpha1(ps.s1, ps.beta):
+        return EliminationVerdict(ps, Verdict.ELIMINATED, (
+            f"integrality failure: s1={ps.s1} does not divide beta={ps.beta}",
+        ))
     start_conditions = [c for c in EXCEPTIONAL if c in tags]
     if not start_conditions:
-        trace.append(
+        return EliminationVerdict(ps, Verdict.ELIMINATED, (
             "condition trichotomy: alpha matches no exceptional family; "
-            "system excluded by the growth-threshold analysis"
-        )
-        return EliminationVerdict(ps, Verdict.ELIMINATED, tuple(trace))
-    walk = _Walk(disabled_cases)
+            "system excluded by the growth-threshold analysis",
+        ))
+    steps: list[_Step] = []
     for cond in start_conditions:
-        walk.run(cond, ps.s1, ps.alpha)
-    trace.extend(walk.trace)
-    if walk.survivors:
-        return EliminationVerdict(
-            ps,
-            Verdict.SURVIVES_SQUARE_TEST,
-            tuple(trace),
-            tuple(walk.survivors),
-            tuple(walk.instances),
+        steps.append(
+            (f"condition {cond.value} holds at (s1={ps.s1}, alpha={ps.alpha})", None, None)
         )
+        _walk(steps, cond, ps.s1, ps.alpha, 0, ((cond, ps.s1),), disabled_cases)
+    trace, chains, instances = zip(*steps)
+    survivors = tuple(chain for chain in chains if chain is not None)
     return EliminationVerdict(
-        ps, Verdict.ELIMINATED, tuple(trace), (), tuple(walk.instances)
+        ps,
+        Verdict.SURVIVES_SQUARE_TEST if survivors else Verdict.ELIMINATED,
+        trace,
+        survivors,
+        tuple(inst for inst in instances if inst is not None),
     )
 
 

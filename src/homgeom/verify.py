@@ -110,13 +110,16 @@ def _check_sieve(cat: Catalog, sieve_limit: int) -> Row:
 
 
 def _check_threshold_grid(route: str, grid_s1_max: int, driver_max: int) -> Row:
-    """Sweep one route ("alpha" or "beta") against its growth threshold."""
+    """Sweep one route ("alpha" or "beta") against its growth threshold.
+
+    A grid that holds no system of the route checked nothing, so it is a gap.
+    """
     if route == "alpha":
         sweep, bound = alpha_route_sweep(grid_s1_max, driver_max), ALPHA_ROUTE_MAX_R + 1
     else:
         sweep, bound = beta_route_sweep(grid_s1_max, driver_max), BETA_ROUTE_MAX_R + 1
     ok = sweep.max_first_r <= bound and sweep.internal_steps_ok
-    return ("pass" if ok else "fail"), {
+    return ("gap" if sweep.systems_checked == 0 else "pass" if ok else "fail"), {
         "grid": {"s1Max": grid_s1_max, f"{route}Max": driver_max},
         "systemsChecked": sweep.systems_checked,
         "maxFirstRExceeding": sweep.max_first_r,

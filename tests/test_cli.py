@@ -330,6 +330,25 @@ class TestThresholds:
         assert [route["systemsChecked"] for route in payload.values()] == ["1", "1"]
 
     @pytest.mark.parametrize(
+        "sizes, empty",
+        [
+            ({"grid_s1_max": 2}, {"alpha", "beta"}),
+            # s1 = 4, alpha = 2 is an alpha-route system; no beta >= s1 is <= 2.
+            ({"driver_max": 2}, {"beta"}),
+        ],
+    )
+    def test_empty_grid_is_a_gap(self, sizes, empty):
+        # The CLI's least sizes keep a system on both routes; the Python API
+        # takes smaller ones, and a grid that checked nothing proves nothing.
+        only = self.NAMES.split(",")
+        report = homgeom.verify.verify_all(only=only, **sizes)
+        for check in report.checks:
+            route = check.name.removeprefix("growth-threshold-").removesuffix("-route")
+            assert check.status == ("gap" if route in empty else "pass"), check.name
+            assert (check.details["systemsChecked"] == 0) == (route in empty)
+        assert report.exit_code() == 2
+
+    @pytest.mark.parametrize(
         "flag, value",
         [("--grid-s1-max", "2"), ("--driver-max", "2"), ("--driver-max", "-5")],
     )

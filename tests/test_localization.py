@@ -155,7 +155,7 @@ class TestObstructionValues:
             from homgeom.geometries import FlatProfile
             from homgeom.localization import CaseLabel
             from homgeom.parameters import Condition
-            from homgeom.pipeline import _Walk
+            from homgeom.pipeline import _walk
 
             fired = 0
 
@@ -183,8 +183,11 @@ class TestObstructionValues:
             # geometries: a closure input that is not a point of the geometry.
             fires(lambda: fano.closure(((2, 0, 0),)), error=ValueError)
             # pipeline: the condition-1 case b walk at a non-square line size.
-            walk = _Walk(frozenset())
-            fires(lambda: walk.run(Condition.COND1_PLUS, 5, 0), error=ValueError)
+            start = ((Condition.COND1_PLUS, 5),)
+            fires(
+                lambda: _walk([], Condition.COND1_PLUS, 5, 0, 0, start, frozenset()),
+                error=ValueError,
+            )
             print(fired)
             """
         )
@@ -251,8 +254,10 @@ class TestEliminateCaseInstance:
         v = eliminate_case_instance(CaseLabel.E, 3)
         assert 36**2 < v.value < 37**2
 
-    def test_near_miss_below_range(self):
-        v = eliminate_case_instance(CaseLabel.C, 2, enforce_range=False)
+    def test_near_miss_below_range(self, monkeypatch):
+        # Moving case c's range down to 2 reaches its near miss f(2) = 49.
+        monkeypatch.setitem(CASE_MIN_ARG, CaseLabel.C, 2)
+        v = eliminate_case_instance(CaseLabel.C, 2)
         assert not v.eliminated
         assert v.verdict == "SurvivesSquareTest"
         assert v.value == 49 and v.root == 7

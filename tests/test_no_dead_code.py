@@ -8,10 +8,14 @@ listed below with its reason.
 
 The same holds for knobs: a keyword-only parameter whose name is passed as
 a keyword at no call under src/homgeom is set only by tests, so every
-branch it opens is one the package never takes.
+branch it opens is one the package never takes.  A function that forwards
+its own parameter under the same name (f(x=x)) sets nothing, so that call
+does not count; a call f(**mapping) counts for every keyword-only
+parameter of each function named f.
 """
 
 import ast
+import textwrap
 from pathlib import Path
 
 import homgeom
@@ -19,16 +23,18 @@ import homgeom
 PACKAGE = Path(homgeom.__file__).parent
 
 ALLOWED = {
-    "sieve_naive": "the reference oracle the residue-mask sieve is tested against",
     "ParamSystem.from_record": "inverse of to_record, for consumers of the JSON report",
     "FlatProfile.truncate": "the rank-k truncation the ground truth is to cover",
     "UniPoly.degree": "the degree is part of the polynomial type's interface",
 }
 
+_FAULT_INJECTION = (
+    "the only way a test can make a case fail to settle its pair, "
+    "the imported cases a and d included"
+)
 ALLOWED_KNOBS = {
-    "eliminate_case_instance.enforce_range": (
-        "the seam that reaches the below-range near misses (case c at 2 gives 49 = 7^2)"
-    ),
+    "eliminate.disabled_cases": _FAULT_INJECTION,
+    "search.disabled_cases": _FAULT_INJECTION,
 }
 
 
@@ -74,13 +80,30 @@ def _knobs(trees):
 
 
 def _passed_keywords(trees):
-    return {
-        kw.arg
-        for tree in trees.values()
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        for kw in node.keywords
-    }
+    """Names of the keyword-only parameters some package call sets."""
+    knobs_of = {}
+    for _, qualified, name in _knobs(trees):
+        knobs_of.setdefault(qualified.split(".")[0], set()).add(name)
+    passed = set()
+
+    def visit(node, params):
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            params = {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}
+        if isinstance(node, ast.Call):
+            callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+            for kw in node.keywords:
+                if kw.arg is None:
+                    passed.update(knobs_of.get(callee, ()))
+                elif not (
+                    kw.arg in params and isinstance(kw.value, ast.Name) and kw.value.id == kw.arg
+                ):
+                    passed.add(kw.arg)
+        for child in ast.iter_child_nodes(node):
+            visit(child, params)
+
+    for tree in trees.values():
+        visit(tree, set())
+    return passed
 
 
 def test_every_definition_is_used_in_the_package():
@@ -103,6 +126,15 @@ def test_every_keyword_only_parameter_is_passed_in_the_package():
         if name not in passed and qualified not in ALLOWED_KNOBS
     ]
     assert not unset, "keyword-only parameters no package call passes: " + ", ".join(unset)
+
+
+def test_forwarded_keywords_do_not_count_and_mappings_do():
+    source = """
+        def inner(*, k=0, j=0): ...
+        def outer(*, k=0): return inner(k=k)
+        def caller(sizes): return outer(**sizes)
+    """
+    assert _passed_keywords({"m.py": ast.parse(textwrap.dedent(source))}) == {"k"}
 
 
 def test_allowlist_is_current():

@@ -25,9 +25,13 @@ from homgeom.obstructions import (
     catalog,
     certify_no_square,
     sieve,
-    sieve_naive,
     verify_identity,
 )
+
+
+def sieve_naive(obs: SquareObstruction, limit: int) -> list[int]:
+    """Reference sieve: full-precision evaluation and square test at every t."""
+    return [t for t in range(limit + 1) if (v := obs.f.evaluate(t)) >= 0 and is_perfect_square(v)]
 
 class TestCatalog:
     def test_exactly_five(self):

@@ -10,16 +10,20 @@ import pytest
 
 import homgeom.pipeline as pipeline
 from homgeom import _jsonable
+from homgeom.exact_arith import UniPoly
 from homgeom.localization import (
     CASE_MIN_ARG,
     FORBIDDEN_PAIRS,
     CaseLabel,
     eliminate_case_instance,
+    point_localize,
 )
 from homgeom.obstructions import catalog
 from homgeom.parameters import (
+    EXCEPTIONAL,
     Condition,
     ParamSystem,
+    condition_alpha,
     condition_alphas,
     exceptional_min_dim,
     required_dimension,
@@ -113,6 +117,22 @@ class TestTransitionGraph:
         assert {(o.family, t) for o, t in FORBIDDEN_PAIRS} == STANDARD_FORBIDDEN
         computable = [c for c in FORBIDDEN_PAIRS.values() if c in CASE_MIN_ARG]
         assert sorted(computable, key=list(CASE_MIN_ARG).index) == list(CASE_MIN_ARG)
+
+    def test_allowed_pair_into_family_1_localizes_to_a_square(self):
+        # The walk has no branch for an allowed pair whose localized line size
+        # admits no condition of the target family.  Families 2 and 3 have one
+        # at every line size; condition 1 needs a square, and the only allowed
+        # pair into family 1 is (Cond2, 1), which localizes s1 to s1 + s1(s1 - 1).
+        allowed = {
+            (outer, target)
+            for outer in EXCEPTIONAL
+            for target in FAMILIES
+            if (outer, target) not in FORBIDDEN_PAIRS
+        }
+        assert {pair for pair in allowed if pair[1] == 1} == {(Condition.COND2, 1)}
+        x = UniPoly.x()
+        assert point_localize(x, condition_alpha(Condition.COND2, x)) == x**2
+        assert all({2, 3} <= {c.family for c in condition_alphas(s1)} for s1 in range(3, 100))
 
     def test_walk_settles_each_pair_with_its_table_case(self):
         # Disabling one case makes the walk name that case, at its own pair,
@@ -408,19 +428,14 @@ class TestReport:
         with pytest.raises(TypeError):
             _jsonable([Fraction(-7, 3)])
 
-    def test_named_tuple_records_serialize_as_records(self):
-        # The records are named tuples; to_record wins over the tuple branch.
-        ps = ParamSystem(3, 6, 0, DIM)
-        instance = eliminate_case_instance(CaseLabel.C, 3)
-        assert _jsonable([ps, instance]) == [
-            {"s1": "3", "alpha": "6", "alphaPrime": "0", "dim": str(DIM)},
-            {
-                "case": "c",
-                "argument": "3",
-                "obstructionValue": str(instance.value),
-                "verdict": "Eliminated",
-                "provenance": "internal",
-            },
+    def test_named_tuple_records_are_not_serialized(self):
+        # Callers convert records with to_record; a record that got into a
+        # payload raises rather than print as a bare list of its fields.
+        for record in (ParamSystem(3, 6, 0, DIM), eliminate_case_instance(CaseLabel.C, 3)):
+            with pytest.raises(TypeError):
+                _jsonable([record])
+        assert _jsonable([ParamSystem(3, 6, 0, DIM).to_record()]) == [
+            {"s1": "3", "alpha": "6", "alphaPrime": "0", "dim": str(DIM)}
         ]
 
     def test_exit_codes(self):
