@@ -309,7 +309,8 @@ def search(
     (status, details, witness).  Fails (with witnesses) if any
     system survives, which with the full case set never happens; fault
     injection via disabled_cases must produce survivors, proving the search
-    exercises each case.
+    exercises each case.  A grid that holds no condition system sent nothing
+    through `eliminate`, so it is a gap.
     """
     require_hypothesis_line_size(s1_max, "s1_max")
     if alpha_max < 0:
@@ -357,4 +358,5 @@ def search(
         "disabledCases": sorted(c.value for c in disabled_cases),
         "classicalWitnesses": classical_witnesses,
     }
-    return ("fail" if survivors else "pass"), details, survivors or None
+    status = "fail" if survivors else "gap" if not counts["condition-eliminated"] else "pass"
+    return status, details, survivors or None

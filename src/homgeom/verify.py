@@ -41,7 +41,6 @@ from .obstructions import (
     verify_identity,
 )
 from .geometries import (
-    FlatProfile,
     alpha_from_profile,
     build_affine,
     build_projective,
@@ -94,6 +93,11 @@ def _check_certificates(cat: Catalog) -> Row:
 
 
 def _check_sieve(cat: Catalog, sieve_limit: int) -> Row:
+    """Sieve each case up to the limit.
+
+    A case whose range [t_min, limit] holds no argument was not sieved at
+    all, so the row is a gap.
+    """
     results = {}
     ok = True
     for label, obs in cat.items():
@@ -106,7 +110,10 @@ def _check_sieve(cat: Catalog, sieve_limit: int) -> Row:
             "expected": expected,
             "survivorsAtOrAboveTMin": in_range,
         }
-    return ("pass" if ok else "fail"), {"limit": sieve_limit, "cases": results}
+    unsieved = any(sieve_limit < obs.t_min for obs in cat.values())
+    return ("fail" if not ok else "gap" if unsieved else "pass"), {
+        "limit": sieve_limit, "cases": results,
+    }
 
 
 def _check_threshold_grid(route: str, grid_s1_max: int, driver_max: int) -> Row:
@@ -208,10 +215,8 @@ def _check_ground_truth() -> Row:
             expected = tuple(p**i for i in range(n + 1))
             expected_alpha = 1
         axioms = check_closure_axioms(g, samples=40)
+        # Raises unless each size fits the quotient identity.
         localized = localize_at_point(g, g.points[0], profile)
-        quotient_expected = FlatProfile(
-            tuple((profile.s(i + 1) - 1) // (profile.s(1) - 1) for i in range(n))
-        )
         # Every r-flat is at least as large as the growth bound at r.
         s1, s2 = profile.s(1), profile.s(2)
         growth_ok = all(
@@ -221,7 +226,6 @@ def _check_ground_truth() -> Row:
             profile.sizes == expected
             and alpha == expected_alpha
             and all(axioms.values())
-            and localized == quotient_expected
             and growth_ok
         )
         ok = ok and entry_ok

@@ -80,10 +80,19 @@ class TestSieve:
     @pytest.mark.parametrize("limit, expected", [("0", ["0"]), ("1", ["0", "1"])])
     def test_expected_stops_at_limit(self, capsys, tmp_path, limit, expected):
         # Case c's known squares are 0, 1 and 2; only those <= limit are expected.
+        # Both limits lie below every t_min, so the row is a gap (exit 2).
         code, checks = run_only(capsys, tmp_path, "square-sieve", "--sieve-limit", limit)
-        assert code == 0
+        assert code == 2
         case_c = checks["square-sieve"]["cases"]["c"]
         assert case_c["found"] == case_c["expected"] == expected
+
+    @pytest.mark.parametrize("limit, status, code", [("2", "gap", 2), ("3", "pass", 0)])
+    def test_limit_below_a_t_min_is_a_gap(self, capsys, tmp_path, limit, status, code):
+        # The largest t_min is 3: below it, some case had no argument in
+        # [t_min, limit] to sieve.
+        assert max(obs.t_min for obs in catalog().values()) == 3
+        got, checks = run_only(capsys, tmp_path, "square-sieve", "--sieve-limit", limit)
+        assert (checks["square-sieve"]["status"], got) == (status, code)
 
     def test_imported_case_rejected(self, capsys, tmp_path):
         # Case a is an imported fact with no obstruction to sieve; the check
@@ -275,6 +284,21 @@ class TestSearch:
         assert witness is None
         assert checks["parameter-search"] == {"status": "pass", **_jsonable(details)}
 
+    @pytest.mark.parametrize(
+        "alpha_max, status, code", [("0", "gap", 2), ("5", "gap", 2), ("6", "pass", 0)]
+    )
+    def test_grid_without_condition_systems_is_a_gap(
+        self, capsys, tmp_path, alpha_max, status, code
+    ):
+        # The condition alphas at s1 = 3 are 6 and 10: below 6 no system of
+        # the grid reaches eliminate.
+        got, checks = run_only(
+            capsys, tmp_path, "parameter-search", "--s1-max", "3", "--alpha-max", alpha_max
+        )
+        search_row = checks["parameter-search"]
+        assert (search_row["status"], got) == (status, code)
+        assert search_row["counts"]["condition-eliminated"] == str(int(status == "pass"))
+
     def test_invalid_range(self, capsys):
         code, _, err = run(
             capsys, "verify-all", "--only", "parameter-search",
@@ -439,10 +463,10 @@ class TestVerifyAll:
     @pytest.mark.parametrize("limit", ["0", "1"])
     def test_sieve_limit_below_known_squares(self, capsys, tmp_path, limit):
         # Case c's known square at t = 2 lies above these limits, so it is not
-        # expected; nothing at or above t_min was found, so the check passes.
+        # expected; no argument at or above t_min was sieved, so it is a gap.
         code, check = self.sieve_check(capsys, tmp_path, limit)
-        assert code == 0
-        assert check["status"] == "pass"
+        assert code == 2
+        assert check["status"] == "gap"
         cases = check["details"]["cases"]
         assert cases["c"]["expected"] == [str(t) for t in range(int(limit) + 1)]
         assert all(case["found"] == case["expected"] for case in cases.values())

@@ -40,6 +40,29 @@ INSTANCES = [
 # Larger geometries whose flats hold more points than any in INSTANCES.
 LARGER = [build_projective(3, 3), build_projective(4, 2), build_affine(2, 7)]
 
+# With LARGER, the six geometries of perfbench's geometry-large workload.
+GEOMETRY_LARGE = LARGER + [build_projective(2, 7), build_affine(3, 3), build_affine(4, 2)]
+
+
+def _reference_walk(g):
+    """The lattice walk with no marking of covers found earlier: a flat's
+    scan closes F + x for each outside point x in no cover found from F."""
+    all_points = frozenset(g.points)
+    levels = [{g.closure((x,)): (x,) for x in g.points}]
+    while not (len(levels[-1]) == 1 and next(iter(levels[-1])) == all_points):
+        nxt = {}
+        for flat, span in levels[-1].items():
+            covered = set(flat)
+            for x in g.points:
+                if x not in covered:
+                    cover = g.closure(span + (x,))
+                    covered |= cover
+                    nxt.setdefault(cover, span + (x,))
+        if not nxt or len(levels) > len(g.points) + 1:
+            raise HomogeneityError("flat lattice did not terminate at the full point set")
+        levels.append(nxt)
+    return levels
+
 
 def _reduce(vec, rows, p):
     for piv, row in rows.items():
@@ -304,10 +327,9 @@ class TestClosureAxioms:
             assert len(g._flats) == sum(len(level) for level in levels), str(g.kind)
             assert set(g._flats.values()) == set().union(*levels)
 
-    def test_walk_closes_each_cover_once(self):
-        # One closure per point, then one per (flat, cover) pair: covered
-        # outside points are skipped, since the covers of a flat partition
-        # the points outside it.
+    def test_walk_closes_each_flat_once(self):
+        # The covers already found through a flat are marked before its scan,
+        # so each closure the walk asks for is of a flat it has not met.
         class Counted:
             def __init__(self, g):
                 self.points = g.points
@@ -328,17 +350,21 @@ class TestClosureAxioms:
         ):
             counted = Counted(g)
             levels = _flats_by_dim(counted)
-            covers = sum(
-                sum(flat < cover for cover in upper)
-                for lower, upper in zip(levels, levels[1:])
-                for flat in lower
-            )
-            assert counted.calls == len(g.points) + covers, str(g.kind)
+            assert counted.calls == sum(len(level) for level in levels), str(g.kind)
             counts.append(counted.calls)
-        assert counts == [1120, 2077, 885, 1546, 497]
+        assert counts == [211, 373, 184, 307, 106]
+
+    def test_walk_matches_reference_walk(self):
+        # Same flats, spanning tuples and insertion order as the walk that
+        # closes F + x for every outside point not yet in a cover of F.
+        for g in INSTANCES + GEOMETRY_LARGE:
+            levels = [list(level.items()) for level in _flats_by_dim(g)]
+            reference = [list(level.items()) for level in _reference_walk(g)]
+            assert levels == reference, str(g.kind)
 
     def test_parallel_affine_lines_are_disjoint(self):
-        # Same direction, different cosets: the base is part of the flat's key.
+        # Same direction, different cosets: lifted to (1, x), the two lines span
+        # different planes, so their keys differ.
         g = build_affine(2, 3)
         first = g.closure(((0, 0), (0, 1)))
         second = g.closure(((1, 0), (1, 1)))

@@ -292,6 +292,16 @@ class TestSearch:
         with pytest.raises(ValueError):
             search(2, 100)
 
+    def test_grid_without_condition_systems_is_a_gap(self):
+        # At s1 = 3 the condition alphas are 6 and 10.
+        assert sorted(condition_alphas(3).values()) == [6, 10]
+        assert search(3, 0)[0] == search(3, 5)[0] == "gap"
+        assert search(3, 6)[0] == "pass"
+        # A survivor still fails the row.
+        status, details, witness = search(3, 10, disabled_cases=frozenset(CaseLabel))
+        assert (status, details["counts"]["condition-eliminated"]) == ("fail", 0)
+        assert witness
+
     def test_classical_witnesses_cover_small_primes(self):
         _, details, _ = search(10, 200)
         witnesses = {
