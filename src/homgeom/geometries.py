@@ -10,8 +10,7 @@ real geometries.
 
 from __future__ import annotations
 
-import random
-from itertools import product
+from itertools import combinations, product
 from typing import NamedTuple
 
 # The lattice walk scans the points at most once per flat, so the desk-scale
@@ -90,12 +89,6 @@ class FlatProfile(NamedTuple("FlatProfile", [("sizes", tuple[int, ...])])):
 
     def s(self, i: int) -> int:
         return self.sizes[i]
-
-    def truncate(self, rank: int) -> "FlatProfile":
-        """Drop all flats above the given rank (prefix truncation)."""
-        if rank < 0:
-            raise ValueError("rank must be nonnegative")
-        return FlatProfile(self.sizes[: rank + 1])
 
 
 class Geometry:
@@ -258,8 +251,9 @@ def _flats_by_dim(g) -> list[dict[frozenset, tuple]]:
     scan starts with the covers already found through it marked, closes F +
     x only for an outside point x in none of them, and stops once every
     point is marked; each flat is closed exactly once.
-    `check_closure_axioms` tests exchange; the level counts are tested
-    against Gaussian binomials.
+    `check_closure_axioms` tests that premise, that the covers of each
+    walked flat partition the points outside it (the matroid axiom F3);
+    the level counts are tested against Gaussian binomials.
     """
     all_points = frozenset(g.points)
     levels = [{g.closure((x,)): (x,) for x in g.points}]
@@ -336,55 +330,39 @@ def alpha_from_profile(profile: FlatProfile) -> int:
     return num // (s1 - 1)
 
 
-def check_closure_axioms(g, *, samples: int = 200) -> dict[str, bool]:
-    """Test the closure axioms and exchange on a family of subsets.
+def check_closure_axioms(g) -> dict[str, bool]:
+    """Test the flat axioms of a matroid on every flat the lattice walk finds.
 
-    The family is every subset of size <= 2 plus `samples` random larger
-    ones, drawn from a fixed seed so that the result is deterministic.
-    Exchange is the expensive test, so it runs on a capped subfamily.
+    The axioms are those of Oxley, *Matroid Theory*, 2nd ed., section 1.4.
+    (F1), that the point set is a flat, holds because the walk stops only at
+    the full point set.  (F2), that the intersection of two flats is empty
+    or a flat, is `intersections`.  (F3), that the flats covering a flat F
+    partition the points outside F, is the premise the walk rests on; it is
+    `coversPartition`, with the flats of the next level that contain F as
+    the covers of F.  `closed` asks that the empty set close to itself and
+    that each flat hold its spanning tuple and close to itself; `pairLines`
+    asks that every pair of points close to a walked line.
     """
-    rng = random.Random(0)
-    pts = list(g.points)
-    subsets: list[tuple[Point, ...]] = [()]
-    subsets += [(x,) for x in pts]
-    subsets += [(a, b) for i, a in enumerate(pts) for b in pts[i + 1 :]]
-    for _ in range(samples):
-        k = rng.randint(3, min(5, len(pts)))
-        subsets.append(tuple(rng.sample(pts, k)))
-
-    # About half of the subsets closed below repeat an earlier one (a line
-    # comes back once for every pair of its points), so each distinct subset
-    # is closed once.
-    closures: dict[frozenset, frozenset] = {}
-
-    def close(subset) -> frozenset:
-        key = frozenset(subset)
-        flat = closures.get(key)
-        if flat is None:
-            flat = closures[key] = g.closure(key)
-        return flat
-
-    extensive = monotone = idempotent = exchange = True
-    exchange_budget = 60
-    for subset in subsets:
-        closed = close(subset)
-        if not set(subset) <= closed:
-            extensive = False
-        if close(closed) != closed:
-            idempotent = False
-        outside = [y for y in pts if y not in closed]
-        for y in rng.sample(outside, min(2, len(outside))):
-            bigger = close(subset + (y,))
-            if not closed <= bigger:
-                monotone = False
-            if exchange_budget > 0:
-                exchange_budget -= 1
-                for x in bigger - closed:
-                    if y not in close(subset + (x,)):
-                        exchange = False
+    levels = _flats_by_dim(g)
+    all_points = frozenset(g.points)
+    closed = g.closure(()) == frozenset() and all(
+        flat.issuperset(span) and g.closure(flat) == flat
+        for level in levels
+        for flat, span in level.items()
+    )
+    lines = levels[1] if len(levels) > 1 else {}
+    pair_lines = all(g.closure(pair) in lines for pair in combinations(g.points, 2))
+    flats = {frozenset()}.union(*levels)
+    intersections = all((a & b) in flats for a, b in combinations(flats, 2))
+    covers_partition = True
+    for lower, upper in zip(levels, levels[1:]):
+        for flat in lower:
+            parts = [cover - flat for cover in upper if flat < cover]
+            if sum(map(len, parts)) != len(all_points) - len(flat) or flat.union(*parts) != all_points:
+                covers_partition = False
     return {
-        "extensive": extensive,
-        "monotone": monotone,
-        "idempotent": idempotent,
-        "exchange": exchange,
+        "closed": closed,
+        "pairLines": pair_lines,
+        "intersections": intersections,
+        "coversPartition": covers_partition,
     }

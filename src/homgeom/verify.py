@@ -214,7 +214,7 @@ def _check_ground_truth() -> Row:
         else:
             expected = tuple(p**i for i in range(n + 1))
             expected_alpha = 1
-        axioms = check_closure_axioms(g, samples=40)
+        axioms = check_closure_axioms(g)
         # Raises unless each size fits the quotient identity.
         localized = localize_at_point(g, g.points[0], profile)
         # Every r-flat is at least as large as the growth bound at r.

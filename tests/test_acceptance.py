@@ -160,8 +160,10 @@ def test_criterion_8_geometry_ground_truth():
         ag = build_affine(3, 3)
         assert flat_profile(pg).sizes == (1, 3, 7, 15)
         assert flat_profile(ag).sizes == (1, 3, 9, 27)
-        for g in (pg, ag, build_projective(2, 3), build_affine(2, 2)):
-            axioms = check_closure_axioms(g, samples=60)
+        larger = (build_projective(3, 3), build_projective(4, 2), build_affine(2, 7))
+        for g in (pg, ag, build_projective(2, 3), build_affine(2, 2)) + larger:
+            axioms = check_closure_axioms(g)
+            assert list(axioms) == ["closed", "pairLines", "intersections", "coversPartition"]
             assert all(axioms.values()), (str(g.kind), axioms)
         for g in (pg, ag):
             parent = flat_profile(g)

@@ -198,11 +198,6 @@ class TestFlatProfile:
         assert sizes == (1, 3, 9)
         assert [type(s) for s in sizes] == [int, int, int]
 
-    def test_truncate(self):
-        profile = FlatProfile((1, 3, 7, 15))
-        assert profile.truncate(2) == FlatProfile((1, 3, 7))
-        assert profile.truncate(3) == profile
-
     def test_top_dim(self):
         assert FlatProfile((1, 3, 9, 27)).top_dim == 3
 
@@ -263,8 +258,9 @@ class TestFlatProfile:
 
 class TestClosureAxioms:
     def test_axioms_and_exchange_on_all_instances(self):
-        for g in INSTANCES:
-            results = check_closure_axioms(g, samples=60)
+        for g in INSTANCES + LARGER:
+            results = check_closure_axioms(g)
+            assert list(results) == ["closed", "pairLines", "intersections", "coversPartition"]
             assert all(results.values()), (str(g.kind), results)
 
     def test_closure_of_empty_set(self):
@@ -403,8 +399,33 @@ class TestClosureAxioms:
             def closure(self, subset):
                 return frozenset(list(subset)[:1])  # not even extensive
 
-        results = check_closure_axioms(ShrinkingGeometry(), samples=5)
-        assert not results["extensive"]
+        # The walk never reaches the full point set, so no key is computed.
+        with pytest.raises(HomogeneityError, match="did not terminate"):
+            check_closure_axioms(ShrinkingGeometry())
+
+    def test_swapped_fano_lines_fail_the_axioms(self):
+        class LineGeometry:
+            """Points 0..6; a set of at most one point is closed, a set inside
+            a line closes to the first such line, and any other set to all."""
+
+            points = tuple(range(7))
+
+            def __init__(self, lines):
+                self.lines = [frozenset(line) for line in lines]
+
+            def closure(self, subset):
+                s = frozenset(subset)
+                if len(s) <= 1:
+                    return s
+                return next((line for line in self.lines if s <= line), frozenset(self.points))
+
+        fano = [{0, 1, 2}, {0, 3, 4}, {0, 5, 6}, {1, 3, 5}, {1, 4, 6}, {2, 3, 6}, {2, 4, 5}]
+        assert all(check_closure_axioms(LineGeometry(fano)).values())
+        # Points 2 and 3 swap lines: {1, 3} lies on two lines, {1, 2} on none.
+        swapped = [{0, 1, 3}, {0, 2, 4}] + fano[2:]
+        results = check_closure_axioms(LineGeometry(swapped))
+        assert not results["coversPartition"]
+        assert not results["pairLines"]
 
 
 class TestLocalization:

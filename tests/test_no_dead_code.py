@@ -24,7 +24,6 @@ PACKAGE = Path(homgeom.__file__).parent
 
 ALLOWED = {
     "ParamSystem.from_record": "inverse of to_record, for consumers of the JSON report",
-    "FlatProfile.truncate": "the rank-k truncation the ground truth is to cover",
     "UniPoly.degree": "the degree is part of the polynomial type's interface",
 }
 
