@@ -20,6 +20,7 @@ identities, once as exact polynomial identities.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from typing import NamedTuple
 
 from .exact_arith import UniPoly
@@ -143,64 +144,62 @@ class SweepResult(NamedTuple):
     internal_steps_ok: bool
 
 
-def alpha_route_sweep(s1_max: int, alpha_max: int) -> SweepResult:
-    """Sweep the alpha' = 0 grid: every admissible alpha (s1 | alpha^2, alpha^2 >= s1).
+def _sweep(bound_name: str, s1_max: int, systems: Callable[[int], tuple]) -> SweepResult:
+    """The one sweep policy, over s1 = 3 .. s1_max.
 
-    Alongside the headline first_r_exceeding values this re-checks the two
-    intermediate inequalities the cap derivation leans on:
-    phi^2 < (alpha + s1*(s1-1))^4 and s2 - s1 >= alpha + s1*(s1-1).
-    A system whose growth margin at the running maximum r is positive has
-    first_r_exceeding <= r, so one exact comparison skips it; only the
-    others run the full r-loop, and the first system to reach the maximum
-    is the worst.
+    systems(s1) states the route: its drivers, their s2 values and unreduced
+    cap terms (num, den), and whether its internal inequalities hold on all
+    of them.  A system whose growth margin at the running maximum r is
+    positive has first_r_exceeding <= r, so one exact comparison skips it;
+    only the others run the full r-loop, and the first system to reach the
+    maximum is the worst.
     """
-    checked = 0
-    max_r = 0
-    worst = None
-    steps_ok = True
+    checked, max_r, worst, steps_ok = 0, 0, None, True
     for s1 in range(3, s1_max + 1):
+        drivers, s2s, caps, ok = systems(s1)
+        checked += len(drivers)
+        steps_ok = steps_ok and ok
+        for driver, s2, (num, den) in zip(drivers, s2s, caps):
+            if max_r < 3 or growth_margin(s1, s2, num, den, max_r) <= 0:
+                r = first_r_exceeding(s1, s2, num, den)
+                if r > max_r:
+                    max_r = r
+                    g = math.gcd(num, den)
+                    worst = ThresholdReport(s1, driver, num // g, den // g, r, bound_name)
+    return SweepResult(bound_name, checked, max_r, worst, steps_ok)
+
+
+def alpha_route_sweep(s1_max: int, alpha_max: int) -> SweepResult:
+    """Sweep the alpha' = 0 grid: every admissible alpha (s1 | alpha^2, alpha^2 >= s1),
+    re-checking the two inequalities the cap derivation leans on:
+    phi^2 < (alpha + s1*(s1-1))^4 and s2 - s1 >= alpha + s1*(s1-1)."""
+
+    def systems(s1):
         u = s1 * (s1 - 1)
         # m^2 >= s1 since s1 | m^2, so the floor alpha^2 >= s1 holds.
         m = square_divisor(s1)
-        for alpha in range(m, alpha_max + 1, m):
-            checked += 1
-            phi = phi_of(s1, alpha)
-            if not phi * phi < (alpha + u) ** 4:
-                steps_ok = False
-            s2 = s2_from(s1, alpha)
-            if not s2 - s1 >= alpha + u:
-                steps_ok = False
-            num, den = alpha_cap_terms(s1, alpha, phi)
-            if max_r < 3 or growth_margin(s1, s2, num, den, max_r) <= 0:
-                r = first_r_exceeding(s1, s2, num, den)
-                if r > max_r:
-                    max_r = r
-                    g = math.gcd(num, den)
-                    worst = ThresholdReport(s1, alpha, num // g, den // g, r, "alpha-route")
-    return SweepResult("alpha-route", checked, max_r, worst, steps_ok)
+        alphas = range(m, alpha_max + 1, m)
+        phis = [phi_of(s1, alpha) for alpha in alphas]
+        s2s = [s2_from(s1, alpha) for alpha in alphas]
+        ok = all([phi * phi < (alpha + u) ** 4 and s2 - s1 >= alpha + u
+                  for alpha, phi, s2 in zip(alphas, phis, s2s)])
+        caps = [alpha_cap_terms(s1, alpha, phi) for alpha, phi in zip(alphas, phis)]
+        return alphas, s2s, caps, ok
+
+    return _sweep("alpha-route", s1_max, systems)
 
 
 def beta_route_sweep(s1_max: int, beta_max: int) -> SweepResult:
-    """Sweep the alpha' = 1 grid: beta over multiples of s1 (s1 | beta, beta >= s1)."""
-    checked = 0
-    max_r = 0
-    worst = None
-    steps_ok = True
-    for s1 in range(3, s1_max + 1):
-        for beta in range(s1, beta_max + 1, s1):
-            checked += 1
-            alpha = beta + 1
-            s2 = s2_from(s1, alpha)
-            if not s2 - s1 >= s1 * s1 + beta:
-                steps_ok = False
-            num, den = beta_cap_terms(s1, beta)
-            if max_r < 3 or growth_margin(s1, s2, num, den, max_r) <= 0:
-                r = first_r_exceeding(s1, s2, num, den)
-                if r > max_r:
-                    max_r = r
-                    g = math.gcd(num, den)
-                    worst = ThresholdReport(s1, beta, num // g, den // g, r, "beta-route")
-    return SweepResult("beta-route", checked, max_r, worst, steps_ok)
+    """Sweep the alpha' = 1 grid: beta over multiples of s1 (s1 | beta, beta >= s1),
+    re-checking s2 - s1 >= s1^2 + beta."""
+
+    def systems(s1):
+        betas = range(s1, beta_max + 1, s1)
+        s2s = [s2_from(s1, beta + 1) for beta in betas]
+        ok = all([s2 - s1 >= s1 * s1 + beta for beta, s2 in zip(betas, s2s)])
+        return betas, s2s, [beta_cap_terms(s1, beta) for beta in betas], ok
+
+    return _sweep("beta-route", s1_max, systems)
 
 
 def spectral_identities() -> dict[str, bool]:

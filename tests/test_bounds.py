@@ -253,6 +253,15 @@ class TestSweeps:
         cap = beta_cap(*worst)
         assert (result.worst.cap_num, result.worst.cap_den) == (cap.numerator, cap.denominator)
 
+    def test_beta_route_ceiling_fails_on_the_beta_ray(self):
+        # A live defect: beta = s1 >= 29131 needs r = 18, past the beta
+        # route's bound BETA_ROUTE_MAX_R + 1 = 17.  This pins where it shows.
+        result = beta_route_sweep(29131, 29131)
+        assert result.systems_checked == 260264
+        assert result.max_first_r == 18
+        assert (result.worst.s1, result.worst.driver) == (29131, 29131)
+        assert result.internal_steps_ok
+
     def test_beta_sweep_internal_inequality(self):
         # s2 - s1 >= s1^2 + beta holds throughout the admissible grid.
         for s1 in range(3, 15):

@@ -395,6 +395,20 @@ class TestThresholds:
         assert code == 0
         assert list(payload) == ["growth-threshold-beta-route"]
 
+    def test_beta_ray_fails_its_bound(self, capsys, tmp_path):
+        # The beta route's ceiling is not established: on beta = s1 = 29131
+        # the first excluded r is 18, past the bound 17.
+        path = tmp_path / "report.json"
+        code, out, _ = run(
+            capsys, "verify-all", "--only", "growth-threshold-beta-route",
+            "--grid-s1-max", "29131", "--driver-max", "29131", "--json", str(path),
+        )
+        assert code == 1
+        assert "[FAIL] growth-threshold-beta-route" in out
+        (row,) = json.loads(path.read_text())["checks"]
+        assert row["details"]["bound"] == "17"
+        assert row["details"]["maxFirstRExceeding"] == "18"
+
 
 class TestVerifyAll:
     def test_small_run_with_json(self, capsys, tmp_path, monkeypatch):
@@ -592,7 +606,8 @@ class TestVerifyAll:
             return wrapper
 
         names = ("catalog", "certify_no_square", "sieve",
-                 "alpha_route_sweep", "beta_route_sweep", "search")
+                 "alpha_route_sweep", "beta_route_sweep", "search",
+                 "flat_profile", "check_closure_axioms", "localize_at_point")
         for name in names:
             monkeypatch.setattr(
                 homgeom.verify, name, counting(name, getattr(homgeom.verify, name))
