@@ -154,7 +154,7 @@ def _cmd_geometry(args) -> int:
     build = geometries.build_projective if args.type == "pg" else geometries.build_affine
     try:
         g = build(args.n, args.q)
-    except (geometries.UnsupportedFieldError, ValueError) as exc:
+    except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
     profile = geometries.flat_profile(g)

@@ -44,20 +44,6 @@ def is_prime(p: int) -> bool:
     return True
 
 
-class PrimeField:
-    """Arithmetic in the field with p elements, p prime."""
-
-    def __init__(self, p: int):
-        if not is_prime(p):
-            raise UnsupportedFieldError(f"{p} is not prime; only prime fields are supported")
-        self.p = p
-
-    def inv(self, a: int) -> int:
-        if a % self.p == 0:
-            raise ZeroDivisionError("zero has no inverse")
-        return pow(a, -1, self.p)
-
-
 class GeometryKind(NamedTuple):
     family: str  # "projective" or "affine"
     n: int
@@ -111,7 +97,6 @@ class Geometry:
     def __init__(self, kind: GeometryKind, points: tuple[Point, ...]):
         self.kind = kind
         self.points = points
-        self.field = PrimeField(kind.p)
         self._point_set = frozenset(points)
         self._flats: dict[tuple, frozenset] = {}
 
@@ -134,7 +119,7 @@ class Geometry:
             if c == 1:
                 new = tuple(vec)
             else:
-                inv = self.field.inv(c)
+                inv = pow(c, -1, p)
                 new = tuple([(a * inv) % p for a in vec])
             for q, row in rows.items():
                 c = row[piv]
@@ -201,10 +186,14 @@ def level_counts(kind: GeometryKind) -> list[int]:
 
 
 def _admit(kind: GeometryKind) -> None:
-    """Reject a non-prime field, or a lattice too large to walk at desk scale.
+    """Reject a dimension outside 2..4, a lattice too large to walk at desk
+    scale, or a non-prime field, checked in that order.
 
-    The size comes first: trial division of a huge p would not finish.
+    The size comes before primality: trial division of a huge p would not
+    finish.
     """
+    if not 2 <= kind.n <= 4:
+        raise ValueError(f"{kind.family} dimension must be in 2..4, got {kind.n}")
     if kind.p >= 2:
         counts = level_counts(kind)
         flats, points = sum(counts), counts[0]
@@ -219,8 +208,6 @@ def _admit(kind: GeometryKind) -> None:
 
 def build_projective(n: int, p: int) -> Geometry:
     """Projective geometry of dimension n over the p-element field."""
-    if not 2 <= n <= 4:
-        raise ValueError(f"projective dimension must be in 2..4, got {n}")
     kind = GeometryKind("projective", n, p)
     _admit(kind)
     points = []
@@ -233,8 +220,6 @@ def build_projective(n: int, p: int) -> Geometry:
 
 def build_affine(n: int, p: int) -> Geometry:
     """Affine geometry of dimension n over the p-element field."""
-    if not 2 <= n <= 4:
-        raise ValueError(f"affine dimension must be in 2..4, got {n}")
     kind = GeometryKind("affine", n, p)
     _admit(kind)
     return Geometry(kind, tuple(sorted(product(range(p), repeat=n))))

@@ -115,40 +115,41 @@ def _chain_text(chain: tuple[tuple[Condition, int], ...]) -> str:
 
 def _walk(
     steps: list[_Step],
-    cond: Condition,
-    s1: int,
-    alpha: int,
-    depth: int,
     chain: tuple[tuple[Condition, int], ...],
+    alpha: int,
     disabled: frozenset[CaseLabel],
 ) -> None:
-    """Depth-first exploration of every hypothesized condition chain from cond.
+    """Depth-first exploration of every hypothesized condition chain from
+    the last link of chain.
 
     Appends one (trace line, survivor chain or None, case instance or None)
-    to steps per step; chain holds the (condition, s1) links walked so far,
-    this one last.  A pair (condition, family) is forbidden exactly when
-    FORBIDDEN_PAIRS has a row for it, and the row names the case that must
-    settle it.  An allowed pair always localizes to a condition of its
-    family: the only allowed pair into family 1 is (Cond2, 1), and its
-    localized line size s1 + s1(s1 - 1) = s1^2 is a square.
+    to steps per step.  chain holds the (condition, s1) links walked so far;
+    the last is the node walked now, alpha is that node's alpha, and its
+    depth is its number of transitions, len(chain) - 1.  A pair (condition,
+    family) is forbidden exactly when FORBIDDEN_PAIRS has a row for it, and
+    the row names the case that must settle it.  An allowed pair always
+    localizes to a condition of its family: the only allowed pair into
+    family 1 is (Cond2, 1), and its localized line size
+    s1 + s1(s1 - 1) = s1^2 is a square.
     """
+    cond, s1 = chain[-1]
+    depth = len(chain) - 1
     pad = "  " * (depth + 1)
     if depth == LOCALIZATION_CHAIN_DEPTH:
         text = _chain_text(chain)
         steps.append((f"{pad}chain {text} completed {depth} transitions: SURVIVOR", text, None))
         return
+    s1_hat = point_localize(s1, alpha)
     for target in FAMILIES:
         head = f"{pad}pair {(cond.family, target)}"
         case = FORBIDDEN_PAIRS.get((cond, target))
         if case is None:
-            # Allowed pair: localize and keep walking.
-            s1_hat = point_localize(s1, alpha)
+            # Allowed pair: keep walking in the localization.
             for child, alpha_hat in condition_alphas(s1_hat).items():
                 if child.family == target:
                     steps.append((f"{head} allowed: localized system (s1_hat={s1_hat}, "
                                   f"alpha_hat={alpha_hat}) under {child.value}", None, None))
-                    _walk(steps, child, s1_hat, alpha_hat, depth + 1,
-                          chain + ((child, s1_hat),), disabled)
+                    _walk(steps, chain + ((child, s1_hat),), alpha_hat, disabled)
         elif case in disabled:
             steps.append((f"{head} forbidden by case {case.value}, but that case is disabled: "
                           "continuation cannot be eliminated; SURVIVOR",
@@ -215,7 +216,7 @@ def eliminate(
         steps.append(
             (f"condition {cond.value} holds at (s1={ps.s1}, alpha={ps.alpha})", None, None)
         )
-        _walk(steps, cond, ps.s1, ps.alpha, 0, ((cond, ps.s1),), disabled_cases)
+        _walk(steps, ((cond, ps.s1),), ps.alpha, disabled_cases)
     trace, chains, instances = zip(*steps)
     survivors = tuple(chain for chain in chains if chain is not None)
     return EliminationVerdict(

@@ -258,8 +258,14 @@ CHECKS = (
 
 
 def select_checks(only: Collection[str] | None = None) -> tuple:
-    """The rows of CHECKS named in only, in table order; every row for None."""
+    """The rows of CHECKS named in only, in table order; every row for None.
+
+    An empty only would run no check and pass vacuously, so it is refused
+    like an unknown name.
+    """
     names = [name for name, _, _ in CHECKS]
+    if only is not None and not only:
+        raise ValueError(f"the selection names no check; the checks are: {', '.join(names)}")
     unknown = [name for name in only or () if name not in names]
     if unknown:
         raise ValueError(f"no check is named {unknown[0]!r}; the checks are: {', '.join(names)}")

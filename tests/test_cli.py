@@ -579,6 +579,11 @@ class TestVerifyAll:
         pair = homgeom.verify.verify_all(only=["parameter-search", "square-sieve"], **sizes)
         assert [c.name for c in pair.checks] == ["square-sieve", "parameter-search"]
 
+    def test_empty_selection_rejected(self):
+        # A report with no checks would pass vacuously.
+        with pytest.raises(ValueError, match="names no check"):
+            homgeom.verify.verify_all(only=[])
+
     @pytest.mark.parametrize("only, calls", [(["dimension-threshold"], 0), (None, 1)])
     def test_catalog_derived_only_when_read(self, monkeypatch, only, calls):
         derived = []

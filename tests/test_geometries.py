@@ -13,7 +13,6 @@ from homgeom.geometries import (
     GeometryKind,
     HomogeneityError,
     ModelMismatchError,
-    PrimeField,
     UnsupportedFieldError,
     alpha_from_profile,
     _flats_by_dim,
@@ -122,22 +121,6 @@ def _scan_closure(g, subset):
     return frozenset(x for x in g.points if in_span(x))
 
 
-class TestPrimeField:
-    def test_non_prime_rejected(self):
-        with pytest.raises(UnsupportedFieldError):
-            PrimeField(4)
-        with pytest.raises(UnsupportedFieldError):
-            PrimeField(1)
-
-    def test_inverses(self):
-        for p in (2, 3, 5, 7):
-            f = PrimeField(p)
-            for a in range(1, p):
-                assert a * f.inv(a) % p == 1
-            with pytest.raises(ZeroDivisionError):
-                f.inv(0)
-
-
 class TestConstruction:
     def test_point_counts(self):
         assert len(build_projective(3, 2).points) == 15
@@ -148,10 +131,18 @@ class TestConstruction:
         assert len(build_affine(2, 5).points) == 25
 
     def test_non_prime_field_rejected(self):
-        with pytest.raises(UnsupportedFieldError):
-            build_projective(2, 4)
-        with pytest.raises(UnsupportedFieldError):
-            build_affine(2, 9)
+        for q in (4, 9, 1, 0):
+            with pytest.raises(UnsupportedFieldError, match=f"^{q} is not prime"):
+                build_projective(2, q)
+            with pytest.raises(UnsupportedFieldError, match=f"^{q} is not prime"):
+                build_affine(2, q)
+
+    def test_dimension_checked_first(self):
+        # Before the desk-scale size and before primality.
+        with pytest.raises(ValueError, match="^projective dimension must be in 2..4, got 5$"):
+            build_projective(5, 10**6)
+        with pytest.raises(ValueError, match="^affine dimension must be in 2..4, got 1$"):
+            build_affine(1, 4)
 
     def test_dimension_bounds(self):
         with pytest.raises(ValueError):

@@ -184,10 +184,7 @@ class TestObstructionValues:
             fires(lambda: fano.closure(((2, 0, 0),)), error=ValueError)
             # pipeline: the condition-1 case b walk at a non-square line size.
             start = ((Condition.COND1_PLUS, 5),)
-            fires(
-                lambda: _walk([], Condition.COND1_PLUS, 5, 0, 0, start, frozenset()),
-                error=ValueError,
-            )
+            fires(lambda: _walk([], start, 0, frozenset()), error=ValueError)
             print(fired)
             """
         )

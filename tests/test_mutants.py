@@ -10,7 +10,13 @@ growth_margin from the bounds module when they run.
 import pytest
 
 import homgeom.bounds as bounds
+import homgeom.localization as localization
+import homgeom.obstructions as obstructions
 import homgeom.pipeline as pipeline
+import homgeom.verify as verify
+from homgeom.bounds import phi_of
+from homgeom.geometries import alpha_from_profile
+from homgeom.parameters import Condition, condition_alpha
 from homgeom.verify import verify_all
 
 
@@ -24,6 +30,28 @@ def margin_base_power_r_minus_3(s1, s2, num, den, r):
     return den * (s2 - s1) ** (r - 1) - num * (s1 - 1) ** (r - 3)
 
 
+def alpha_plus_one(profile):
+    """alpha_from_profile one too large."""
+    return alpha_from_profile(profile) + 1
+
+
+def phi_plus_one(s1, alpha):
+    """phi_of one too large."""
+    return phi_of(s1, alpha) + 1
+
+
+def cond2_alpha_s1_plus_1(condition, s1):
+    """condition_alpha with s1*(s1 + 1) in place of s1*(s1 - 1) for condition 2."""
+    if condition is Condition.COND2:
+        return s1 * (s1 + 1)
+    return condition_alpha(condition, s1)
+
+
+def never_square(n):
+    """is_perfect_square that finds no square."""
+    return False
+
+
 # (module, attribute, mutant value, the check that must leave pass)
 MUTANTS = {
     "no-forbidden-pairs": (pipeline, "FORBIDDEN_PAIRS", {}, "parameter-search"),
@@ -33,6 +61,14 @@ MUTANTS = {
     "margin-base-power": (
         bounds, "growth_margin", margin_base_power_r_minus_3, "classical-ground-truth",
     ),
+    "alpha-from-profile-plus-one": (
+        verify, "alpha_from_profile", alpha_plus_one, "classical-ground-truth",
+    ),
+    "phi-plus-one": (bounds, "phi_of", phi_plus_one, "spectral-identities"),
+    "cond2-alpha-s1-plus-1": (
+        localization, "condition_alpha", cond2_alpha_s1_plus_1, "square-decompositions",
+    ),
+    "sieve-never-square": (obstructions, "is_perfect_square", never_square, "square-sieve"),
 }
 
 
