@@ -279,29 +279,34 @@ def flat_profile(g) -> FlatProfile:
     return FlatProfile(tuple(sizes))
 
 
-def localize_at_point(g, x: Point, profile: FlatProfile) -> FlatProfile:
-    """Flat profile of the quotient geometry whose points are the lines through x.
+class _Quotient:
+    """The localization at x as a closure space, the simplified contraction
+    g/x (Oxley, *Matroid Theory*, 2nd ed., section 3.1): the lines through x,
+    which close to those in the closure of x and one point of each, exact
+    because cl(A + cl(B)) = cl(A + B)."""
 
-    `profile` is the flat profile of g, as `flat_profile(g)` returns it.
-    Each size is checked against the quotient identity
-    s_hat_i = (s_(i+1) - 1)/(s_1 - 1) on that profile.
+    def __init__(self, g, x: Point):
+        self._g, self._x = g, x
+        self._line_of = {y: g.closure((x, y)) for y in g.points if y != x}
+        self._point_on = {line: y for y, line in self._line_of.items()}
+        self.points = tuple(self._point_on)
+
+    def closure(self, lines) -> frozenset:
+        flat = self._g.closure((self._x,) + tuple(self._point_on[line] for line in lines))
+        return frozenset(self._line_of[y] for y in flat if y != self._x)
+
+
+def localize_at_point(g, x: Point, profile: FlatProfile) -> FlatProfile:
+    """Flat profile of the quotient at x, walked by `flat_profile`.
+
+    g's profile `profile` must fit it by the quotient identity
+    s_hat_i = (s_(i+1) - 1)/(s_1 - 1) at every level, length included.
     """
-    hat_sizes = []
-    flat = g.closure((x,))
-    for i in range(1, profile.top_dim + 1):
-        y = next(pt for pt in g.points if pt not in flat)
-        flat = g.closure(tuple(flat) + (y,))
-        lines = {g.closure((x, z)) for z in flat if z != x}
-        expected_num = profile.s(i) - 1
-        denom = profile.s(1) - 1
-        if expected_num % denom:
-            raise ArithmeticError(f"s_{i} - 1 is not divisible by s_1 - 1")
-        if len(lines) != expected_num // denom:
-            raise ArithmeticError(
-                f"{len(lines)} lines through x span flat {i}, expected {expected_num // denom}"
-            )
-        hat_sizes.append(len(lines))
-    return FlatProfile(tuple(hat_sizes))
+    quotient = _Quotient(g, x)
+    hat, s1 = flat_profile(quotient), len(quotient.points[0])
+    if profile.sizes != (1,) + tuple(1 + h * (s1 - 1) for h in hat.sizes):
+        raise ArithmeticError(f"{profile.sizes} does not fit the quotient identity at {hat.sizes}")
+    return hat
 
 
 def alpha_from_profile(profile: FlatProfile) -> int:

@@ -32,7 +32,7 @@ from .bounds import (
     phi_of,
     spectral_identities,
 )
-from .localization import FORBIDDEN_PAIRS, CaseLabel
+from .localization import FORBIDDEN_PAIRS, CaseLabel, point_localize
 from .obstructions import (
     SquareObstruction,
     catalog,
@@ -222,11 +222,14 @@ def _check_ground_truth() -> Row:
         growth_ok = all(
             first_r_exceeding(s1, s2, profile.s(r)) > r for r in range(3, n + 1)
         )
+        # The localized line size is the s1_hat that point_localize predicts.
+        localize_ok = point_localize(s1, alpha) == localized.s(1)
         entry_ok = (
             profile.sizes == expected
             and alpha == expected_alpha
             and all(axioms.values())
             and growth_ok
+            and localize_ok
         )
         ok = ok and entry_ok
         details[str(g.kind)] = {
@@ -235,6 +238,7 @@ def _check_ground_truth() -> Row:
             "axioms": axioms,
             "localizedProfile": list(localized.sizes),
             "growthBoundOk": growth_ok,
+            "pointLocalizeOk": localize_ok,
             "ok": entry_ok,
         }
     return ("pass" if ok else "fail"), details

@@ -16,6 +16,7 @@ from homgeom.geometries import (
     UnsupportedFieldError,
     alpha_from_profile,
     _flats_by_dim,
+    _Quotient,
     build_affine,
     build_projective,
     check_closure_axioms,
@@ -447,6 +448,48 @@ class TestLocalization:
                 den = parent.s(1) - 1
                 assert num % den == 0
                 assert localized.s(i) == num // den
+
+    @pytest.mark.parametrize("sizes", [(1, 3, 7, 15), (1, 3), (1, 4, 7)])
+    def test_profile_of_another_geometry_rejected(self, sizes):
+        # PG(2,2)'s profile is (1, 3, 7).  One level more or one fewer
+        # predicts a quotient of the wrong length; (1, 4, 7) predicts
+        # (1, 2), but the quotient at a point is (1, 3).
+        fano = build_projective(2, 2)
+        with pytest.raises(ArithmeticError):
+            localize_at_point(fano, fano.points[0], FlatProfile(sizes))
+
+
+class TestQuotient:
+    """The closure space of the lines through a point, walked by the one lattice walk."""
+
+    @pytest.mark.parametrize("g", GEOMETRY_LARGE, ids=_param_id)
+    def test_profile_is_the_closed_form(self, g):
+        n, q = g.kind.n, g.kind.p
+        if g.kind.family == "projective":
+            s = [(q ** (i + 1) - 1) // (q - 1) for i in range(n + 1)]
+        else:
+            s = [q**i for i in range(n + 1)]
+        expected = tuple((s[i + 1] - 1) // (s[1] - 1) for i in range(n))
+        assert flat_profile(_Quotient(g, g.points[0])).sizes == expected
+
+    @pytest.mark.parametrize("g", GEOMETRY_LARGE, ids=_param_id)
+    def test_flat_axioms(self, g):
+        assert check_closure_axioms(_Quotient(g, g.points[-1])) == {
+            "closed": True,
+            "pairLines": True,
+            "intersections": True,
+            "coversPartition": True,
+        }
+
+    def test_points_are_the_lines_through_x(self):
+        g = build_affine(2, 3)
+        x = g.points[4]
+        quotient = _Quotient(g, x)
+        lines = {g.closure((x, y)) for y in g.points if y != x}
+        assert len(quotient.points) == len(lines) == 4
+        assert set(quotient.points) == lines
+        assert quotient.closure(()) == frozenset()
+        assert quotient.closure(quotient.points[:2]) == frozenset(lines)
 
 
 class TestAlpha:

@@ -176,9 +176,10 @@ class TestObstructionValues:
             del loc.FORBIDDEN_PAIRS[Condition.COND1_PLUS, 3]
             loc.FORBIDDEN_PAIRS[Condition.COND1_PLUS, 2] = CaseLabel.B_PLUS
             # geometries: a parent profile whose s_2 - 1 is not divisible by
-            # s_1 - 1, then one that predicts the wrong number of lines.
+            # s_1 - 1, one that predicts the wrong number of lines, and two
+            # whose length does not match the geometry.
             fano = geo.build_projective(2, 2)
-            for sizes in ((1, 3, 8), (1, 3, 9)):
+            for sizes in ((1, 3, 8), (1, 3, 9), (1, 3, 7, 15), (1, 3)):
                 fires(lambda: geo.localize_at_point(fano, fano.points[0], FlatProfile(sizes)))
             # geometries: a closure input that is not a point of the geometry.
             fires(lambda: fano.closure(((2, 0, 0),)), error=ValueError)
@@ -196,7 +197,7 @@ class TestObstructionValues:
             text=True,
             check=True,
         )
-        assert out.stdout.strip() == "6"
+        assert out.stdout.strip() == "8"
 
     def test_structural_route_matches_polynomial_route(self):
         cat = catalog()

@@ -16,6 +16,7 @@ import homgeom.pipeline as pipeline
 import homgeom.verify as verify
 from homgeom.bounds import phi_of
 from homgeom.geometries import alpha_from_profile
+from homgeom.localization import point_localize
 from homgeom.parameters import Condition, condition_alpha
 from homgeom.verify import verify_all
 
@@ -47,6 +48,11 @@ def cond2_alpha_s1_plus_1(condition, s1):
     return condition_alpha(condition, s1)
 
 
+def point_localize_plus_one(s1, alpha):
+    """point_localize one too large."""
+    return point_localize(s1, alpha) + 1
+
+
 def never_square(n):
     """is_perfect_square that finds no square."""
     return False
@@ -69,6 +75,9 @@ MUTANTS = {
         localization, "condition_alpha", cond2_alpha_s1_plus_1, "square-decompositions",
     ),
     "sieve-never-square": (obstructions, "is_perfect_square", never_square, "square-sieve"),
+    "point-localize-plus-one": (
+        verify, "point_localize", point_localize_plus_one, "classical-ground-truth",
+    ),
 }
 
 
