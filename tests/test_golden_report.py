@@ -1,15 +1,19 @@
 """Golden report: verify-all and check-params output pinned to a fixture.
 
 The fixture holds a small verify-all report (timestamp and every
-elapsedSeconds removed) and the eliminate record of twelve check-params
-inputs.  A change that alters any report field shows up as a fixture diff.
+elapsedSeconds removed), and the eliminate record and the localize output
+of twelve check-params inputs.  A change that alters any report field shows up as a fixture diff.
 After an intended report change, regenerate it with
 
     PYTHONPATH=src python tests/test_golden_report.py
 """
 
+import io
 import json
+from contextlib import redirect_stdout
 from pathlib import Path
+
+from homgeom.cli import main
 
 from homgeom.parameters import ParamSystem
 from homgeom.parameters import required_dimension
@@ -25,6 +29,13 @@ CHECK_PARAMS_INPUTS = [
 ]
 
 
+def localize_output(s1: int, alpha: int, alpha_prime: int) -> dict:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        main(["localize", "--s1", str(s1), "--alpha", str(alpha), "--alpha-prime", str(alpha_prime)])
+    return json.loads(out.getvalue())
+
+
 def golden_payload() -> dict:
     report = verify_all(sieve_limit=10**4, s1_max=20, alpha_max=500).to_json_dict()
     del report["timestamp"]
@@ -37,6 +48,7 @@ def golden_payload() -> dict:
             eliminate(ParamSystem(s1, alpha, alpha_prime, dim)).to_record()
             for s1, alpha, alpha_prime in CHECK_PARAMS_INPUTS
         ],
+        "localize": [localize_output(*system) for system in CHECK_PARAMS_INPUTS],
     }
 
 
