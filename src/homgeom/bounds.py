@@ -20,7 +20,7 @@ identities, once as exact polynomial identities.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from typing import NamedTuple
 
 from .exact_arith import UniPoly
@@ -144,22 +144,21 @@ class SweepResult(NamedTuple):
     internal_steps_ok: bool
 
 
-def _sweep(bound_name: str, s1_max: int, systems: Callable[[int], tuple]) -> SweepResult:
+def _sweep(bound_name: str, s1_max: int, systems: Callable[[int], Iterator[tuple]]) -> SweepResult:
     """The one sweep policy, over s1 = 3 .. s1_max.
 
-    systems(s1) states the route: its drivers, their s2 values and unreduced
-    cap terms (num, den), and whether its internal inequalities hold on all
-    of them.  A system whose growth margin at the running maximum r is
-    positive has first_r_exceeding <= r, so one exact comparison skips it;
-    only the others run the full r-loop, and the first system to reach the
-    maximum is the worst.
+    systems(s1) states the route: it yields one (driver, s2, ok, (num, den))
+    per system, where ok says whether the route's internal inequalities hold
+    there and (num, den) are its unreduced cap terms.  A system whose growth
+    margin at the running maximum r is positive has first_r_exceeding <= r,
+    so one exact comparison skips it; only the others run the full r-loop,
+    and the first system to reach the maximum is the worst.
     """
     checked, max_r, worst, steps_ok = 0, 0, None, True
     for s1 in range(3, s1_max + 1):
-        drivers, s2s, caps, ok = systems(s1)
-        checked += len(drivers)
-        steps_ok = steps_ok and ok
-        for driver, s2, (num, den) in zip(drivers, s2s, caps):
+        for driver, s2, ok, (num, den) in systems(s1):
+            checked += 1
+            steps_ok = steps_ok and ok
             if max_r < 3 or growth_margin(s1, s2, num, den, max_r) <= 0:
                 r = first_r_exceeding(s1, s2, num, den)
                 if r > max_r:
@@ -178,13 +177,10 @@ def alpha_route_sweep(s1_max: int, alpha_max: int) -> SweepResult:
         u = s1 * (s1 - 1)
         # m^2 >= s1 since s1 | m^2, so the floor alpha^2 >= s1 holds.
         m = square_divisor(s1)
-        alphas = range(m, alpha_max + 1, m)
-        phis = [phi_of(s1, alpha) for alpha in alphas]
-        s2s = [s2_from(s1, alpha) for alpha in alphas]
-        ok = all([phi * phi < (alpha + u) ** 4 and s2 - s1 >= alpha + u
-                  for alpha, phi, s2 in zip(alphas, phis, s2s)])
-        caps = [alpha_cap_terms(s1, alpha, phi) for alpha, phi in zip(alphas, phis)]
-        return alphas, s2s, caps, ok
+        for alpha in range(m, alpha_max + 1, m):
+            phi, s2 = phi_of(s1, alpha), s2_from(s1, alpha)
+            ok = phi * phi < (alpha + u) ** 4 and s2 - s1 >= alpha + u
+            yield alpha, s2, ok, alpha_cap_terms(s1, alpha, phi)
 
     return _sweep("alpha-route", s1_max, systems)
 
@@ -194,10 +190,9 @@ def beta_route_sweep(s1_max: int, beta_max: int) -> SweepResult:
     re-checking s2 - s1 >= s1^2 + beta."""
 
     def systems(s1):
-        betas = range(s1, beta_max + 1, s1)
-        s2s = [s2_from(s1, beta + 1) for beta in betas]
-        ok = all([s2 - s1 >= s1 * s1 + beta for beta, s2 in zip(betas, s2s)])
-        return betas, s2s, [beta_cap_terms(s1, beta) for beta in betas], ok
+        for beta in range(s1, beta_max + 1, s1):
+            s2 = s2_from(s1, beta + 1)
+            yield beta, s2, s2 - s1 >= s1 * s1 + beta, beta_cap_terms(s1, beta)
 
     return _sweep("beta-route", s1_max, systems)
 

@@ -139,10 +139,13 @@ def _cmd_localize(args) -> int:
         )
         for cond in parameters.EXCEPTIONAL
     }
+    labels = [c.value for c in parameters.classify_condition(ps)]
+    if parameters.is_classical_shape(ps):
+        labels.append("ClassicalCompatible")
     _print_json(
         {
             "input": ps.to_record(),
-            "classification": sorted(c.value for c in parameters.classify_condition(ps)),
+            "classification": sorted(labels or ["NoneApplies"]),
             "s1Hat": s1_hat,
             "localizedUnder": hypotheses,
         }

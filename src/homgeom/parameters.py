@@ -27,10 +27,8 @@ class Condition(Enum):
     alpha = s1*(sqrt(s1) +/- 1)^2; Cond2 is alpha = s1*(s1-1); Cond3 is
     alpha = s1^2 + 1.  These four equations are written once, in
     `condition_alpha`.  Each member carries its family index (1, 2 or 3)
-    and the alpha' at which it lives (1 for Cond3, 0 for the others).
-    ClassicalCompatible marks the projective-like (alpha = 0) and
-    affine-like (alpha = 1, alpha' = 0) shapes, and is advisory only; the
-    advisory tags have family 0 and alpha_prime None.
+    and the alpha' at which it lives (1 for Cond3, 0 for the others).  The
+    classical shapes are not families; `is_classical_shape` states them.
 
     Members hash by identity: each is a singleton compared by identity, and
     the hot loops hash them in sets and dicts, where Enum's own hash runs in
@@ -41,10 +39,8 @@ class Condition(Enum):
     COND1_MINUS = ("Cond1Minus", 1, 0)
     COND2 = ("Cond2", 2, 0)
     COND3 = ("Cond3", 3, 1)
-    CLASSICAL_COMPATIBLE = ("ClassicalCompatible", 0, None)
-    NONE_APPLIES = ("NoneApplies", 0, None)
 
-    def __new__(cls, value: str, family: int, alpha_prime: "int | None"):
+    def __new__(cls, value: str, family: int, alpha_prime: int):
         member = object.__new__(cls)
         member._value_ = value
         member.family = family
@@ -56,7 +52,7 @@ class Condition(Enum):
 
 # The four exceptional conditions in definition order, built once: iterating
 # the enum itself runs a Python-level generator on every pass.
-EXCEPTIONAL: tuple[Condition, ...] = tuple(c for c in Condition if c.family)
+EXCEPTIONAL: tuple[Condition, ...] = tuple(Condition)
 
 
 class ParamSystem(
@@ -100,15 +96,6 @@ class ParamSystem(
             "alphaPrime": self.alpha_prime,
             "dim": self.dim,
         }
-
-    @classmethod
-    def from_record(cls, record: dict) -> "ParamSystem":
-        return cls(
-            s1=int(record["s1"]),
-            alpha=int(record["alpha"]),
-            alpha_prime=int(record["alphaPrime"]),
-            dim=int(record["dim"]),
-        )
 
 
 # -- dimension thresholds -----------------------------------------------------
@@ -184,16 +171,14 @@ def condition_alpha(condition: Condition, s1: "int | UniPoly") -> "int | UniPoly
 
     s1 may be an int or a UniPoly; the same ring operations serve both.
     Condition 1 needs s1 to be a perfect square and raises ValueError
-    otherwise, as does an advisory tag, which forces no alpha value.
+    otherwise.
     """
     if condition is Condition.COND2:
         return s1 * (s1 - 1)
     if condition is Condition.COND3:
         return s1 * s1 + 1
-    if condition.family == 1:
-        sign = 1 if condition is Condition.COND1_PLUS else -1
-        return s1 * (exact_sqrt(s1) + sign) ** 2
-    raise ValueError(f"{condition.value} does not force an alpha value")
+    sign = 1 if condition is Condition.COND1_PLUS else -1
+    return s1 * (exact_sqrt(s1) + sign) ** 2
 
 
 def condition_alphas(s1: int) -> dict[Condition, int]:
@@ -206,21 +191,22 @@ def condition_alphas(s1: int) -> dict[Condition, int]:
     }
 
 
+def is_classical_shape(ps: ParamSystem) -> bool:
+    """Whether the system has a classical shape: projective-like (alpha = 0)
+    or affine-like (alpha = 1, alpha' = 0)."""
+    return ps.alpha == 0 or (ps.alpha == 1 and ps.alpha_prime == 0)
+
+
 def classify_condition(ps: ParamSystem) -> frozenset[Condition]:
-    """Tag every condition equation that (s1, alpha, alpha') satisfies.
+    """The exceptional conditions whose equation (s1, alpha, alpha') satisfies.
 
     Each condition must also match its alpha' (`Condition.alpha_prime`).
     Per-flat squareness requirements (s_i square for i >= 3, and so on) are
     not checked here; they only become decidable after localization, where
     the relevant flat sizes are computable.
     """
-    tags = {
+    return frozenset(
         cond
         for cond, alpha in condition_alphas(ps.s1).items()
         if alpha == ps.alpha and ps.alpha_prime == cond.alpha_prime
-    }
-    if ps.alpha == 0 or (ps.alpha == 1 and ps.alpha_prime == 0):
-        tags.add(Condition.CLASSICAL_COMPATIBLE)
-    if not tags:
-        tags.add(Condition.NONE_APPLIES)
-    return frozenset(tags)
+    )

@@ -30,6 +30,7 @@ from .parameters import (
     condition_alphas,
     integrality_alpha0,
     integrality_alpha1,
+    is_classical_shape,
     require_hypothesis_line_size,
     required_dimension,
     square_divisor,
@@ -190,8 +191,7 @@ def eliminate(
             f"dim={ps.dim} is below the threshold {required_dimension()} "
             "where the chain argument applies"
         )
-    tags = classify_condition(ps)
-    if Condition.CLASSICAL_COMPATIBLE in tags:
+    if is_classical_shape(ps):
         shape = "projective-like (alpha=0)" if ps.alpha == 0 else "affine-like (alpha=1)"
         return EliminationVerdict(
             ps, Verdict.CLASSICAL, (f"classical-compatible shape: {shape}",)
@@ -205,6 +205,7 @@ def eliminate(
         return EliminationVerdict(ps, Verdict.ELIMINATED, (
             f"integrality failure: s1={ps.s1} does not divide beta={ps.beta}",
         ))
+    tags = classify_condition(ps)
     start_conditions = [c for c in EXCEPTIONAL if c in tags]
     if not start_conditions:
         return EliminationVerdict(ps, Verdict.ELIMINATED, (

@@ -25,7 +25,7 @@ from homgeom.geometries import (
     level_counts,
     localize_at_point,
 )
-from homgeom.parameters import Condition, ParamSystem, classify_condition
+from homgeom.parameters import ParamSystem, classify_condition, is_classical_shape
 
 INSTANCES = [
     build_projective(2, 2),
@@ -518,7 +518,8 @@ class TestAlpha:
         for g in INSTANCES:
             profile = flat_profile(g)
             ps = ParamSystem(profile.s(1), alpha_from_profile(profile), 0, dim=3)
-            assert Condition.CLASSICAL_COMPATIBLE in classify_condition(ps)
+            assert is_classical_shape(ps)
+            assert classify_condition(ps) == frozenset()
 
 
 class TestKind:

@@ -77,11 +77,6 @@ class TestLocalizedAlpha:
         with pytest.raises(ValueError):
             condition_alpha(Condition.COND1_MINUS, X * X + 1)
 
-    def test_advisory_tags_rejected(self):
-        for cond in (Condition.CLASSICAL_COMPATIBLE, Condition.NONE_APPLIES):
-            with pytest.raises(ValueError):
-                condition_alpha(cond, 9)
-
     def test_polynomial_line_size(self):
         # The same equations over UniPoly, here at s1 = x^2 (sqrt(s1) = x).
         s1 = X * X

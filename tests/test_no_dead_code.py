@@ -23,7 +23,6 @@ import homgeom
 PACKAGE = Path(homgeom.__file__).parent
 
 ALLOWED = {
-    "ParamSystem.from_record": "inverse of to_record, for consumers of the JSON report",
     "UniPoly.degree": "the degree is part of the polynomial type's interface",
 }
 

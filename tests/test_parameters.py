@@ -7,6 +7,7 @@ import pytest
 from homgeom.bounds import first_r_exceeding
 from homgeom.geometries import FlatProfile
 from homgeom.parameters import (
+    EXCEPTIONAL,
     Condition,
     ModelScopeError,
     ParamSystem,
@@ -15,11 +16,22 @@ from homgeom.parameters import (
     condition_alphas,
     integrality_alpha0,
     integrality_alpha1,
+    is_classical_shape,
     s2_from,
 )
 from homgeom.exact_arith import is_perfect_square
 
 PRIMES = [2, 3, 5, 7, 11]
+
+
+def param_system_from_record(record: dict) -> ParamSystem:
+    """The inverse of ParamSystem.to_record, for the report's JSON values."""
+    return ParamSystem(
+        s1=int(record["s1"]),
+        alpha=int(record["alpha"]),
+        alpha_prime=int(record["alphaPrime"]),
+        dim=int(record["dim"]),
+    )
 
 
 def projective_profile(n: int, q: int) -> FlatProfile:
@@ -56,8 +68,9 @@ class TestParamSystem:
 
     def test_record_round_trip(self):
         ps = ParamSystem(7, 42, 1, 23)
-        assert ParamSystem.from_record(ps.to_record()) == ps
-        assert ParamSystem.from_record({"s1": "7", "alpha": "42", "alphaPrime": "1", "dim": "23"}) == ps
+        assert param_system_from_record(ps.to_record()) == ps
+        record = {"s1": "7", "alpha": "42", "alphaPrime": "1", "dim": "23"}
+        assert param_system_from_record(record) == ps
 
 
 class TestS2:
@@ -131,8 +144,6 @@ class TestClassify:
 
     def test_each_condition_holds_only_at_its_alpha_prime(self):
         for cond in Condition:
-            if not cond.family:
-                continue
             for s1 in range(3, 201):
                 if cond.family == 1 and not is_perfect_square(s1):
                     continue
@@ -141,21 +152,29 @@ class TestClassify:
                 other = 1 - cond.alpha_prime
                 assert cond not in classify_condition(ParamSystem(s1, alpha, other))
 
-    def test_advisory_tags_carry_no_family(self):
-        for cond in (Condition.CLASSICAL_COMPATIBLE, Condition.NONE_APPLIES):
-            assert (cond.family, cond.alpha_prime) == (0, None)
+    def test_condition_holds_exactly_the_four_exceptional_families(self):
+        assert EXCEPTIONAL == tuple(Condition)
+        assert [(c.value, c.family, c.alpha_prime) for c in Condition] == [
+            ("Cond1Plus", 1, 0), ("Cond1Minus", 1, 0), ("Cond2", 2, 0), ("Cond3", 3, 1),
+        ]
 
     def test_cond3_needs_alpha_prime_one(self):
-        assert classify_condition(ParamSystem(3, 10, 0)) == {Condition.NONE_APPLIES}
+        assert classify_condition(ParamSystem(3, 10, 0)) == frozenset()
 
     def test_classical_tags(self):
-        assert Condition.CLASSICAL_COMPATIBLE in classify_condition(ParamSystem(4, 0, 0))
-        assert Condition.CLASSICAL_COMPATIBLE in classify_condition(ParamSystem(4, 0, 1))
-        assert Condition.CLASSICAL_COMPATIBLE in classify_condition(ParamSystem(3, 1, 0))
-        assert Condition.CLASSICAL_COMPATIBLE not in classify_condition(ParamSystem(3, 1, 1))
+        assert is_classical_shape(ParamSystem(4, 0, 0))
+        assert is_classical_shape(ParamSystem(4, 0, 1))
+        assert is_classical_shape(ParamSystem(3, 1, 0))
+        assert not is_classical_shape(ParamSystem(3, 1, 1))
+        # No classical shape satisfies an exceptional equation.
+        for s1 in range(2, 200):
+            for alpha, alpha_prime in ((0, 0), (0, 1), (1, 0)):
+                assert classify_condition(ParamSystem(s1, alpha, alpha_prime)) == frozenset()
 
     def test_none_applies(self):
-        assert classify_condition(ParamSystem(3, 5, 0)) == {Condition.NONE_APPLIES}
+        ps = ParamSystem(3, 5, 0)
+        assert classify_condition(ps) == frozenset()
+        assert not is_classical_shape(ps)
 
     def test_cond1_plus_and_cond2_never_coincide(self):
         # The two alpha equations differ for every square s1 up to 10^4.
