@@ -283,12 +283,18 @@ class _Quotient:
     """The localization at x as a closure space, the simplified contraction
     g/x (Oxley, *Matroid Theory*, 2nd ed., section 3.1): the lines through x,
     which close to those in the closure of x and one point of each, exact
-    because cl(A + cl(B)) = cl(A + B)."""
+    because cl(A + cl(B)) = cl(A + B).  Each line is closed once, through
+    the first point on it."""
 
     def __init__(self, g, x: Point):
         self._g, self._x = g, x
-        self._line_of = {y: g.closure((x, y)) for y in g.points if y != x}
-        self._point_on = {line: y for y, line in self._line_of.items()}
+        self._line_of: dict[Point, frozenset] = {}
+        self._point_on: dict[frozenset, Point] = {}
+        for y in g.points:
+            if y != x and y not in self._line_of:
+                line = g.closure((x, y))
+                self._line_of.update(dict.fromkeys(line - {x}, line))
+                self._point_on[line] = y
         self.points = tuple(self._point_on)
 
     def closure(self, lines) -> frozenset:

@@ -44,6 +44,19 @@ LARGER = [build_projective(3, 3), build_projective(4, 2), build_affine(2, 7)]
 GEOMETRY_LARGE = LARGER + [build_projective(2, 7), build_affine(3, 3), build_affine(4, 2)]
 
 
+class Counted:
+    """A geometry's points and closure, counting the closure calls."""
+
+    def __init__(self, g):
+        self.points = g.points
+        self.g = g
+        self.calls = 0
+
+    def closure(self, subset):
+        self.calls += 1
+        return self.g.closure(subset)
+
+
 def _reference_walk(g):
     """The lattice walk with no marking of covers found earlier: a flat's
     scan closes F + x for each outside point x in no cover found from F."""
@@ -318,16 +331,6 @@ class TestClosureAxioms:
     def test_walk_closes_each_flat_once(self):
         # The covers already found through a flat are marked before its scan,
         # so each closure the walk asks for is of a flat it has not met.
-        class Counted:
-            def __init__(self, g):
-                self.points = g.points
-                self.g = g
-                self.calls = 0
-
-            def closure(self, subset):
-                self.calls += 1
-                return self.g.closure(subset)
-
         counts = []
         for g in (
             build_projective(3, 3),
@@ -480,6 +483,13 @@ class TestQuotient:
             "intersections": True,
             "coversPartition": True,
         }
+
+    @pytest.mark.parametrize("g", GEOMETRY_LARGE, ids=_param_id)
+    def test_each_line_through_x_is_closed_once(self, g):
+        counted = Counted(g)
+        quotient = _Quotient(counted, g.points[0])
+        assert counted.calls == len(quotient.points)
+        assert set(quotient.points) == {g.closure((g.points[0], y)) for y in g.points[1:]}
 
     def test_points_are_the_lines_through_x(self):
         g = build_affine(2, 3)
