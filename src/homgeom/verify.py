@@ -5,7 +5,8 @@ verify-all --only runs any subset of it.  Each check is independent, runs in
 exact arithmetic, and lands in the report as pass, fail, or (for an
 impossibility certificate that could not be completed) gap.  A gap is
 reported honestly rather than patched over: the sieve evidence still stands,
-but the run's exit status signals that a certificate is missing.
+but the run's exit status signals that a certificate is missing.  A check
+that raises is a fail row, never a traceback.
 """
 
 from __future__ import annotations
@@ -288,16 +289,28 @@ def verify_all(
     """Run the checks named in only (all for None); each row carries its check's wall time.
 
     The catalog is derived once, and only when a selected check reads it.
+    A check that raises, or that reads a catalog whose derivation raised,
+    becomes a fail row whose witness is "<Type>: <message>"; the other
+    checks still run.
     """
     selected = select_checks(only)
     inputs = dict(sieve_limit=sieve_limit, s1_max=s1_max, alpha_max=alpha_max,
                   grid_s1_max=grid_s1_max, driver_max=driver_max)
+    catalog_error = None
     if any("cat" in reads for _, _, reads in selected):
-        inputs["cat"] = catalog()
+        try:
+            inputs["cat"] = catalog()
+        except Exception as exc:
+            catalog_error = exc
     report = Report()
     for name, check, reads in selected:
         start = time.perf_counter()
-        row = check(**{key: inputs[key] for key in reads})
+        try:
+            if catalog_error is not None and "cat" in reads:
+                raise catalog_error
+            row = check(**{key: inputs[key] for key in reads})
+        except Exception as exc:
+            row = "fail", {}, f"{type(exc).__name__}: {exc}"
         report.checks.append(
             ReportCheck(name, *row, elapsed_seconds=time.perf_counter() - start)
         )

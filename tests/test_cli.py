@@ -584,6 +584,38 @@ class TestVerifyAll:
         with pytest.raises(ValueError, match="names no check"):
             homgeom.verify.verify_all(only=[])
 
+    def test_raising_catalog_fails_each_check_that_reads_it(self, monkeypatch):
+        def broken_catalog():
+            raise ArithmeticError("no catalog")
+
+        monkeypatch.setattr(homgeom.verify, "catalog", broken_catalog)
+        sizes = dict(sieve_limit=100, s1_max=5, alpha_max=50, grid_s1_max=6, driver_max=40)
+        report = homgeom.verify.verify_all(**sizes)
+        for (name, _, reads), row in zip(CHECKS, report.checks, strict=True):
+            assert row.name == name
+            if "cat" in reads:
+                assert (row.status, row.details) == ("fail", {})
+                assert row.witness == "ArithmeticError: no catalog"
+            else:
+                assert row.status == "pass", name
+
+    def test_raising_check_is_a_fail_row_and_the_others_run(self, capsys, tmp_path, monkeypatch):
+        def broken_search(s1_max, alpha_max):
+            raise ZeroDivisionError("search broke")
+
+        monkeypatch.setattr(homgeom.verify, "search", broken_search)
+        path = tmp_path / "report.json"
+        code, out, err = run(
+            capsys, "verify-all", "--sieve-limit", "100", "--s1-max", "5", "--alpha-max", "50",
+            "--grid-s1-max", "6", "--driver-max", "40", "--json", str(path),
+        )
+        assert (code, err) == (1, "")
+        assert out.splitlines()[: len(CHECKS)] == [
+            f"[{'FAIL' if name == 'parameter-search' else 'PASS'}] {name}" for name, _, _ in CHECKS
+        ]
+        (row,) = [c for c in json.loads(path.read_text())["checks"] if c["status"] == "fail"]
+        assert row["witness"] == "ZeroDivisionError: search broke"
+
     @pytest.mark.parametrize("only, calls", [(["dimension-threshold"], 0), (None, 1)])
     def test_catalog_derived_only_when_read(self, monkeypatch, only, calls):
         derived = []

@@ -4,12 +4,16 @@ Each row of MUTANTS applies one wrong rule by monkeypatch and names the
 check that must leave pass at verify_all's default sizes.  A check that
 stays at pass under a mutant does not rest on the rule it changes.  The
 growth_margin rows also show that the sweeps and first_r_exceeding read
-growth_margin from the bounds module when they run.
+growth_margin from the bounds module when they run.  Every row also runs
+through the CLI, which must exit 1 with the check failed: a wrong rule is
+a fail row, never a traceback.  The catalog-path rows make the catalog's
+derivation raise, which fails each check that reads the catalog.
 """
 
 import pytest
 
 import homgeom.bounds as bounds
+import homgeom.cli as cli
 import homgeom.localization as localization
 import homgeom.obstructions as obstructions
 import homgeom.pipeline as pipeline
@@ -17,7 +21,7 @@ import homgeom.verify as verify
 from homgeom.bounds import phi_of
 from homgeom.geometries import alpha_from_profile
 from homgeom.localization import point_localize
-from homgeom.parameters import Condition, condition_alpha
+from homgeom.parameters import Condition, condition_alpha, s2_from
 from homgeom.verify import verify_all
 
 
@@ -53,6 +57,18 @@ def point_localize_plus_one(s1, alpha):
     return point_localize(s1, alpha) + 1
 
 
+def s2_from_plus_one(s1, alpha):
+    """s2_from one too large."""
+    return s2_from(s1, alpha) + 1
+
+
+def cond3_alpha_s1_squared_plus_2(condition, s1):
+    """condition_alpha with s1^2 + 2 in place of s1^2 + 1 for condition 3."""
+    if condition is Condition.COND3:
+        return s1 * s1 + 2
+    return condition_alpha(condition, s1)
+
+
 def never_square(n):
     """is_perfect_square that finds no square."""
     return False
@@ -78,6 +94,15 @@ MUTANTS = {
     "point-localize-plus-one": (
         verify, "point_localize", point_localize_plus_one, "classical-ground-truth",
     ),
+    "catalog-point-localize-plus-one": (
+        localization, "point_localize", point_localize_plus_one, "square-decompositions",
+    ),
+    "catalog-s2-from-plus-one": (
+        localization, "s2_from", s2_from_plus_one, "square-decompositions",
+    ),
+    "catalog-cond3-alpha-s1-squared-plus-2": (
+        localization, "condition_alpha", cond3_alpha_s1_squared_plus_2, "square-decompositions",
+    ),
 }
 
 
@@ -92,3 +117,11 @@ def test_mutant_leaves_pass(monkeypatch, mutant):
     assert status(check) == "pass"
     monkeypatch.setattr(module, attribute, value)
     assert status(check) != "pass"
+
+
+@pytest.mark.parametrize("mutant", list(MUTANTS))
+def test_mutant_fails_verify_all_through_the_cli(monkeypatch, capsys, mutant):
+    module, attribute, value, check = MUTANTS[mutant]
+    monkeypatch.setattr(module, attribute, value)
+    assert cli.main(["verify-all", "--only", check]) == 1
+    assert capsys.readouterr().out.splitlines()[0] == f"[FAIL] {check}"
