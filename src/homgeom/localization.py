@@ -47,11 +47,6 @@ class CaseLabel(Enum):
 
     __hash__ = object.__hash__
 
-    @property
-    def provenance(self) -> str:
-        """Whether this artifact verifies the case or imports it as a fact."""
-        return "internal" if self in CASE_MIN_ARG else "external"
-
 
 class ExternalCaseError(ValueError):
     """Raised when a computation is requested for an externally settled case."""
@@ -155,17 +150,18 @@ def known_square_args(case: CaseLabel, f: UniPoly) -> tuple[int, ...]:
 
 
 class CaseInstanceVerdict(NamedTuple):
-    """Outcome of testing one case instance against its square obstruction."""
+    """Outcome of testing one case instance against its square obstruction:
+    root is the witnessing square root, or None when the instance is
+    eliminated."""
 
     case: CaseLabel
     argument: int
     value: int
-    eliminated: bool
-    root: int | None = None  # the witnessing square root when not eliminated
+    root: int | None
 
     @property
     def verdict(self) -> str:
-        return "Eliminated" if self.eliminated else "SurvivesSquareTest"
+        return "Eliminated" if self.root is None else "SurvivesSquareTest"
 
     def to_record(self) -> dict:
         return {
@@ -173,7 +169,6 @@ class CaseInstanceVerdict(NamedTuple):
             "argument": self.argument,
             "obstructionValue": str(self.value),
             "verdict": self.verdict,
-            "provenance": self.case.provenance,
         }
 
 
@@ -189,6 +184,5 @@ def eliminate_case_instance(case: CaseLabel, arg: int) -> CaseInstanceVerdict:
         raise CaseRangeError(case, arg)
     # obstruction_value raises ExternalCaseError for an imported case.
     value = obstruction_value(case, arg)
-    if is_perfect_square(value):
-        return CaseInstanceVerdict(case, arg, value, False, root=math.isqrt(value))
-    return CaseInstanceVerdict(case, arg, value, True)
+    root = math.isqrt(max(value, 0))
+    return CaseInstanceVerdict(case, arg, value, root if root * root == value else None)

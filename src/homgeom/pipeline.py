@@ -162,7 +162,7 @@ def _walk(
             # Cases with outer condition 1 take t = sqrt(s1) as argument.
             arg = exact_sqrt(s1) if cond.family == 1 else s1
             inst = eliminate_case_instance(case, arg)
-            if inst.eliminated:
+            if inst.root is None:
                 steps.append((f"{head} impossible: case {case.value} obstruction {inst.value} "
                               f"at argument {arg} is not a perfect square; branch eliminated",
                               None, inst))

@@ -13,6 +13,7 @@ from homgeom.exact_arith import UniPoly
 from homgeom.localization import (
     CASE_MIN_ARG,
     CaseLabel,
+    CaseInstanceVerdict,
     CaseRangeError,
     ExternalCaseError,
     eliminate_case_instance,
@@ -242,16 +243,15 @@ class TestClosedFormPolynomials:
 
 class TestEliminateCaseInstance:
     def test_eliminated_examples(self):
-        assert eliminate_case_instance(CaseLabel.C, 3).eliminated
-        assert eliminate_case_instance(CaseLabel.E, 3).eliminated
+        assert eliminate_case_instance(CaseLabel.C, 3).root is None
         v = eliminate_case_instance(CaseLabel.E, 3)
+        assert v.root is None and v.verdict == "Eliminated"
         assert 36**2 < v.value < 37**2
 
     def test_near_miss_below_range(self, monkeypatch):
         # Moving case c's range down to 2 reaches its near miss f(2) = 49.
         monkeypatch.setitem(CASE_MIN_ARG, CaseLabel.C, 2)
         v = eliminate_case_instance(CaseLabel.C, 2)
-        assert not v.eliminated
         assert v.verdict == "SurvivesSquareTest"
         assert v.value == 49 and v.root == 7
 
@@ -279,10 +279,10 @@ class TestEliminateCaseInstance:
     def test_sweep_all_eliminated(self):
         for case in (CaseLabel.C, CaseLabel.E, CaseLabel.F):
             for s1 in range(3, 1001):
-                assert eliminate_case_instance(case, s1).eliminated
+                assert eliminate_case_instance(case, s1).root is None
         for case in (CaseLabel.B_PLUS, CaseLabel.B_MINUS):
             for t in range(2, 1001):
-                assert eliminate_case_instance(case, t).eliminated
+                assert eliminate_case_instance(case, t).root is None
 
     def test_record_schema(self):
         record = eliminate_case_instance(CaseLabel.C, 3).to_record()
@@ -291,11 +291,5 @@ class TestEliminateCaseInstance:
             "argument": 3,
             "obstructionValue": "649",
             "verdict": "Eliminated",
-            "provenance": "internal",
         }
-
-    def test_provenance(self):
-        assert CaseLabel.A.provenance == "external"
-        assert CaseLabel.D.provenance == "external"
-        for case in COMPUTABLE:
-            assert case.provenance == "internal"
+        assert CaseInstanceVerdict._fields == ("case", "argument", "value", "root")
