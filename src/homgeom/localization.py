@@ -25,7 +25,7 @@ import math
 from enum import Enum
 from typing import NamedTuple
 
-from .exact_arith import UniPoly, is_perfect_square
+from .exact_arith import UniPoly
 from .parameters import EXCEPTIONAL, Condition, condition_alpha, s2_from
 
 
@@ -141,12 +141,43 @@ def obstruction_value(case: CaseLabel, arg: int | UniPoly) -> int | UniPoly:
     return quotient
 
 
+def completed_square(f: UniPoly) -> tuple[UniPoly, UniPoly]:
+    """(A, H) with 4f = A^2 - H: A is the polynomial part of sqrt(4f) and
+    H = A^2 - 4f, both with integer coefficients."""
+    a_poly = (4 * f).sqrt_part()
+    return a_poly, a_poly.square() - 4 * f
+
+
+def _square_by_factoring(a: int, h: int) -> bool:
+    """Whether (a^2 - h)/4 is a perfect square r^2: exactly when
+    (a - 2r)(a + 2r) = h, that is when h = 0, or when h = d*e with d + e = 2a,
+    e >= d and 4 | e - d (then r = (e - d)/4).  No square root is taken."""
+    if h == 0:
+        return True
+    n, p = abs(h), 1
+    while p * p <= n:
+        if n % p == 0:
+            for d in (p, n // p, -p, -(n // p)):
+                e = h // d
+                if d + e == 2 * a and e >= d and (e - d) % 4 == 0:
+                    return True
+        p += 1
+    return False
+
+
 def known_square_args(case: CaseLabel, f: UniPoly) -> tuple[int, ...]:
     """The t in [0, t_min) at which the case's obstruction polynomial f is a
     perfect square, with t_min = CASE_MIN_ARG[case]; the case's no-square
     certificate covers every t >= t_min.  The caller passes f, which it
-    has already derived as obstruction_value(case, UniPoly.x())."""
-    return tuple(t for t in range(CASE_MIN_ARG[case]) if is_perfect_square(f.evaluate(t)))
+    has already derived as obstruction_value(case, UniPoly.x()).  Each t is
+    decided by factoring H(t) in 4f = A^2 - H, the argument the certificates
+    rest on, so the sieve's oracle does not share the sieve's square test.
+    """
+    a_poly, h_poly = completed_square(f)
+    return tuple(
+        t for t in range(CASE_MIN_ARG[case])
+        if _square_by_factoring(a_poly.evaluate(t), h_poly.evaluate(t))
+    )
 
 
 class CaseInstanceVerdict(NamedTuple):

@@ -28,7 +28,13 @@ from .exact_arith import (
     eventually_positive,
     is_perfect_square,
 )
-from .localization import CASE_MIN_ARG, CaseLabel, known_square_args, obstruction_value
+from .localization import (
+    CASE_MIN_ARG,
+    CaseLabel,
+    completed_square,
+    known_square_args,
+    obstruction_value,
+)
 
 
 class SquareObstruction(NamedTuple):
@@ -50,20 +56,17 @@ class SquareObstruction(NamedTuple):
 
 def _derive(label: CaseLabel) -> SquareObstruction:
     f = obstruction_value(label, UniPoly.x())
-    a_poly = (4 * f).sqrt_part()
     known = frozenset(known_square_args(label, f))
-    return SquareObstruction(
-        label, f, a_poly, a_poly.square() - 4 * f, CASE_MIN_ARG[label], known
-    )
+    return SquareObstruction(label, f, *completed_square(f), CASE_MIN_ARG[label], known)
 
 
 def catalog() -> dict[CaseLabel, SquareObstruction]:
     """The five obstructions, keyed by case label, derived on each call.
 
     f comes from localization.obstruction_value at the indeterminate x (one
-    path for every case), A is (4f).sqrt_part() and H = A^2 - 4f.  t_min is
-    the localization module's CASE_MIN_ARG, and the known square arguments
-    come from its known_square_args, given the same f.
+    path for every case), and A and H come from its completed_square(f).
+    t_min is the localization module's CASE_MIN_ARG, and the known square
+    arguments come from its known_square_args, given the same f.
     """
     return {label: _derive(label) for label in CASE_MIN_ARG}
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import homgeom
-from homgeom.exact_arith import UniPoly
+from homgeom.exact_arith import UniPoly, is_perfect_square
 from homgeom.localization import (
     CASE_MIN_ARG,
     CaseLabel,
@@ -29,8 +29,8 @@ X = UniPoly.x()
 COMPUTABLE = (CaseLabel.C, CaseLabel.E, CaseLabel.F, CaseLabel.B_PLUS, CaseLabel.B_MINUS)
 
 # The arguments below each case's hypothesis range where its obstruction
-# value is a perfect square, pinned by hand: the package derives them with
-# is_perfect_square, so a regression there shows up as a difference here.
+# value is a perfect square, pinned by hand: the package derives them by
+# factoring H(t), so a regression there shows up as a difference here.
 KNOWN_SQUARE_ARGS = {
     CaseLabel.B_PLUS: (0, 1),
     CaseLabel.B_MINUS: (0, 1),
@@ -269,6 +269,16 @@ class TestEliminateCaseInstance:
             assert frozenset(KNOWN_SQUARE_ARGS[case]) == cat[case].known_square_args
             assert CASE_MIN_ARG[case] == cat[case].t_min
             assert all(t < CASE_MIN_ARG[case] for t in KNOWN_SQUARE_ARGS[case])
+
+    def test_known_square_args_agree_with_a_square_test(self, monkeypatch):
+        # The certificates rule out squares from t_min on, so over a wider
+        # range factoring H(t) and testing f(t) still find the pinned lists.
+        cat = catalog()
+        for case in COMPUTABLE:
+            monkeypatch.setitem(CASE_MIN_ARG, case, 40)
+            f = cat[case].f
+            squares = tuple(t for t in range(40) if is_perfect_square(f.evaluate(t)))
+            assert known_square_args(case, f) == squares == KNOWN_SQUARE_ARGS[case]
 
     def test_external_cases_rejected(self):
         with pytest.raises(ExternalCaseError):

@@ -7,11 +7,16 @@ growth_margin rows also show that the sweeps and first_r_exceeding read
 growth_margin from the bounds module when they run.  Every row also runs
 through the CLI, which must exit 1 with the check failed: a wrong rule is
 a fail row, never a traceback.  The catalog-path rows make the catalog's
-derivation raise, which fails each check that reads the catalog.
+derivation raise, which fails each check that reads the catalog.  A row
+whose first entry is a tuple of modules patches the attribute in each.
 """
+
+import importlib
+import pkgutil
 
 import pytest
 
+import homgeom
 import homgeom.bounds as bounds
 import homgeom.cli as cli
 import homgeom.localization as localization
@@ -74,7 +79,19 @@ def never_square(n):
     return False
 
 
-# (module, attribute, mutant value, the check that must leave pass)
+# Every module of the package that binds is_perfect_square, the defining one
+# included: patching them all leaves no square test that still works.
+SQUARE_TEST_MODULES = tuple(
+    module
+    for module in (
+        importlib.import_module(f"homgeom.{info.name}")
+        for info in pkgutil.iter_modules(homgeom.__path__)
+    )
+    if hasattr(module, "is_perfect_square")
+)
+
+# (module or tuple of modules, attribute, mutant value, the check that must
+# leave pass)
 MUTANTS = {
     "no-forbidden-pairs": (pipeline, "FORBIDDEN_PAIRS", {}, "parameter-search"),
     "margin-gap-power": (
@@ -91,6 +108,9 @@ MUTANTS = {
         localization, "condition_alpha", cond2_alpha_s1_plus_1, "square-decompositions",
     ),
     "sieve-never-square": (obstructions, "is_perfect_square", never_square, "square-sieve"),
+    "never-square-everywhere": (
+        SQUARE_TEST_MODULES, "is_perfect_square", never_square, "square-sieve",
+    ),
     "point-localize-plus-one": (
         verify, "point_localize", point_localize_plus_one, "classical-ground-truth",
     ),
@@ -111,17 +131,22 @@ def status(check: str) -> str:
     return row.status
 
 
+def apply(monkeypatch, modules, attribute, value):
+    for module in modules if isinstance(modules, tuple) else (modules,):
+        monkeypatch.setattr(module, attribute, value)
+
+
 @pytest.mark.parametrize("mutant", list(MUTANTS))
 def test_mutant_leaves_pass(monkeypatch, mutant):
-    module, attribute, value, check = MUTANTS[mutant]
+    modules, attribute, value, check = MUTANTS[mutant]
     assert status(check) == "pass"
-    monkeypatch.setattr(module, attribute, value)
+    apply(monkeypatch, modules, attribute, value)
     assert status(check) != "pass"
 
 
 @pytest.mark.parametrize("mutant", list(MUTANTS))
 def test_mutant_fails_verify_all_through_the_cli(monkeypatch, capsys, mutant):
-    module, attribute, value, check = MUTANTS[mutant]
-    monkeypatch.setattr(module, attribute, value)
+    modules, attribute, value, check = MUTANTS[mutant]
+    apply(monkeypatch, modules, attribute, value)
     assert cli.main(["verify-all", "--only", check]) == 1
     assert capsys.readouterr().out.splitlines()[0] == f"[FAIL] {check}"
