@@ -25,7 +25,8 @@ from homgeom.geometries import (
     level_counts,
     localize_at_point,
 )
-from homgeom.parameters import ParamSystem, classify_condition, is_classical_shape
+from homgeom.localization import point_localize
+from homgeom.parameters import ParamSystem, classify_condition, is_classical_shape, s2_from
 
 INSTANCES = [
     build_projective(2, 2),
@@ -490,6 +491,26 @@ class TestQuotient:
         quotient = _Quotient(counted, g.points[0])
         assert counted.calls == len(quotient.points)
         assert set(quotient.points) == {g.closure((g.points[0], y)) for y in g.points[1:]}
+
+    @pytest.mark.parametrize("g", [g for g in GEOMETRY_LARGE if g.kind.n >= 3], ids=_param_id)
+    def test_quotients_nest_down_to_rank_2(self, g):
+        # The localization chain replayed on the geometry itself: each level
+        # is the quotient of the one before at its first point, walked by
+        # flat_profile, until only points and lines are left.
+        levels = [(g, flat_profile(g))]
+        while levels[-1][1].top_dim > 1:
+            space = levels[-1][0]
+            quotient = _Quotient(space, space.points[0])
+            levels.append((quotient, flat_profile(quotient)))
+        assert len(levels) == g.kind.n
+        for (_, profile), (_, hat) in zip(levels, levels[1:]):
+            alpha = alpha_from_profile(profile)
+            assert point_localize(profile.s(1), alpha) == hat.s(1)
+            if hat.top_dim > 1:
+                # Every quotient of a classical geometry is projective.
+                assert alpha_from_profile(hat) == 0
+                assert s2_from(hat.s(1), 0) == hat.s(2)
+        assert all(check_closure_axioms(levels[-1][0]).values())
 
     def test_points_are_the_lines_through_x(self):
         g = build_affine(2, 3)
