@@ -62,7 +62,9 @@ class CaseRangeError(ValueError):
     def __init__(self, case: "CaseLabel", argument: int):
         self.case = case
         self.argument = argument
-        self.known_square_args = known_square_args(case, obstruction_value(case, UniPoly.x()))
+        self.known_square_args = known_square_args(
+            case, *completed_square(obstruction_value(case, UniPoly.x()))
+        )
         super().__init__(
             f"case {case.value} argument {argument} is below the hypothesis range "
             f"(starts at {CASE_MIN_ARG[case]}); known square arguments: "
@@ -165,15 +167,14 @@ def _square_by_factoring(a: int, h: int) -> bool:
     return False
 
 
-def known_square_args(case: CaseLabel, f: UniPoly) -> tuple[int, ...]:
+def known_square_args(case: CaseLabel, a_poly: UniPoly, h_poly: UniPoly) -> tuple[int, ...]:
     """The t in [0, t_min) at which the case's obstruction polynomial f is a
     perfect square, with t_min = CASE_MIN_ARG[case]; the case's no-square
-    certificate covers every t >= t_min.  The caller passes f, which it
-    has already derived as obstruction_value(case, UniPoly.x()).  Each t is
-    decided by factoring H(t) in 4f = A^2 - H, the argument the certificates
-    rest on, so the sieve's oracle does not share the sieve's square test.
+    certificate covers every t >= t_min.  The caller passes (A, H) =
+    completed_square(f), which it has already derived.  Each t is decided by
+    factoring H(t) in 4f = A^2 - H, the argument the certificates rest on,
+    so the sieve's oracle does not share the sieve's square test.
     """
-    a_poly, h_poly = completed_square(f)
     return tuple(
         t for t in range(CASE_MIN_ARG[case])
         if _square_by_factoring(a_poly.evaluate(t), h_poly.evaluate(t))

@@ -56,8 +56,9 @@ class SquareObstruction(NamedTuple):
 
 def _derive(label: CaseLabel) -> SquareObstruction:
     f = obstruction_value(label, UniPoly.x())
-    known = frozenset(known_square_args(label, f))
-    return SquareObstruction(label, f, *completed_square(f), CASE_MIN_ARG[label], known)
+    a_poly, h_poly = completed_square(f)
+    known = frozenset(known_square_args(label, a_poly, h_poly))
+    return SquareObstruction(label, f, a_poly, h_poly, CASE_MIN_ARG[label], known)
 
 
 def catalog() -> dict[CaseLabel, SquareObstruction]:
@@ -66,7 +67,7 @@ def catalog() -> dict[CaseLabel, SquareObstruction]:
     f comes from localization.obstruction_value at the indeterminate x (one
     path for every case), and A and H come from its completed_square(f).
     t_min is the localization module's CASE_MIN_ARG, and the known square
-    arguments come from its known_square_args, given the same f.
+    arguments come from its known_square_args, given the same A and H.
     """
     return {label: _derive(label) for label in CASE_MIN_ARG}
 

@@ -265,7 +265,7 @@ class TestEliminateCaseInstance:
     def test_known_survivor_lists_match_catalog(self):
         cat = catalog()
         for case in COMPUTABLE:
-            assert known_square_args(case, cat[case].f) == KNOWN_SQUARE_ARGS[case]
+            assert known_square_args(case, cat[case].A, cat[case].H) == KNOWN_SQUARE_ARGS[case]
             assert frozenset(KNOWN_SQUARE_ARGS[case]) == cat[case].known_square_args
             assert CASE_MIN_ARG[case] == cat[case].t_min
             assert all(t < CASE_MIN_ARG[case] for t in KNOWN_SQUARE_ARGS[case])
@@ -276,9 +276,9 @@ class TestEliminateCaseInstance:
         cat = catalog()
         for case in COMPUTABLE:
             monkeypatch.setitem(CASE_MIN_ARG, case, 40)
-            f = cat[case].f
-            squares = tuple(t for t in range(40) if is_perfect_square(f.evaluate(t)))
-            assert known_square_args(case, f) == squares == KNOWN_SQUARE_ARGS[case]
+            obs = cat[case]
+            squares = tuple(t for t in range(40) if is_perfect_square(obs.f.evaluate(t)))
+            assert known_square_args(case, obs.A, obs.H) == squares == KNOWN_SQUARE_ARGS[case]
 
     def test_external_cases_rejected(self):
         with pytest.raises(ExternalCaseError):
