@@ -42,27 +42,24 @@ def theta_of(s1: int, alpha: int) -> int:
     return s1 - s1 * s1 + 2 * alpha * s1 - alpha
 
 
-def psi_of(s1: int, theta: int, d: int) -> int:
-    """psi = -theta - s1*(s1-1)*D, the value forced by the product identity.
-
-    Both callers already hold theta = theta_of(s1, alpha) and
-    D = discriminant_shift(s1, alpha), so they pass them in.
-    """
-    return -theta - s1 * (s1 - 1) * d
+def psi_of(s1: int, alpha: int) -> int:
+    """psi = alpha*(1 - s1 - s1^2) + u*(u + 1), u = s1*(s1-1)."""
+    u = s1 * (s1 - 1)
+    return alpha * (1 - s1 - s1 * s1) + u * (u + 1)
 
 
 def alpha_cap_terms(s1: int, alpha: int, phi: int) -> tuple[int, int]:
     """Numerator and denominator of the alpha' = 0 regime's exact flat-size cap,
     (phi^2*(theta*phi - 4*alpha*s1*psi)^2 - phi) / (4*alpha*s1), unreduced.
 
-    phi is phi_of(s1, alpha), which the sweep has already computed.  The
+    phi is phi_of(s1, alpha), which the sweep has already computed for its
+    own inequality, so it is passed in rather than evaluated twice.  The
     same ring operations run on int and on UniPoly; an int alpha = 0 has no
     cap (the division degenerates) and is rejected.
     """
     if isinstance(alpha, int) and alpha <= 0:
         raise ValueError("the alpha-route cap needs alpha >= 1")
-    theta = theta_of(s1, alpha)
-    core = theta * phi - 4 * alpha * s1 * psi_of(s1, theta, discriminant_shift(s1, alpha))
+    core = theta_of(s1, alpha) * phi - 4 * alpha * s1 * psi_of(s1, alpha)
     return phi * phi * core * core - phi, 4 * alpha * s1
 
 
@@ -211,8 +208,7 @@ def spectral_identities() -> dict[str, bool]:
     s1 = alpha**9
     u = s1 * (s1 - 1)
     d = discriminant_shift(s1, alpha)
-    theta, phi = theta_of(s1, alpha), phi_of(s1, alpha)
-    psi = psi_of(s1, theta, d)
+    theta, phi, psi = theta_of(s1, alpha), phi_of(s1, alpha), psi_of(s1, alpha)
     bracket = theta * d + 4 * alpha * s1 * s1 * (s1 - 1)
     return {
         "phi": phi == d * d - 4 * alpha * s1,

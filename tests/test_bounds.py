@@ -37,8 +37,13 @@ def beta_cap(s1: int, beta: int) -> Fraction:
 
 
 def psi(s1: int, alpha: int) -> int:
-    """psi at (s1, alpha), with theta and D computed for it."""
-    return psi_of(s1, theta_of(s1, alpha), discriminant_shift(s1, alpha))
+    """psi at (s1, alpha)."""
+    return psi_of(s1, alpha)
+
+
+def psi_oracle(s1, alpha):
+    """The form psi_of replaced: -theta - s1*(s1-1)*D."""
+    return -theta_of(s1, alpha) - s1 * (s1 - 1) * discriminant_shift(s1, alpha)
 
 
 def phi_oracle(s1: int, alpha: int) -> int:
@@ -72,6 +77,16 @@ class TestSpectralQuantities:
         rhs = d * (theta_of(s1, alpha) * d + 4 * alpha * s1 * s1 * (s1 - 1))
         assert lhs == rhs == -385
 
+    def test_psi_equals_the_form_it_replaces(self):
+        # As a polynomial identity, under the substitution s1 = x^9,
+        # alpha = x that spectral_identities uses (alpha-degree 1 here).
+        alpha = UniPoly.x()
+        s1 = alpha**9
+        assert psi_of(s1, alpha) == psi_oracle(s1, alpha)
+        for s1 in range(-5, 40):
+            for alpha in range(-20, 200):
+                assert psi_of(s1, alpha) == psi_oracle(s1, alpha), (s1, alpha)
+
     def test_spectral_triple_invariants(self):
         assert (theta_of(4, 2), phi_of(4, 2), psi(4, 2)) == (2, 68, 118)
         assert discriminant_shift(4, 2) == -10
@@ -93,11 +108,11 @@ class TestSpectralIdentities:
         "name, fake, broken",
         [
             ("discriminant_shift", lambda s1, a: a - s1 * s1, "phi"),
-            # A wrong theta also enters psi, which keeps the product identity
-            # true; the factored bracket catches it.
+            # psi no longer reads theta, so a wrong theta breaks the product
+            # identity too; the factored bracket is asserted here.
             ("theta_of", lambda s1, a: s1 - s1 * s1 + 2 * a * s1 + a, "bracket"),
             ("phi_of", lambda s1, a: a * a + s1 * s1 * (s1 - 1) ** 2 - 2 * a * s1 * (s1 - 1), "phi"),
-            ("psi_of", lambda s1, theta, d: -theta - s1 * (s1 + 1) * d, "product"),
+            ("psi_of", lambda s1, a: a * (1 - s1 - s1 * s1) + s1 * s1 * (s1 * s1 - 1), "product"),
             ("s2_from", lambda s1, a: s1 + s1 * a + (s1 - 1) ** 2, "planeSize"),
         ],
         ids=["discriminant_shift", "theta_of", "phi_of", "psi_of", "s2_from"],
