@@ -21,6 +21,7 @@ from .parameters import (
     BETA_ROUTE_MAX_R,
     LOCALIZATION_CHAIN_DEPTH,
     Condition,
+    ParamSystem,
     condition_alpha,
     exceptional_min_dim,
     required_dimension,
@@ -49,7 +50,16 @@ from .geometries import (
     flat_profile,
     localize_at_point,
 )
-from .pipeline import STANDARD_FORBIDDEN, Report, ReportCheck, longest_condition_chain, search
+from .pipeline import (
+    STANDARD_FORBIDDEN,
+    EliminationVerdict,
+    Report,
+    ReportCheck,
+    Verdict,
+    eliminate,
+    longest_condition_chain,
+    search,
+)
 
 # The displayed factor pairs (A, H) for the three sextic cases, pinned as
 # regression anchors for the derived catalog.
@@ -188,10 +198,55 @@ def _check_dimension_threshold() -> Row:
     }
 
 
+# (s1_max, alpha_max) of the grid on which the search check runs eliminate
+# on every system: it holds every condition family and every classical
+# shape, and s1 = 4's square divisor 2 differs from s1.
+CROSS_CHECK_GRID = (6, 60)
+
+
+def _category(verdict: EliminationVerdict) -> str:
+    """The search category of one verdict, read from the verdict itself and
+    the rule its first trace line names."""
+    if verdict.verdict is Verdict.CLASSICAL:
+        return "classical"
+    if verdict.verdict is not Verdict.ELIMINATED:
+        return verdict.verdict.value
+    if verdict.trace[0].startswith("integrality failure"):
+        return "integrality"
+    if verdict.trace[0].startswith("condition trichotomy"):
+        return "no-condition"
+    return "condition-eliminated"
+
+
 def _check_search(s1_max: int, alpha_max: int) -> Row:
-    # Looked up when the check runs, not bound into CHECKS, so that a tool
-    # that rebinds this module's `search` (perfbench/tracer.py) sees the call.
-    return search(s1_max, alpha_max)
+    """The search's row, cross-checked on CROSS_CHECK_GRID: eliminate's
+    verdicts there, bucketed by _category, must give the search's
+    closed-form counts.  A disagreement fails the row, with both count sets
+    as the witness unless the search already reported survivors.
+
+    search and eliminate are looked up when the check runs, not bound into
+    CHECKS, so that a tool that rebinds them in this module
+    (perfbench/tracer.py) sees the calls.
+    """
+    status, details, witness = search(s1_max, alpha_max)
+    grid_s1_max, grid_alpha_max = CROSS_CHECK_GRID
+    expected = search(grid_s1_max, grid_alpha_max)[1]["counts"]
+    dim = required_dimension()
+    counts = dict.fromkeys(expected, 0)
+    for s1 in range(3, grid_s1_max + 1):
+        for alpha in range(grid_alpha_max + 1):
+            for alpha_prime in (0, 1):
+                category = _category(eliminate(ParamSystem(s1, alpha, alpha_prime, dim)))
+                counts[category] = counts.get(category, 0) + 1
+    agrees = counts == expected
+    details["crossCheck"] = {
+        "grid": {"s1Max": grid_s1_max, "alphaMax": grid_alpha_max},
+        "counts": counts,
+        "agrees": agrees,
+    }
+    if not agrees:
+        status, witness = "fail", witness or {"eliminate": counts, "search": expected}
+    return status, details, witness
 
 
 def _check_ground_truth() -> Row:
@@ -225,12 +280,23 @@ def _check_ground_truth() -> Row:
         )
         # The localized line size is the s1_hat that point_localize predicts.
         localize_ok = point_localize(s1, alpha) == localized.s(1)
+        # eliminate classifies the instance's (s1, alpha) as classical.  The
+        # geometries carry no alpha', so alpha' = 0 is assumed; s1 = 2 is
+        # outside the hypothesis s1 >= 3.
+        if s1 >= 3:
+            verdict = eliminate(ParamSystem(s1, alpha, 0, required_dimension())).verdict
+            classical_ok = verdict is Verdict.CLASSICAL
+            classified = {"eliminate": verdict.value, "alphaPrimeAssumed": 0}
+        else:
+            classical_ok = True
+            classified = {"eliminateSkipped": f"s1 = {s1} is below the hypothesis s1 >= 3"}
         entry_ok = (
             profile.sizes == expected
             and alpha == expected_alpha
             and all(axioms.values())
             and growth_ok
             and localize_ok
+            and classical_ok
         )
         ok = ok and entry_ok
         details[str(g.kind)] = {
@@ -240,6 +306,7 @@ def _check_ground_truth() -> Row:
             "localizedProfile": list(localized.sizes),
             "growthBoundOk": growth_ok,
             "pointLocalizeOk": localize_ok,
+            **classified,
             "ok": entry_ok,
         }
     return ("pass" if ok else "fail"), details

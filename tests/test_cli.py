@@ -279,10 +279,15 @@ class TestSearch:
         )
         assert code == 0
         assert list(checks) == ["parameter-search"]
-        # The row is the search's own row, with the time verify-all adds.
+        # The row is the search's own row, with the time verify-all adds and
+        # the cross-check against eliminate on its fixed grid.
         status, details, witness = search(6, 80)
         assert witness is None
-        assert checks["parameter-search"] == {"status": "pass", **_jsonable(details)}
+        row = checks["parameter-search"]
+        cross = row.pop("crossCheck")
+        assert row == {"status": "pass", **_jsonable(details)}
+        assert cross["agrees"] is True
+        assert cross["counts"] == _jsonable(search(6, 60)[1]["counts"])
 
     @pytest.mark.parametrize(
         "alpha_max, status, code", [("0", "gap", 2), ("5", "gap", 2), ("6", "pass", 0)]
@@ -643,7 +648,7 @@ class TestVerifyAll:
             return wrapper
 
         names = ("catalog", "certify_no_square", "sieve",
-                 "alpha_route_sweep", "beta_route_sweep", "search",
+                 "alpha_route_sweep", "beta_route_sweep", "search", "eliminate",
                  "flat_profile", "check_closure_axioms", "localize_at_point")
         for name in names:
             monkeypatch.setattr(

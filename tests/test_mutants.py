@@ -8,11 +8,18 @@ growth_margin from the bounds module when they run.  Every row also runs
 through the CLI, which must exit 1 with the check failed: a wrong rule is
 a fail row, never a traceback.  The catalog-path rows make the catalog's
 derivation raise, which fails each check that reads the catalog.  A row
-whose first entry is a tuple of modules patches the attribute in each.
+whose first entry is a tuple of modules patches the attribute in each.  The
+whole table also runs under python -O, which strips asserts: every guard is
+an explicit comparison.
 """
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -79,6 +86,26 @@ def never_square(n):
     return False
 
 
+def never_integral_alpha0(s1, alpha):
+    """integrality_alpha0 that no system passes."""
+    return False
+
+
+def never_integral_alpha1(s1, beta):
+    """integrality_alpha1 that no system passes."""
+    return False
+
+
+def square_divisor_identity(n):
+    """square_divisor(n) = n, wrong wherever n has a square factor."""
+    return n
+
+
+def never_classical(ps):
+    """is_classical_shape that finds no classical shape."""
+    return False
+
+
 # Every module of the package that binds is_perfect_square, the defining one
 # included: patching them all leaves no square test that still works.
 SQUARE_TEST_MODULES = tuple(
@@ -123,6 +150,18 @@ MUTANTS = {
     "catalog-cond3-alpha-s1-squared-plus-2": (
         localization, "condition_alpha", cond3_alpha_s1_squared_plus_2, "square-decompositions",
     ),
+    "integrality-alpha0-never": (
+        pipeline, "integrality_alpha0", never_integral_alpha0, "parameter-search",
+    ),
+    "integrality-alpha1-never": (
+        pipeline, "integrality_alpha1", never_integral_alpha1, "parameter-search",
+    ),
+    "square-divisor-identity": (
+        pipeline, "square_divisor", square_divisor_identity, "parameter-search",
+    ),
+    "never-classical-shape": (
+        pipeline, "is_classical_shape", never_classical, "classical-ground-truth",
+    ),
 }
 
 
@@ -150,3 +189,31 @@ def test_mutant_fails_verify_all_through_the_cli(monkeypatch, capsys, mutant):
     apply(monkeypatch, modules, attribute, value)
     assert cli.main(["verify-all", "--only", check]) == 1
     assert capsys.readouterr().out.splitlines()[0] == f"[FAIL] {check}"
+
+
+def test_every_mutant_leaves_pass_under_python_O():
+    script = textwrap.dedent(
+        """
+        import test_mutants as t
+
+        for name, (modules, attribute, value, check) in t.MUTANTS.items():
+            modules = modules if isinstance(modules, tuple) else (modules,)
+            saved = [getattr(module, attribute) for module in modules]
+            for module in modules:
+                setattr(module, attribute, value)
+            print(name, t.status(check))
+            for module, original in zip(modules, saved):
+                setattr(module, attribute, original)
+        """
+    )
+    path = os.pathsep.join((str(Path(homgeom.__file__).parents[1]), str(Path(__file__).parent)))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    statuses = dict(line.split() for line in out.stdout.splitlines())
+    assert set(statuses) == set(MUTANTS)
+    assert "pass" not in statuses.values()
