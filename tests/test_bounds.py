@@ -36,13 +36,8 @@ def beta_cap(s1: int, beta: int) -> Fraction:
     return Fraction(*beta_cap_terms(s1, beta))
 
 
-def psi(s1: int, alpha: int) -> int:
-    """psi at (s1, alpha)."""
-    return psi_of(s1, alpha)
-
-
-def psi_oracle(s1, alpha):
-    """The form psi_of replaced: -theta - s1*(s1-1)*D."""
+def psi_oracle(s1: int, alpha: int) -> int:
+    """psi from theta and D: -theta - s1*(s1-1)*D."""
     return -theta_of(s1, alpha) - s1 * (s1 - 1) * discriminant_shift(s1, alpha)
 
 
@@ -64,20 +59,20 @@ class TestSpectralQuantities:
         assert theta_of(3, 1) == -1
 
     def test_psi_examples(self):
-        assert psi(3, 6) == -24
-        assert psi(4, 2) == 118
-        assert psi(3, 1) == 31
+        assert psi_of(3, 6) == -24
+        assert psi_of(4, 2) == 118
+        assert psi_of(3, 1) == 31
 
     def test_psi_acceptance_point(self):
         # The flagged consistency point: both sides of the product identity
         # evaluated independently at (3, 1).
         s1, alpha = 3, 1
         d = alpha - s1 * (s1 - 1)
-        lhs = theta_of(s1, alpha) * phi_of(s1, alpha) - 4 * alpha * s1 * psi(s1, alpha)
+        lhs = theta_of(s1, alpha) * phi_of(s1, alpha) - 4 * alpha * s1 * psi_of(s1, alpha)
         rhs = d * (theta_of(s1, alpha) * d + 4 * alpha * s1 * s1 * (s1 - 1))
         assert lhs == rhs == -385
 
-    def test_psi_equals_the_form_it_replaces(self):
+    def test_psi_closed_form_matches_the_theta_d_form(self):
         # As a polynomial identity, under the substitution s1 = x^9,
         # alpha = x that spectral_identities uses (alpha-degree 1 here).
         alpha = UniPoly.x()
@@ -88,7 +83,7 @@ class TestSpectralQuantities:
                 assert psi_of(s1, alpha) == psi_oracle(s1, alpha), (s1, alpha)
 
     def test_spectral_triple_invariants(self):
-        assert (theta_of(4, 2), phi_of(4, 2), psi(4, 2)) == (2, 68, 118)
+        assert (theta_of(4, 2), phi_of(4, 2), psi_of(4, 2)) == (2, 68, 118)
         assert discriminant_shift(4, 2) == -10
 
     def test_phi_squared_below_fourth_power(self):
@@ -108,7 +103,7 @@ class TestSpectralIdentities:
         "name, fake, broken",
         [
             ("discriminant_shift", lambda s1, a: a - s1 * s1, "phi"),
-            # psi no longer reads theta, so a wrong theta breaks the product
+            # psi does not read theta, so a wrong theta breaks the product
             # identity too; the factored bracket is asserted here.
             ("theta_of", lambda s1, a: s1 - s1 * s1 + 2 * a * s1 + a, "bracket"),
             ("phi_of", lambda s1, a: a * a + s1 * s1 * (s1 - 1) ** 2 - 2 * a * s1 * (s1 - 1), "phi"),

@@ -194,16 +194,13 @@ def test_mutant_fails_verify_all_through_the_cli(monkeypatch, capsys, mutant):
 def test_every_mutant_leaves_pass_under_python_O():
     script = textwrap.dedent(
         """
+        import pytest
         import test_mutants as t
 
         for name, (modules, attribute, value, check) in t.MUTANTS.items():
-            modules = modules if isinstance(modules, tuple) else (modules,)
-            saved = [getattr(module, attribute) for module in modules]
-            for module in modules:
-                setattr(module, attribute, value)
-            print(name, t.status(check))
-            for module, original in zip(modules, saved):
-                setattr(module, attribute, original)
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                t.apply(monkeypatch, modules, attribute, value)
+                print(name, t.status(check))
         """
     )
     path = os.pathsep.join((str(Path(homgeom.__file__).parents[1]), str(Path(__file__).parent)))
