@@ -88,10 +88,12 @@ class Verdict(Enum):
 
 
 class EliminationVerdict(NamedTuple):
-    """Outcome for one parameter system, with the full rule trace."""
+    """Outcome for one parameter system, with the branch of `eliminate` that decided it
+    (rule: "classical", "integrality", "no-condition" or "condition") and the full rule trace."""
 
     subject: ParamSystem
     verdict: Verdict
+    rule: str
     trace: tuple[str, ...]
     survivor_chains: tuple[str, ...] = ()
     case_instances: tuple[CaseInstanceVerdict, ...] = ()
@@ -194,21 +196,21 @@ def eliminate(
     if is_classical_shape(ps):
         shape = "projective-like (alpha=0)" if ps.alpha == 0 else "affine-like (alpha=1)"
         return EliminationVerdict(
-            ps, Verdict.CLASSICAL, (f"classical-compatible shape: {shape}",)
+            ps, Verdict.CLASSICAL, "classical", (f"classical-compatible shape: {shape}",)
         )
     if ps.alpha_prime == 0:
         if not integrality_alpha0(ps.s1, ps.alpha):
-            return EliminationVerdict(ps, Verdict.ELIMINATED, (
+            return EliminationVerdict(ps, Verdict.ELIMINATED, "integrality", (
                 f"integrality failure: s1={ps.s1} does not divide alpha^2={ps.alpha**2}",
             ))
     elif not integrality_alpha1(ps.s1, ps.beta):
-        return EliminationVerdict(ps, Verdict.ELIMINATED, (
+        return EliminationVerdict(ps, Verdict.ELIMINATED, "integrality", (
             f"integrality failure: s1={ps.s1} does not divide beta={ps.beta}",
         ))
     tags = classify_condition(ps)
     start_conditions = [c for c in EXCEPTIONAL if c in tags]
     if not start_conditions:
-        return EliminationVerdict(ps, Verdict.ELIMINATED, (
+        return EliminationVerdict(ps, Verdict.ELIMINATED, "no-condition", (
             "condition trichotomy: alpha matches no exceptional family; "
             "system excluded by the growth-threshold analysis",
         ))
@@ -222,7 +224,7 @@ def eliminate(
     survivors = tuple(chain for chain in chains if chain is not None)
     return EliminationVerdict(
         ps,
-        Verdict.SURVIVES_SQUARE_TEST if survivors else Verdict.ELIMINATED,
+        Verdict.SURVIVES_SQUARE_TEST if survivors else Verdict.ELIMINATED, "condition",
         trace,
         survivors,
         tuple(inst for inst in instances if inst is not None),
@@ -296,7 +298,7 @@ def search(
 
     The grid is 3 <= s1 <= s1_max, 0 <= alpha <= alpha_max, alpha' in {0, 1}.
     Each category has a closed-form count per s1:
-    - classical: (0, 0), (0, 1) and, when alpha_max >= 1, (1, 0);
+    - classical: the pairs (alpha <= 1, alpha') `is_classical_shape` admits (classicalShapes);
     - alpha' = 0, alpha >= 2: s1 | alpha^2 exactly when m | alpha, where
       m = prod p^ceil(e/2) over s1 = prod p^e, so floor(alpha_max / m)
       systems pass integrality (m >= 2, so none of them is classical);
@@ -324,9 +326,10 @@ def search(
         "no-condition": 0,
         "condition-eliminated": 0,
     }
-    classical_witnesses: list[dict] = []
     survivors: list[dict] = []
-    classical = [(0, 0), (0, 1), (1, 0)] if alpha_max >= 1 else [(0, 0), (0, 1)]
+    # is_classical_shape reads alpha and alpha' only: s1 = 3 stands for every s1.
+    classical = [(a, a_prime) for a in range(min(alpha_max, 1) + 1) for a_prime in (0, 1)
+                 if is_classical_shape(ParamSystem(3, a, a_prime, dim))]
     for s1 in range(3, s1_max + 1):
         integral = alpha_max // square_divisor(s1)
         if alpha_max >= 1:
@@ -339,10 +342,6 @@ def search(
         counts["classical"] += len(classical)
         counts["integrality"] += 2 * (alpha_max + 1) - len(classical) - integral
         counts["no-condition"] += integral - len(conditions)
-        classical_witnesses += (
-            {"s1": s1, "alpha": alpha, "alphaPrime": alpha_prime}
-            for alpha, alpha_prime in classical
-        )
         # Reports list survivors in (s1, alpha, alpha') order.
         for alpha, alpha_prime in conditions:
             ps = ParamSystem(s1, alpha, alpha_prime, dim)
@@ -358,7 +357,7 @@ def search(
         "counts": counts,
         "systemsChecked": (s1_max - 2) * (alpha_max + 1) * 2,
         "disabledCases": sorted(c.value for c in disabled_cases),
-        "classicalWitnesses": classical_witnesses,
+        "classicalShapes": [{"alpha": a, "alphaPrime": a_prime} for a, a_prime in classical],
     }
     status = "fail" if survivors else "gap" if not counts["condition-eliminated"] else "pass"
     return status, details, survivors or None

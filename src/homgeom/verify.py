@@ -200,35 +200,37 @@ def _check_dimension_threshold() -> Row:
 
 # (s1_max, alpha_max) of the grid on which the search check runs eliminate
 # on every system: it holds every condition family and every classical
-# shape, and s1 = 4's square divisor 2 differs from s1.
-CROSS_CHECK_GRID = (6, 60)
+# shape, s1 = 4 and 8 have square divisors other than s1, and alpha_max = 65
+# is condition 3's alpha at s1 = 8, so both ends of the search's alpha
+# ranges are reached.
+CROSS_CHECK_GRID = (8, 65)
 
 
 def _category(verdict: EliminationVerdict) -> str:
-    """The search category of one verdict, read from the verdict itself and
-    the rule its first trace line names."""
-    if verdict.verdict is Verdict.CLASSICAL:
-        return "classical"
-    if verdict.verdict is not Verdict.ELIMINATED:
-        return verdict.verdict.value
-    if verdict.trace[0].startswith("integrality failure"):
-        return "integrality"
-    if verdict.trace[0].startswith("condition trichotomy"):
-        return "no-condition"
-    return "condition-eliminated"
+    """The search category of one verdict: the rule that decided it, or
+    "condition-eliminated" for a walk that eliminated the system.  A
+    survivor stays "condition", no search category, so the counts disagree."""
+    walked = verdict.rule == "condition" and verdict.verdict is Verdict.ELIMINATED
+    return "condition-eliminated" if walked else verdict.rule
 
 
 def _check_search(s1_max: int, alpha_max: int) -> Row:
-    """The search's row, cross-checked on CROSS_CHECK_GRID: eliminate's
-    verdicts there, bucketed by _category, must give the search's
-    closed-form counts.  A disagreement fails the row, with both count sets
-    as the witness unless the search already reported survivors.
+    """The search's row, guarded twice: its counts and survivors must sum to
+    systemsChecked, and on CROSS_CHECK_GRID eliminate's verdicts, bucketed
+    by _category, must give the search's closed-form counts.  A failed
+    guard fails the row, with its two sides as the witness unless the
+    search already reported survivors.
 
     search and eliminate are looked up when the check runs, not bound into
     CHECKS, so that a tool that rebinds them in this module
     (perfbench/tracer.py) sees the calls.
     """
     status, details, witness = search(s1_max, alpha_max)
+    counted = sum(details["counts"].values()) + len(witness or ())
+    if counted != details["systemsChecked"]:
+        status, witness = "fail", witness or {
+            "counted": counted, "systemsChecked": details["systemsChecked"],
+        }
     grid_s1_max, grid_alpha_max = CROSS_CHECK_GRID
     expected = search(grid_s1_max, grid_alpha_max)[1]["counts"]
     dim = required_dimension()
@@ -250,6 +252,7 @@ def _check_search(s1_max: int, alpha_max: int) -> Row:
 
 
 def _check_ground_truth() -> Row:
+    """Six small geometries; a failed row's witness maps each failing instance to its failed keys."""
     instances = [
         ("pg", build_projective, 2, 2),
         ("pg", build_projective, 3, 2),
@@ -258,8 +261,7 @@ def _check_ground_truth() -> Row:
         ("ag", build_affine, 2, 3),
         ("ag", build_affine, 3, 3),
     ]
-    details = {}
-    ok = True
+    details, witness = {}, {}
     for tag, builder, n, p in instances:
         g = builder(n, p)
         profile = flat_profile(g)
@@ -290,15 +292,12 @@ def _check_ground_truth() -> Row:
         else:
             classical_ok = True
             classified = {"eliminateSkipped": f"s1 = {s1} is below the hypothesis s1 >= 3"}
-        entry_ok = (
-            profile.sizes == expected
-            and alpha == expected_alpha
-            and all(axioms.values())
-            and growth_ok
-            and localize_ok
-            and classical_ok
-        )
-        ok = ok and entry_ok
+        keys_ok = {"profile": profile.sizes == expected, "alpha": alpha == expected_alpha,
+                   "axioms": all(axioms.values()), "growthBoundOk": growth_ok,
+                   "pointLocalizeOk": localize_ok, "eliminate": classical_ok}
+        failed = [key for key, key_ok in keys_ok.items() if not key_ok]
+        if failed:
+            witness[str(g.kind)] = failed
         details[str(g.kind)] = {
             "profile": list(profile.sizes),
             "alpha": alpha,
@@ -307,9 +306,9 @@ def _check_ground_truth() -> Row:
             "growthBoundOk": growth_ok,
             "pointLocalizeOk": localize_ok,
             **classified,
-            "ok": entry_ok,
+            "ok": not failed,
         }
-    return ("pass" if ok else "fail"), details
+    return ("fail" if witness else "pass"), details, witness or None
 
 
 # Every report check in report order: its name, the function that returns its

@@ -24,8 +24,8 @@ from homgeom.geometries import (
     flat_profile,
     localize_at_point,
 )
-from homgeom.parameters import exceptional_min_dim, required_dimension
-from homgeom.pipeline import STANDARD_FORBIDDEN, longest_condition_chain, search
+from homgeom.parameters import ParamSystem, exceptional_min_dim, required_dimension
+from homgeom.pipeline import STANDARD_FORBIDDEN, eliminate, longest_condition_chain, search
 
 COMPUTABLE_CASES = (CaseLabel.C, CaseLabel.E, CaseLabel.F, CaseLabel.B_PLUS, CaseLabel.B_MINUS)
 
@@ -138,15 +138,20 @@ def test_criterion_7_search_and_fault_injection():
         status, details, witness = search(100, 10**4)
         assert status == "pass"
         assert witness is None
-        witnesses = {
-            (w["s1"], w["alpha"], w["alphaPrime"]) for w in details["classicalWitnesses"]
-        }
+        # The search counts the shapes of classicalShapes at every s1 of its
+        # grid, and eliminate decides each small prime's shapes by its
+        # classical rule.
+        shapes = {(w["alpha"], w["alphaPrime"]) for w in details["classicalShapes"]}
+        assert {(0, 0), (1, 0)} <= shapes
+        assert details["counts"]["classical"] == len(shapes) * (100 - 2)
         primes = [q for q in range(2, 98) if all(q % d for d in range(2, q))]
         for q in primes:
-            assert (q + 1, 0, 0) in witnesses, f"projective shape missing for q={q}"
+            verdict = eliminate(ParamSystem(q + 1, 0, 0, required_dimension()))
+            assert verdict.rule == "classical", f"projective shape missing for q={q}"
         for q in primes:
             if q >= 3:  # the affine shape at q = 2 has s1 = 2, below hypothesis
-                assert (q, 1, 0) in witnesses, f"affine shape missing for q={q}"
+                verdict = eliminate(ParamSystem(q, 1, 0, required_dimension()))
+                assert verdict.rule == "classical", f"affine shape missing for q={q}"
         # Disabling any one case must surface at least one witnessed survivor.
         for case in ("a", "b+", "b-", "c", "d", "e", "f"):
             status, _, witness = search(10, 200, disabled_cases=frozenset({CaseLabel(case)}))

@@ -17,7 +17,7 @@ from homgeom.localization import CaseLabel
 from homgeom.obstructions import catalog, sieve
 from homgeom.parameters import required_dimension
 from homgeom.pipeline import Report, search
-from homgeom.verify import CHECKS
+from homgeom.verify import CHECKS, CROSS_CHECK_GRID
 
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
 SUBCOMMANDS = sorted(
@@ -287,7 +287,8 @@ class TestSearch:
         cross = row.pop("crossCheck")
         assert row == {"status": "pass", **_jsonable(details)}
         assert cross["agrees"] is True
-        assert cross["counts"] == _jsonable(search(6, 60)[1]["counts"])
+        assert cross["grid"] == {"s1Max": "8", "alphaMax": "65"}
+        assert cross["counts"] == _jsonable(search(*CROSS_CHECK_GRID)[1]["counts"])
 
     @pytest.mark.parametrize(
         "alpha_max, status, code", [("0", "gap", 2), ("5", "gap", 2), ("6", "pass", 0)]

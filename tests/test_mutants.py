@@ -33,7 +33,8 @@ import homgeom.verify as verify
 from homgeom.bounds import phi_of
 from homgeom.geometries import alpha_from_profile
 from homgeom.localization import point_localize
-from homgeom.parameters import Condition, condition_alpha, s2_from
+from homgeom.parameters import Condition, condition_alpha, is_classical_shape, s2_from
+from homgeom.pipeline import search
 from homgeom.verify import verify_all
 
 
@@ -106,6 +107,17 @@ def never_classical(ps):
     return False
 
 
+def classical_also_1_1(ps):
+    """is_classical_shape that also admits (alpha, alpha') = (1, 1)."""
+    return is_classical_shape(ps) or (ps.alpha, ps.alpha_prime) == (1, 1)
+
+
+def search_systems_checked_plus_one(*args, **kwargs):
+    """search whose row claims one system more than it counted."""
+    status, details, witness = search(*args, **kwargs)
+    return status, {**details, "systemsChecked": details["systemsChecked"] + 1}, witness
+
+
 # Every module of the package that binds is_perfect_square, the defining one
 # included: patching them all leaves no square test that still works.
 SQUARE_TEST_MODULES = tuple(
@@ -162,6 +174,12 @@ MUTANTS = {
     "never-classical-shape": (
         pipeline, "is_classical_shape", never_classical, "classical-ground-truth",
     ),
+    "classical-shape-also-1-1": (
+        pipeline, "is_classical_shape", classical_also_1_1, "parameter-search",
+    ),
+    "systems-checked-plus-one": (
+        verify, "search", search_systems_checked_plus_one, "parameter-search",
+    ),
 }
 
 
@@ -189,6 +207,23 @@ def test_mutant_fails_verify_all_through_the_cli(monkeypatch, capsys, mutant):
     apply(monkeypatch, modules, attribute, value)
     assert cli.main(["verify-all", "--only", check]) == 1
     assert capsys.readouterr().out.splitlines()[0] == f"[FAIL] {check}"
+
+
+def test_search_counts_must_sum_to_systems_checked(monkeypatch):
+    # The default search counts (100 - 2) * (10^4 + 1) * 2 systems.
+    apply(monkeypatch, *MUTANTS["systems-checked-plus-one"][:3])
+    (row,) = verify_all(only=["parameter-search"]).checks
+    assert (row.status, row.witness) == ("fail", {"counted": 1960196, "systemsChecked": 1960197})
+
+
+def test_ground_truth_witness_names_each_failing_instance_and_key(monkeypatch):
+    # With no classical shape, eliminate calls no instance classical; AG(2,2)
+    # (s1 = 2) is not classified, so it does not fail.
+    apply(monkeypatch, *MUTANTS["never-classical-shape"][:3])
+    (row,) = verify_all(only=["classical-ground-truth"]).checks
+    failing = ("PG(2,2)", "PG(3,2)", "PG(2,3)", "AG(2,3)", "AG(3,3)")
+    assert (row.status, row.witness) == ("fail", dict.fromkeys(failing, ["eliminate"]))
+    assert [kind for kind, entry in row.details.items() if not entry["ok"]] == list(failing)
 
 
 def test_every_mutant_leaves_pass_under_python_O():

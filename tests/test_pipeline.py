@@ -39,18 +39,18 @@ from homgeom.pipeline import (
     longest_condition_chain,
     search,
 )
-from homgeom.verify import _check_automaton
+from homgeom.verify import CROSS_CHECK_GRID, _check_automaton
 
 DIM = required_dimension()
 
 
 def _oracle(s1_max, alpha_max, disabled=frozenset()):
-    """Brute-force search: eliminate every system and bucket it by its verdict.
+    """Brute-force search: eliminate every system and bucket it by its rule.
 
-    An eliminated system is bucketed by the first line of its trace: an
-    integrality failure, the condition trichotomy, or else an automaton walk.
-    Returns the counts, classical witnesses and survivor records in the
-    order the search reports them.
+    A system decided by the automaton walk counts as "condition-eliminated"
+    unless it survives.  Returns the counts, the classical systems as
+    (s1, alpha, alpha') and the survivor records, in the order the search
+    reports them.
     """
     counts = dict.fromkeys(
         ("classical", "integrality", "no-condition", "condition-eliminated"), 0
@@ -62,20 +62,24 @@ def _oracle(s1_max, alpha_max, disabled=frozenset()):
                 verdict = eliminate(
                     ParamSystem(s1, alpha, alpha_prime, DIM), disabled_cases=disabled
                 )
-                if verdict.verdict is Verdict.CLASSICAL:
-                    counts["classical"] += 1
-                    classical.append({"s1": s1, "alpha": alpha, "alphaPrime": alpha_prime})
-                elif verdict.verdict is Verdict.SURVIVES_SQUARE_TEST:
+                assert (verdict.rule == "classical") == (verdict.verdict is Verdict.CLASSICAL)
+                if verdict.verdict is Verdict.SURVIVES_SQUARE_TEST:
+                    assert verdict.rule == "condition"
                     survivors.append(verdict.to_record())
-                elif verdict.trace[0].startswith("integrality failure"):
-                    counts["integrality"] += 1
-                elif verdict.trace[0].startswith("condition trichotomy"):
-                    counts["no-condition"] += 1
-                else:
+                elif verdict.rule == "condition":
                     assert verdict.verdict is Verdict.ELIMINATED
-                    assert verdict.trace[0].startswith("condition ")
                     counts["condition-eliminated"] += 1
+                else:
+                    counts[verdict.rule] += 1
+                if verdict.rule == "classical":
+                    classical.append((s1, alpha, alpha_prime))
     return counts, classical, survivors or None
+
+
+def _classical_systems(details):
+    """The search's classicalShapes at every s1 of its grid, as the oracle lists them."""
+    shapes = [(w["alpha"], w["alphaPrime"]) for w in details["classicalShapes"]]
+    return [(s1, *shape) for s1 in range(3, details["s1Max"] + 1) for shape in shapes]
 
 
 def _largest_condition_alpha(s1):
@@ -274,6 +278,28 @@ class TestEliminate:
             verdict.survivor_chains[0]
         )
 
+    def test_rule_and_first_trace_line_name_the_same_branch(self):
+        # On every system of the search's cross-check grid, the rule eliminate
+        # reports is the one branch its first trace line names, and every
+        # branch occurs.
+        prefixes = {
+            "classical": "classical-compatible shape: ",
+            "integrality": "integrality failure: ",
+            "no-condition": "condition trichotomy: ",
+            "condition": "condition Cond",
+        }
+        s1_max, alpha_max = CROSS_CHECK_GRID
+        rules = set()
+        for s1 in range(3, s1_max + 1):
+            for alpha in range(alpha_max + 1):
+                for alpha_prime in (0, 1):
+                    verdict = eliminate(ParamSystem(s1, alpha, alpha_prime, DIM))
+                    named = [r for r, prefix in prefixes.items()
+                             if verdict.trace[0].startswith(prefix)]
+                    assert named == [verdict.rule], (s1, alpha, alpha_prime)
+                    rules.add(verdict.rule)
+        assert rules == set(prefixes)
+
     def test_disabled_case_reports_survivor(self):
         disabled = frozenset({CaseLabel.C})
         verdict = eliminate(ParamSystem(3, 6, 0, DIM), disabled_cases=disabled)
@@ -304,13 +330,15 @@ class TestSearch:
 
     def test_classical_witnesses_cover_small_primes(self):
         _, details, _ = search(10, 200)
-        witnesses = {
-            (w["s1"], w["alpha"], w["alphaPrime"]) for w in details["classicalWitnesses"]
-        }
-        for q in (2, 3, 5, 7):
-            assert (q + 1, 0, 0) in witnesses  # projective shape
-        for q in (3, 5, 7):
-            assert (q, 1, 0) in witnesses  # affine shape
+        classical = set(_classical_systems(details))
+        primes = [q for q in range(2, 98) if all(q % d for d in range(2, q))]
+        for q in primes:
+            # Projective shape at s1 = q + 1, affine shape at s1 = q; the
+            # affine shape at q = 2 has s1 = 2, below the hypothesis.
+            for system in [(q + 1, 0, 0)] if q == 2 else [(q + 1, 0, 0), (q, 1, 0)]:
+                verdict = eliminate(ParamSystem(*system, DIM))
+                assert (verdict.rule, verdict.verdict) == ("classical", Verdict.CLASSICAL), system
+                assert system[0] > 10 or system in classical, system
 
     @pytest.mark.parametrize("case", ["a", "b+", "b-", "c", "d", "e", "f"])
     def test_fault_injection_produces_witnessed_survivor(self, case):
@@ -335,7 +363,7 @@ class TestSearch:
         counts, classical, survivors = _oracle(s1_max, alpha_max)
         assert survivors is None
         assert details["counts"] == counts
-        assert details["classicalWitnesses"] == classical
+        assert _classical_systems(details) == classical
         assert witness is None
 
     @pytest.mark.parametrize("case", ["a", "b+", "b-", "c", "d", "e", "f"])
@@ -345,7 +373,7 @@ class TestSearch:
         counts, classical, survivors = _oracle(10, 200, disabled)
         assert survivors
         assert details["counts"] == counts
-        assert details["classicalWitnesses"] == classical
+        assert _classical_systems(details) == classical
         assert witness == survivors
 
     def test_square_divisor(self):
