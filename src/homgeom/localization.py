@@ -55,21 +55,9 @@ class ExternalCaseError(ValueError):
 class CaseRangeError(ValueError):
     """Argument below the case's hypothesis range.
 
-    Carries the arguments at which the obstruction value is a perfect
-    square; all of them sit below the range.
+    The arguments there at which the obstruction value is a perfect square
+    are the catalog's SquareObstruction.known_square_args.
     """
-
-    def __init__(self, case: "CaseLabel", argument: int):
-        self.case = case
-        self.argument = argument
-        self.known_square_args = known_square_args(
-            case, *completed_square(obstruction_value(case, UniPoly.x()))
-        )
-        super().__init__(
-            f"case {case.value} argument {argument} is below the hypothesis range "
-            f"(starts at {CASE_MIN_ARG[case]}); known square arguments: "
-            f"{self.known_square_args}"
-        )
 
 
 # The six forbidden pairs: (outer condition, family hypothesized on its point
@@ -143,44 +131,6 @@ def obstruction_value(case: CaseLabel, arg: int | UniPoly) -> int | UniPoly:
     return quotient
 
 
-def completed_square(f: UniPoly) -> tuple[UniPoly, UniPoly]:
-    """(A, H) with 4f = A^2 - H: A is the polynomial part of sqrt(4f) and
-    H = A^2 - 4f, both with integer coefficients."""
-    a_poly = (4 * f).sqrt_part()
-    return a_poly, a_poly.square() - 4 * f
-
-
-def _square_by_factoring(a: int, h: int) -> bool:
-    """Whether (a^2 - h)/4 is a perfect square r^2: exactly when
-    (a - 2r)(a + 2r) = h, that is when h = 0, or when h = d*e with d + e = 2a,
-    e >= d and 4 | e - d (then r = (e - d)/4).  No square root is taken."""
-    if h == 0:
-        return True
-    n, p = abs(h), 1
-    while p * p <= n:
-        if n % p == 0:
-            for d in (p, n // p, -p, -(n // p)):
-                e = h // d
-                if d + e == 2 * a and e >= d and (e - d) % 4 == 0:
-                    return True
-        p += 1
-    return False
-
-
-def known_square_args(case: CaseLabel, a_poly: UniPoly, h_poly: UniPoly) -> tuple[int, ...]:
-    """The t in [0, t_min) at which the case's obstruction polynomial f is a
-    perfect square, with t_min = CASE_MIN_ARG[case]; the case's no-square
-    certificate covers every t >= t_min.  The caller passes (A, H) =
-    completed_square(f), which it has already derived.  Each t is decided by
-    factoring H(t) in 4f = A^2 - H, the argument the certificates rest on,
-    so the sieve's oracle does not share the sieve's square test.
-    """
-    return tuple(
-        t for t in range(CASE_MIN_ARG[case])
-        if _square_by_factoring(a_poly.evaluate(t), h_poly.evaluate(t))
-    )
-
-
 class CaseInstanceVerdict(NamedTuple):
     """Outcome of testing one case instance against its square obstruction:
     root is the witnessing square root, or None when the instance is
@@ -209,11 +159,14 @@ def eliminate_case_instance(case: CaseLabel, arg: int) -> CaseInstanceVerdict:
 
     Within the hypothesis range every instance must come back Eliminated; a
     survivor there contradicts the classification and callers treat it as a
-    hard failure.  An argument below the range raises CaseRangeError, which
-    lists the known near misses there, for example case c at s1 = 2.
+    hard failure.  An argument below the range raises CaseRangeError; the
+    near misses there, for example case c at s1 = 2, are in the catalog.
     """
     if case in CASE_MIN_ARG and arg < CASE_MIN_ARG[case]:
-        raise CaseRangeError(case, arg)
+        raise CaseRangeError(
+            f"case {case.value} argument {arg} is below the hypothesis range "
+            f"(starts at {CASE_MIN_ARG[case]})"
+        )
     # obstruction_value raises ExternalCaseError for an imported case.
     value = obstruction_value(case, arg)
     root = math.isqrt(max(value, 0))

@@ -28,13 +28,7 @@ from .exact_arith import (
     eventually_positive,
     is_perfect_square,
 )
-from .localization import (
-    CASE_MIN_ARG,
-    CaseLabel,
-    completed_square,
-    known_square_args,
-    obstruction_value,
-)
+from .localization import CASE_MIN_ARG, CaseLabel, obstruction_value
 
 
 class SquareObstruction(NamedTuple):
@@ -55,19 +49,28 @@ class SquareObstruction(NamedTuple):
 
 
 def _derive(label: CaseLabel) -> SquareObstruction:
+    """The case's obstruction, with its known squares decided by factoring H(t).
+
+    Factoring H(t) in 4f = A^2 - H is the argument the certificates rest on,
+    so the sieve's oracle does not share the sieve's square test.
+    """
     f = obstruction_value(label, UniPoly.x())
-    a_poly, h_poly = completed_square(f)
-    known = frozenset(known_square_args(label, a_poly, h_poly))
-    return SquareObstruction(label, f, a_poly, h_poly, CASE_MIN_ARG[label], known)
+    a_poly = (4 * f).sqrt_part()
+    h_poly = a_poly.square() - 4 * f
+    t_min = CASE_MIN_ARG[label]
+    known = frozenset(
+        t for t in range(t_min)
+        if _square_by_factoring(a_poly.evaluate(t), h_poly.evaluate(t))
+    )
+    return SquareObstruction(label, f, a_poly, h_poly, t_min, known)
 
 
 def catalog() -> dict[CaseLabel, SquareObstruction]:
     """The five obstructions, keyed by case label, derived on each call.
 
-    f comes from localization.obstruction_value at the indeterminate x (one
-    path for every case), and A and H come from its completed_square(f).
-    t_min is the localization module's CASE_MIN_ARG, and the known square
-    arguments come from its known_square_args, given the same A and H.
+    f is localization.obstruction_value at the indeterminate x (one path for
+    every case), A is the polynomial part of sqrt(4f) and H = A^2 - 4f.
+    t_min is the localization module's CASE_MIN_ARG.
     """
     return {label: _derive(label) for label in CASE_MIN_ARG}
 
@@ -184,7 +187,24 @@ def _tile(bits: int, period: int, length: int) -> int:
     return bits & ((1 << length) - 1)
 
 
-def sieve(obs: SquareObstruction, limit: int) -> list[int]:
+def _square_by_factoring(a: int, h: int) -> bool:
+    """Whether (a^2 - h)/4 is a perfect square r^2: exactly when
+    (a - 2r)(a + 2r) = h, that is when h = 0, or when h = d*e with d + e = 2a,
+    e >= d and 4 | e - d (then r = (e - d)/4).  No square root is taken."""
+    if h == 0:
+        return True
+    n, p = abs(h), 1
+    while p * p <= n:
+        if n % p == 0:
+            for d in (p, n // p, -p, -(n // p)):
+                e = h // d
+                if d + e == 2 * a and e >= d and (e - d) % 4 == 0:
+                    return True
+        p += 1
+    return False
+
+
+def sieve(f: UniPoly, limit: int) -> list[int]:
     """All t in [0, limit] with f(t) a perfect square.
 
     If f(t) is a square it is a square residue modulo every m, so the
@@ -200,7 +220,6 @@ def sieve(obs: SquareObstruction, limit: int) -> list[int]:
     """
     if limit < 0:
         raise ValueError("sieve limit must be nonnegative")
-    f = obs.f
     # f(r) at every residue r of every modulus.
     values = [f.evaluate(r) for r in range(max(_MASK_MODULI))]
     # Each pattern is tiled to one block plus one period, so the block

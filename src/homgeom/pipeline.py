@@ -130,10 +130,11 @@ def _walk(
     the last is the node walked now, alpha is that node's alpha, and its
     depth is its number of transitions, len(chain) - 1.  A pair (condition,
     family) is forbidden exactly when FORBIDDEN_PAIRS has a row for it, and
-    the row names the case that must settle it.  An allowed pair always
-    localizes to a condition of its family: the only allowed pair into
-    family 1 is (Cond2, 1), and its localized line size
-    s1 + s1(s1 - 1) = s1^2 is a square.
+    the row names the case that must settle it.  An allowed pair whose
+    localized line size fits no condition of its family is a SURVIVOR step,
+    so a pair is never dropped silently.  With the standard table that never
+    happens: the only allowed pair into family 1 is (Cond2, 1), and its
+    localized line size s1 + s1(s1 - 1) = s1^2 is a square.
     """
     cond, s1 = chain[-1]
     depth = len(chain) - 1
@@ -148,11 +149,17 @@ def _walk(
         case = FORBIDDEN_PAIRS.get((cond, target))
         if case is None:
             # Allowed pair: keep walking in the localization.
-            for child, alpha_hat in condition_alphas(s1_hat).items():
-                if child.family == target:
-                    steps.append((f"{head} allowed: localized system (s1_hat={s1_hat}, "
-                                  f"alpha_hat={alpha_hat}) under {child.value}", None, None))
-                    _walk(steps, chain + ((child, s1_hat),), alpha_hat, disabled)
+            children = [(child, alpha_hat) for child, alpha_hat in condition_alphas(s1_hat).items()
+                        if child.family == target]
+            if not children:
+                steps.append((f"{head} allowed, but no condition of family {target} fits "
+                              f"s1_hat={s1_hat}: the walk cannot follow it; SURVIVOR",
+                              f"{_chain_text(chain)} -> family {target} unmatched at "
+                              f"s1_hat={s1_hat}", None))
+            for child, alpha_hat in children:
+                steps.append((f"{head} allowed: localized system (s1_hat={s1_hat}, "
+                              f"alpha_hat={alpha_hat}) under {child.value}", None, None))
+                _walk(steps, chain + ((child, s1_hat),), alpha_hat, disabled)
         elif case in disabled:
             steps.append((f"{head} forbidden by case {case.value}, but that case is disabled: "
                           "continuation cannot be eliminated; SURVIVOR",
@@ -331,9 +338,8 @@ def search(
     classical = [(a, a_prime) for a in range(min(alpha_max, 1) + 1) for a_prime in (0, 1)
                  if is_classical_shape(ParamSystem(3, a, a_prime, dim))]
     for s1 in range(3, s1_max + 1):
-        integral = alpha_max // square_divisor(s1)
-        if alpha_max >= 1:
-            integral += (alpha_max - 1) // s1 + 1
+        # (alpha_max - 1) // s1 + 1 is 0 at alpha_max = 0.
+        integral = alpha_max // square_divisor(s1) + (alpha_max - 1) // s1 + 1
         conditions = sorted(
             (alpha, cond.alpha_prime)
             for cond, alpha in condition_alphas(s1).items()

@@ -81,10 +81,14 @@ def _check_decompositions(cat: Catalog) -> Row:
         (cat[label].A, cat[label].H) == expected
         for label, expected in EXPECTED_FACTOR_PAIRS.items()
     )
-    ok = not bad and factor_ok
+    # Conditions 1+ and 1- map to each other under t -> -t, and the rest of
+    # the path reads only s1 = t^2, so f_{b-}(x) = f_{b+}(-x).
+    b_plus, b_minus = cat[CaseLabel.B_PLUS].f, cat[CaseLabel.B_MINUS].f
+    sign_flip = b_minus == UniPoly(-c if i % 2 else c for i, c in enumerate(b_plus.coeffs))
+    ok = not bad and factor_ok and sign_flip
     return ("pass" if ok else "fail"), {
         "casesChecked": sorted(o.value for o in cat), "failed": bad,
-        "factorPairsReproduced": factor_ok,
+        "factorPairsReproduced": factor_ok, "bMinusIsBPlusAtMinusX": sign_flip,
     }
 
 
@@ -103,8 +107,14 @@ def _check_certificates(cat: Catalog) -> Row:
     return ("gap" if gaps else "pass"), {"certificates": results, "gaps": gaps}
 
 
+# The sieve's control beyond the first block: 2x^2 + 1 = y^2 is Pell's
+# equation, whose solutions x = 0, 2, 12, 70, ... follow x' = 6x - x_prev,
+# with no square test; up to 10^6 they reach the sieve's eighth block.
+PELL_CONTROL = UniPoly([1, 0, 2])
+
+
 def _check_sieve(cat: Catalog, sieve_limit: int) -> Row:
-    """Sieve each case up to the limit.
+    """Sieve each case, and PELL_CONTROL, up to the limit.
 
     A case whose range [t_min, limit] holds no argument was not sieved at
     all, so the row is a gap.
@@ -112,7 +122,7 @@ def _check_sieve(cat: Catalog, sieve_limit: int) -> Row:
     results = {}
     ok = True
     for label, obs in cat.items():
-        found = sieve(obs, sieve_limit)
+        found = sieve(obs.f, sieve_limit)
         in_range = [t for t in found if t >= obs.t_min]
         expected = sorted(t for t in obs.known_square_args if t <= sieve_limit)
         ok = ok and found == expected and not in_range
@@ -121,9 +131,16 @@ def _check_sieve(cat: Catalog, sieve_limit: int) -> Row:
             "expected": expected,
             "survivorsAtOrAboveTMin": in_range,
         }
+    pell, x, x_next = [], 0, 2
+    while x <= sieve_limit:
+        pell.append(x)
+        x, x_next = x_next, 6 * x_next - x
+    control = sieve(PELL_CONTROL, sieve_limit)
+    ok = ok and control == pell
     unsieved = any(sieve_limit < obs.t_min for obs in cat.values())
     return ("fail" if not ok else "gap" if unsieved else "pass"), {
         "limit": sieve_limit, "cases": results,
+        "pellControl": {"found": control, "expected": pell},
     }
 
 

@@ -90,14 +90,14 @@ def test_criterion_3_sieve_oracle():
             CaseLabel.F: [1],
         }
         for case in COMPUTABLE_CASES:
-            found = sieve(cat[case], limit)
+            found = sieve(cat[case].f, limit)
             if case in expected:
                 assert found == expected[case], case
             else:  # the two b variants: the oracle decides, all below 2
                 assert all(t < 2 for t in found), case
             assert not [t for t in found if t >= cat[case].t_min], case
         # The near-miss that makes the s1 >= 3 hypothesis essential.
-        assert 2 in sieve(cat[CaseLabel.C], limit)
+        assert 2 in sieve(cat[CaseLabel.C].f, limit)
         assert cat[CaseLabel.C].f.evaluate(2) == 49 == 7**2
 
 

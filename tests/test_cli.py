@@ -48,6 +48,7 @@ class TestIdentities:
         decompositions = checks["square-decompositions"]
         assert len(decompositions["casesChecked"]) == 5
         assert decompositions["failed"] == []
+        assert decompositions["bMinusIsBPlusAtMinusX"] is True
         certificates = checks["no-square-certificates"]["certificates"]
         assert {c["status"] for c in certificates.values()} == {"proved-impossible"}
 
@@ -76,6 +77,14 @@ class TestSieve:
         assert list(cases) == [label.value for label in catalog()]
         assert cases["f"]["found"] == ["1"]
         assert all(case["survivorsAtOrAboveTMin"] == [] for case in cases.values())
+
+    def test_pell_control_reaches_past_the_first_block(self, capsys, tmp_path):
+        # 2x^2 + 1 is a square at the Pell solutions x; 80782 lies in the
+        # sieve's second block of 2^16 arguments.
+        code, checks = run_only(capsys, tmp_path, "square-sieve", "--sieve-limit", "100000")
+        assert code == 0
+        pell = ["0", "2", "12", "70", "408", "2378", "13860", "80782"]
+        assert checks["square-sieve"]["pellControl"] == {"found": pell, "expected": pell}
 
     @pytest.mark.parametrize("limit, expected", [("0", ["0"]), ("1", ["0", "1"])])
     def test_expected_stops_at_limit(self, capsys, tmp_path, limit, expected):
@@ -496,7 +505,7 @@ class TestVerifyAll:
         # A sieve that loses the known square t = 0 no longer matches, even
         # when nothing at or above t_min survives; alone or in a full run.
         monkeypatch.setattr(
-            homgeom.verify, "sieve", lambda obs, lim: [t for t in sieve(obs, lim) if t != 0]
+            homgeom.verify, "sieve", lambda f, lim: [t for t in sieve(f, lim) if t != 0]
         )
         for only in ((), ("--only", "square-sieve")):
             code, check = self.sieve_check(capsys, tmp_path, limit, *only)

@@ -17,7 +17,6 @@ from homgeom.localization import (
     CaseRangeError,
     ExternalCaseError,
     eliminate_case_instance,
-    known_square_args,
     obstruction_value,
     point_localize,
 )
@@ -255,17 +254,18 @@ class TestEliminateCaseInstance:
         assert v.verdict == "SurvivesSquareTest"
         assert v.value == 49 and v.root == 7
 
-    def test_range_error_carries_known_survivors(self):
-        with pytest.raises(CaseRangeError) as err:
+    def test_range_error_below_the_range(self):
+        # The error names the range; the squares below it are the catalog's.
+        with pytest.raises(CaseRangeError, match=r"^case c argument 2 is below the "
+                           r"hypothesis range \(starts at 3\)$"):
             eliminate_case_instance(CaseLabel.C, 2)
-        assert err.value.known_square_args == (0, 1, 2)
-        with pytest.raises(CaseRangeError):
+        with pytest.raises(CaseRangeError, match=r"^case b\+ argument 1 "):
             eliminate_case_instance(CaseLabel.B_PLUS, 1)
+        assert 2 in catalog()[CaseLabel.C].known_square_args
 
     def test_known_survivor_lists_match_catalog(self):
         cat = catalog()
         for case in COMPUTABLE:
-            assert known_square_args(case, cat[case].A, cat[case].H) == KNOWN_SQUARE_ARGS[case]
             assert frozenset(KNOWN_SQUARE_ARGS[case]) == cat[case].known_square_args
             assert CASE_MIN_ARG[case] == cat[case].t_min
             assert all(t < CASE_MIN_ARG[case] for t in KNOWN_SQUARE_ARGS[case])
@@ -273,12 +273,11 @@ class TestEliminateCaseInstance:
     def test_known_square_args_agree_with_a_square_test(self, monkeypatch):
         # The certificates rule out squares from t_min on, so over a wider
         # range factoring H(t) and testing f(t) still find the pinned lists.
-        cat = catalog()
         for case in COMPUTABLE:
             monkeypatch.setitem(CASE_MIN_ARG, case, 40)
-            obs = cat[case]
-            squares = tuple(t for t in range(40) if is_perfect_square(obs.f.evaluate(t)))
-            assert known_square_args(case, obs.A, obs.H) == squares == KNOWN_SQUARE_ARGS[case]
+        for case, obs in catalog().items():
+            squares = frozenset(t for t in range(40) if is_perfect_square(obs.f.evaluate(t)))
+            assert obs.known_square_args == squares == frozenset(KNOWN_SQUARE_ARGS[case])
 
     def test_external_cases_rejected(self):
         with pytest.raises(ExternalCaseError):

@@ -7,13 +7,16 @@ growth_margin rows also show that the sweeps and first_r_exceeding read
 growth_margin from the bounds module when they run.  Every row also runs
 through the CLI, which must exit 1 with the check failed: a wrong rule is
 a fail row, never a traceback.  The catalog-path rows make the catalog's
-derivation raise, which fails each check that reads the catalog.  A row
-whose first entry is a tuple of modules patches the attribute in each.  The
-whole table also runs under python -O, which strips asserts: every guard is
-an explicit comparison.
+derivation raise, which fails each check that reads the catalog; the
+condition 1- row instead breaks the sign flip between the b+ and b-
+entries.  A row whose first entry is a tuple of modules patches the
+attribute in each; source_mutant recompiles a function with one operator
+changed.  The whole table also runs under python -O, which strips asserts:
+every guard is an explicit comparison.
 """
 
 import importlib
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -32,9 +35,10 @@ import homgeom.pipeline as pipeline
 import homgeom.verify as verify
 from homgeom.bounds import phi_of
 from homgeom.geometries import alpha_from_profile
-from homgeom.localization import point_localize
+from homgeom.localization import FORBIDDEN_PAIRS, point_localize
 from homgeom.parameters import Condition, condition_alpha, is_classical_shape, s2_from
 from homgeom.pipeline import search
+from homgeom.obstructions import sieve
 from homgeom.verify import verify_all
 
 
@@ -118,6 +122,24 @@ def search_systems_checked_plus_one(*args, **kwargs):
     return status, {**details, "systemsChecked": details["systemsChecked"] + 1}, witness
 
 
+def cond1_minus_alpha_s1_squared(condition, s1):
+    """condition_alpha with s1^2 in place of s1*(sqrt(s1) - 1)^2 for condition 1-."""
+    if condition is Condition.COND1_MINUS:
+        return s1 * s1
+    return condition_alpha(condition, s1)
+
+
+def source_mutant(function, old, new):
+    """function recompiled from its source with the one occurrence of old
+    replaced by new, in its own module's globals."""
+    source = textwrap.dedent(inspect.getsource(function))
+    if source.count(old) != 1:
+        raise ValueError(f"{old!r} does not occur exactly once in {function.__name__}")
+    namespace = {}
+    exec(source.replace(old, new), function.__globals__, namespace)
+    return namespace[function.__name__]
+
+
 # Every module of the package that binds is_perfect_square, the defining one
 # included: patching them all leaves no square test that still works.
 SQUARE_TEST_MODULES = tuple(
@@ -179,6 +201,22 @@ MUTANTS = {
     ),
     "systems-checked-plus-one": (
         verify, "search", search_systems_checked_plus_one, "parameter-search",
+    ),
+    "no-cond1-plus-family-1-row": (
+        pipeline,
+        "FORBIDDEN_PAIRS",
+        {pair: case for pair, case in FORBIDDEN_PAIRS.items()
+         if pair != (Condition.COND1_PLUS, 1)},
+        "parameter-search",
+    ),
+    "catalog-cond1-minus-alpha-s1-squared": (
+        localization, "condition_alpha", cond1_minus_alpha_s1_squared, "square-decompositions",
+    ),
+    "sieve-block-offset-quotient": (
+        verify,
+        "sieve",
+        source_mutant(sieve, ">> (t0 % period)", ">> (t0 // period)"),
+        "square-sieve",
     ),
 }
 

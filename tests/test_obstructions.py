@@ -221,15 +221,15 @@ class TestCertificates:
 class TestSieve:
     def test_expected_sets_small_limit(self):
         cat = catalog()
-        assert sieve(cat[CaseLabel.C], 5000) == [0, 1, 2]
-        assert sieve(cat[CaseLabel.E], 5000) == [0, 1]
-        assert sieve(cat[CaseLabel.F], 5000) == [1]
-        assert sieve(cat[CaseLabel.B_PLUS], 5000) == [0, 1]
-        assert sieve(cat[CaseLabel.B_MINUS], 5000) == [0, 1]
+        assert sieve(cat[CaseLabel.C].f, 5000) == [0, 1, 2]
+        assert sieve(cat[CaseLabel.E].f, 5000) == [0, 1]
+        assert sieve(cat[CaseLabel.F].f, 5000) == [1]
+        assert sieve(cat[CaseLabel.B_PLUS].f, 5000) == [0, 1]
+        assert sieve(cat[CaseLabel.B_MINUS].f, 5000) == [0, 1]
 
     def test_fast_sieve_matches_naive_oracle(self):
         for obs in catalog().values():
-            assert sieve(obs, 3000) == sieve_naive(obs, 3000)
+            assert sieve(obs.f, 3000) == sieve_naive(obs, 3000)
 
     def test_mask_period_boundaries(self):
         # Each mask repeats with period m; a pattern off by one at a period
@@ -237,8 +237,8 @@ class TestSieve:
         for obs in catalog().values():
             for m in _MASK_MODULI:
                 for limit in (m - 1, m, m + 1):
-                    assert sieve(obs, limit) == sieve_naive(obs, limit), (obs.label, limit)
-            assert sieve(obs, 10**4) == sieve_naive(obs, 10**4), obs.label
+                    assert sieve(obs.f, limit) == sieve_naive(obs, limit), (obs.label, limit)
+            assert sieve(obs.f, 10**4) == sieve_naive(obs, 10**4), obs.label
 
     def test_groups_cover_every_modulus_in_order(self):
         # A modulus dropped from or doubled in the groups would change which
@@ -261,15 +261,13 @@ class TestSieve:
         for label, obs in cat.items():
             for limit in sorted(limits):
                 expected = [t for t in naive[label] if t <= limit]
-                assert sieve(obs, limit) == expected, (label, limit)
+                assert sieve(obs.f, limit) == expected, (label, limit)
         # The catalog's squares all sit below the first edge; f = x is a
         # square at every t = k^2 and has a nontrivial mask for every modulus,
         # so a window read at the wrong offset would drop some of them.
-        x = UniPoly.x()
-        identity = SquareObstruction(CaseLabel.C, x, x, x.square() - x, 0, frozenset())
         for limit in sorted(limits):
             squares = [k * k for k in range(math.isqrt(limit) + 1)]
-            assert sieve(identity, limit) == squares, limit
+            assert sieve(UniPoly.x(), limit) == squares, limit
 
     def test_memory_flat_in_limit(self):
         # Blocks and patterns have fixed sizes, so the peak allocation at
@@ -280,7 +278,7 @@ class TestSieve:
         for limit in (10**5, 2 * 10**6):
             tracemalloc.start()
             try:
-                sieve(obs, limit)
+                sieve(obs.f, limit)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -290,23 +288,22 @@ class TestSieve:
         # f = (x + 1)^2 is a square at every t, so any mask that dropped a
         # square residue would lose some t here; past one and two blocks,
         # every bit of a full block survives and is read off.
-        g = UniPoly([1, 1])
-        obs = SquareObstruction(CaseLabel.C, g.square(), 2 * g, UniPoly(), 0, frozenset())
+        f = UniPoly([1, 1]).square()
         for limit in (500, _BLOCK + 1, 2 * _BLOCK + 1):
-            assert sieve(obs, limit) == list(range(limit + 1)), limit
+            assert sieve(f, limit) == list(range(limit + 1)), limit
 
     def test_negative_values_never_reported(self):
         # f for case f is negative at 0; the sieve must not report it.
         obs = catalog()[CaseLabel.F]
         assert obs.f.evaluate(0) == -2
-        assert 0 not in sieve(obs, 10)
+        assert 0 not in sieve(obs.f, 10)
 
     def test_limit_validation(self):
         with pytest.raises(ValueError):
-            sieve(catalog()[CaseLabel.C], -1)
+            sieve(catalog()[CaseLabel.C].f, -1)
 
     def test_zero_limit(self):
-        assert sieve(catalog()[CaseLabel.C], 0) == [0]
+        assert sieve(catalog()[CaseLabel.C].f, 0) == [0]
 
     def test_import_leaves_numpy_unloaded(self):
         # The package is standard library only; the child prints the answer

@@ -278,6 +278,19 @@ class TestEliminate:
             verdict.survivor_chains[0]
         )
 
+    def test_allowed_pair_that_fits_no_condition_is_a_survivor(self, monkeypatch):
+        # With the (Cond1Plus, 1) row gone, condition 1+ at s1 = 9 may
+        # localize into family 1, but s1_hat = 9 + 144 = 153 is not a square:
+        # no condition of family 1 fits, and the walk must not drop the pair.
+        monkeypatch.delitem(FORBIDDEN_PAIRS, (Condition.COND1_PLUS, 1))
+        verdict = eliminate(ParamSystem(3, 6, 0, DIM))
+        assert verdict.verdict is Verdict.SURVIVES_SQUARE_TEST
+        assert verdict.survivor_chains == (
+            "Cond2(s1=3) -> Cond1Plus(s1=9) -> family 1 unmatched at s1_hat=153",
+        )
+        assert any(line.endswith("no condition of family 1 fits s1_hat=153: "
+                                 "the walk cannot follow it; SURVIVOR") for line in verdict.trace)
+
     def test_rule_and_first_trace_line_name_the_same_branch(self):
         # On every system of the search's cross-check grid, the rule eliminate
         # reports is the one branch its first trace line names, and every
